@@ -13,6 +13,25 @@ The minimal nonnegative solution of the fixed-point system is the
 probabilistic one.  We reach it by monotone iteration from zero followed by
 Newton steps, which for this class of systems stay below the fixed point
 and converge even at the fold, where plain iteration slows to a crawl.
+
+The map phi is a polynomial with nonnegative coefficients, so it is
+monotone, and that makes both a quick divergence verdict and a warm start
+sound (Esparza, Kiefer and Luttenberger, "Newtonian program analysis",
+JACM 2010; Etessami and Yannakakis, "Recursive Markov chains, stochastic
+grammars, and monotone systems of nonlinear equations", JACM 2009):
+
+* Iterates from zero are post-fixed points, phi(f) >= f, and lie below
+  every fixed point.  A Newton step from such a point keeps both
+  properties while a fixed point exists: then rho(J(f)) < 1, so
+  (I - J(f))^-1 is a nonnegative series and the correction
+  delta = (I - J(f))^-1 (phi(f) - f) is nonnegative.  A negative residual
+  or a negative correction, beyond rounding, therefore proves that no
+  fixed point exists at this z, and the solve stops at once instead of
+  running out its step budget.
+* For lo < z the least fixed point f*(lo) is a post-fixed point of the map
+  at z, since phi_z(f*(lo)) = (z / lo) phi_lo(f*(lo)) >= f*(lo), and it
+  lies below f*(z).  The radius bisection starts each midpoint's Newton
+  iteration there, and the certificate above still holds.
 """
 
 from __future__ import annotations
@@ -273,7 +292,73 @@ class FirstPassageSystem:
                     )
             return {c: float(f[self.index[c]]) for c in self.letters}
 
+    def _diverged(self, zz, cause: str) -> ConvergenceError:
+        return ConvergenceError(
+            f"first-passage solve at z = {mp.nstr(zz, 17)} found no "
+            f"finite nonnegative fixed point: {cause}"
+        )
+
+    def _newton(self, zz, f, mu, mu0):
+        """Newton polish from a post-fixed point below the least fixed point.
+
+        Call inside mp.workprec(self.prec).  Returns (f, steps, residual).
+        Raises ConvergenceError naming the guard that fired: a certified
+        negative residual or correction (see the module docstring), a
+        singular Newton matrix, an iterate past VALUE_BOUND, or NEWTON_CAP
+        exhausted.  The sign tests allow for rounding relative to the size
+        of the vector they test.
+        """
+        L = len(self.letters)
+        tol = mp.mpf(2) ** (16 - self.prec)
+        residual = None
+        for step in range(NEWTON_CAP):
+            phi, _ = self._phi(f, zz, mu, mu0)
+            g = [phi[k] - f[k] for k in range(L)]
+            residual = max(abs(v) for v in g)
+            if residual <= tol:
+                return f, step, residual
+            if min(g) < -tol * (1 + max(f)):
+                raise self._diverged(
+                    zz,
+                    f"certified by a negative residual phi(f) - f at Newton "
+                    f"step {step}",
+                )
+            A = mp.eye(L) - self._jacobian(f, zz, mu, mu0)
+            try:
+                delta = mp.lu_solve(A, mp.matrix(g))
+            except (ZeroDivisionError, ValueError):
+                raise self._diverged(
+                    zz, f"singular Newton matrix at Newton step {step}"
+                ) from None
+            delta = [delta[k] for k in range(L)]
+            if min(delta) < -tol * (1 + max(abs(v) for v in delta)):
+                raise self._diverged(
+                    zz,
+                    f"certified by a negative Newton correction at Newton "
+                    f"step {step}",
+                )
+            f = [f[k] + delta[k] for k in range(L)]
+            for k in range(L):
+                if mp.isnan(f[k]) or f[k] > VALUE_BOUND:
+                    raise self._diverged(
+                        zz,
+                        f"Newton iterate is NaN or above VALUE_BOUND = "
+                        f"{VALUE_BOUND:g} at Newton step {step}",
+                    )
+                if f[k] < 0:
+                    f[k] = mp.mpf(0)
+        raise self._diverged(zz, f"NEWTON_CAP = {NEWTON_CAP} steps exhausted")
+
     def solve(self, z) -> SolveResult:
+        """Minimal nonnegative solution of the fixed-point system at z.
+
+        KLEENE_WARMUP steps of plain iteration from zero, then Newton.  Both
+        stay below the least fixed point and keep phi(f) >= f, so a negative
+        residual or Newton correction certifies that no fixed point exists
+        and the solve raises ConvergenceError at once (module docstring).
+        Every failure names its cause; NEWTON_CAP and VALUE_BOUND remain as
+        backstops.  Results are cached per evaluation point.
+        """
         key = str(z)
         hit = self._solve_cache.get(key)
         if hit is not None:
@@ -284,41 +369,16 @@ class FirstPassageSystem:
                 raise ValidationError("evaluation point must be positive")
             mu, mu0 = self._weights()
             L = len(self.letters)
-            tol = mp.mpf(2) ** (16 - self.prec)
             f = [mp.mpf(0)] * L
-            diverged = ConvergenceError(
-                f"first-passage solve at z = {mp.nstr(zz, 17)} found no "
-                "finite nonnegative fixed point"
-            )
             for _ in range(KLEENE_WARMUP):
                 f, _ = self._phi(f, zz, mu, mu0)
                 if max(f) > VALUE_BOUND:
-                    raise diverged
-            iterations = KLEENE_WARMUP
-            residual = None
-            for _ in range(NEWTON_CAP):
-                phi, s = self._phi(f, zz, mu, mu0)
-                g = [phi[k] - f[k] for k in range(L)]
-                residual = max(abs(v) for v in g)
-                if residual <= tol:
-                    break
-                A = mp.eye(L) - self._jacobian(f, zz, mu, mu0)
-                try:
-                    delta = mp.lu_solve(A, mp.matrix(g))
-                except (ZeroDivisionError, ValueError):
-                    raise diverged from None
-                f = [f[k] + delta[k] for k in range(L)]
-                bad = False
-                for k in range(L):
-                    if mp.isnan(f[k]) or f[k] > VALUE_BOUND:
-                        bad = True
-                    elif f[k] < 0:
-                        f[k] = mp.mpf(0)
-                if bad:
-                    raise diverged
-                iterations += 1
-            else:
-                raise diverged
+                    raise self._diverged(
+                        zz,
+                        f"Kleene iterates escaped VALUE_BOUND = {VALUE_BOUND:g}",
+                    )
+            f, steps, residual = self._newton(zz, f, mu, mu0)
+            iterations = KLEENE_WARMUP + steps
             phi, s = self._phi(f, zz, mu, mu0)
             u = zz * (mu0 + s)
             green = 1 / (1 - u) if u < 1 else None
@@ -335,38 +395,49 @@ class FirstPassageSystem:
 
     # -- singularity ----------------------------------------------------
 
-    def _solvable(self, z: float) -> bool:
-        try:
-            self.solve(z)
-        except ConvergenceError:
-            return False
-        return True
-
     def radius(self) -> RadiusCertificate:
         """Bisection bracket for the shared singularity of the system.
 
         Works on the solvability predicate directly: below the singularity
         the Newton polish lands on the minimal fixed point, above it there
-        is no nonnegative solution to land on.
+        is no nonnegative solution to land on, and the certified negative
+        correction of solve() says so within a few steps.  The two ends
+        z = 1 and z = hi go through solve(); each midpoint starts Newton
+        from the solution at the current lo, a post-fixed point below the
+        midpoint's least fixed point (module docstring).  Midpoint solutions
+        are not cached, so solve(cert.lo) still starts from zero.
         """
         if self._radius_cert is not None:
             return self._radius_cert
         lo = 1.0
         hi = min(2.0, float(Fraction(1, 1) / self.mu0_fraction))
-        if not self._solvable(lo):
-            raise ConvergenceError("first-passage system unsolvable at z = 1")
-        if self._solvable(hi):
+        try:
+            start = self.solve(lo)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"first-passage system unsolvable at z = 1 ({exc})"
+            ) from None
+        try:
+            self.solve(hi)
+        except ConvergenceError:
+            pass
+        else:
             raise ConvergenceError(
                 "singularity bisection bracket not found in (0, 2]"
             )
+        f = [start.values[c] for c in self.letters]
         evaluations = 2
-        while hi - lo > BRACKET_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if self._solvable(mid):
-                lo = mid
-            else:
-                hi = mid
-            evaluations += 1
+        with mp.workprec(self.prec):
+            mu, mu0 = self._weights()
+            while hi - lo > BRACKET_WIDTH:
+                mid = 0.5 * (lo + hi)
+                try:
+                    f_mid, _, _ = self._newton(mp.mpf(mid), f, mu, mu0)
+                except ConvergenceError:
+                    hi = mid
+                else:
+                    lo, f = mid, f_mid
+                evaluations += 1
         self._radius_cert = RadiusCertificate(
             r=0.5 * (lo + hi), lo=lo, hi=hi, evaluations=evaluations,
             prec=self.prec,

@@ -420,3 +420,20 @@ def test_console_script_is_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,y_or_prefix,depth,value,error,stabilized")
+
+
+# -- golden stdout ---------------------------------------------------------------
+
+
+# stdout of six free-group invocations; a solver change that keeps every
+# verdict leaves these bytes alone, so regenerate only for a change of output
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_cli_stdout.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_stdout_matches_golden_bytes(capsys, case):
+    rc, out, _ = run_cli(capsys, *case["argv"])
+    assert rc == case["exit"]
+    assert out == case["stdout"]

@@ -1,9 +1,13 @@
 """First-passage generating functions: solves, singularity, expansions."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 from treewalks import (
     ConvergenceError,
@@ -18,8 +22,10 @@ from treewalks import (
     series_coefficients,
     word,
 )
+from treewalks import series
 
 F2 = free_group(2)
+F3 = free_group(3)
 
 
 def uniform_quadratic_root(z: float) -> float:
@@ -79,7 +85,7 @@ def test_solve_rejects_nonpositive_point(f2_system):
 
 
 def test_solve_diverges_past_singularity(f2_system):
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="Kleene iterates escaped VALUE_BOUND"):
         f2_system.solve(1.2)
 
 
@@ -129,6 +135,92 @@ def test_passage_finite_at_radius(f2_system):
     fp = f2_system.fold()
     for c in f2_system.letters:
         assert float(fp.values[c]) < 1.0
+
+
+def f3_walk():
+    mu = {identity(F3): Fraction(1, 4)}
+    for c, k in {1: 3, -1: 1, 2: 2, -2: 2, 3: 1, -3: 3}.items():
+        mu[word(F3, [c])] = Fraction(k, 16)
+    return finite_walk(F3, mu)
+
+
+# Certificates of the radius bisection, pinned bit for bit: a faster
+# bisection must reach the same verdict at every midpoint.
+RADIUS_PINS = {
+    "f2-lazy-uniform": (1.1200461886989501, 1.120046188699007, 1.1200461886989785),
+    "skewed-f2": (1.1808788188284325, 1.1808788188284893, 1.180878818828461),
+    "f3": (1.3164519646855979, 1.3164519646856547, 1.3164519646856263),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_PINS))
+def test_radius_certificate_is_pinned(f2_system, name):
+    if name == "f2-lazy-uniform":
+        cert = f2_system.radius()
+    else:
+        spec = asymmetric_walk() if name == "skewed-f2" else f3_walk()
+        cert = FirstPassageSystem(spec).radius()
+    assert (cert.lo, cert.hi, cert.r) == RADIUS_PINS[name]
+    assert cert.evaluations == 46
+
+
+CERTIFIED = re.compile(
+    r"certified by a negative (?:residual phi\(f\) - f|Newton correction) "
+    r"at Newton step (\d+)"
+)
+
+
+@pytest.mark.parametrize("where", ["1.001 r", "cert.hi"])
+def test_divergence_is_certified_early(f2_system, where):
+    cert = f2_system.radius()
+    z = 1.001 * cert.r if where == "1.001 r" else cert.hi
+    with pytest.raises(ConvergenceError) as info:
+        f2_system.solve(z)
+    found = CERTIFIED.search(str(info.value))
+    assert found is not None, str(info.value)
+    assert int(found.group(1)) < series.NEWTON_CAP // 4
+
+
+def test_newton_budget_names_its_cap(f2_spec, monkeypatch):
+    monkeypatch.setattr(series, "NEWTON_CAP", 1)
+    with pytest.raises(ConvergenceError, match="NEWTON_CAP = 1 steps exhausted"):
+        FirstPassageSystem(f2_spec).solve(1.1)
+
+
+def test_singular_newton_matrix_is_named(f2_spec, monkeypatch):
+    system = FirstPassageSystem(f2_spec)
+    L = len(system.letters)
+    # I - J = 0: the Newton correction has no solution
+    monkeypatch.setattr(system, "_jacobian", lambda *args: mp.eye(L))
+    with pytest.raises(ConvergenceError, match="singular Newton matrix at Newton step 0"):
+        system.solve(1.0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    rank=st.sampled_from([2, 3]),
+    weights=st.lists(st.integers(1, 5), min_size=6, max_size=6),
+    hold=st.sampled_from(
+        [Fraction(1, 10), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]
+    ),
+)
+def test_radius_certificate_against_cold_solves(rank, weights, hold):
+    ab = free_group(rank)
+    weights = weights[: len(ab.letters)]
+    mu = {identity(ab): hold}
+    for c, k in zip(ab.letters, weights):
+        mu[word(ab, [c])] = (1 - hold) * Fraction(k, sum(weights))
+    spec = finite_walk(ab, mu)
+    system = FirstPassageSystem(spec)
+    cert = system.radius()
+    cold = FirstPassageSystem(spec)  # fresh cache: solves start from zero
+    cold.solve(cert.lo)
+    with pytest.raises(ConvergenceError):
+        cold.solve(cert.hi)
+    assert cert.hi - cert.lo <= 1e-12
+    # the fold is an independent Newton iteration on the augmented system
+    r = float(system.fold().r)
+    assert cert.lo * (1 - 1e-15) <= r <= cert.hi * (1 + 1e-15)
 
 
 # -- coefficients --------------------------------------------------------------
