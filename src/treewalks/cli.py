@@ -8,15 +8,15 @@ Exit codes: 0 success, 2 invalid input, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from .errors import ConvergenceError, ValidationError
-from .geometry import EndPrefix, identity, tree_alphabet, word
+from .geometry import EndPrefix, identity, parse_word, tree_alphabet
 from .kernels import (
     KernelTable,
     KernelValue,
+    _json_text,
     ancona_harnack_check,
     martin_kernel_nn,
     ratio_kernel_isotropic,
@@ -43,14 +43,9 @@ from .walks import (
 __all__ = ["main"]
 
 
-def _parse_letters(text: str, alphabet):
-    if text in ("", "e"):
-        return identity(alphabet)
-    try:
-        letters = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"cannot parse word {text!r}; want e.g. '1,-2'")
-    return word(alphabet, letters)
+def _end(text: str, alphabet, depth: int) -> EndPrefix:
+    """End prefix repeating the word spelled by a --pattern argument."""
+    return EndPrefix.from_pattern(alphabet, parse_word(alphabet, text).letters, depth)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -94,9 +89,7 @@ def _emit(args, text: str) -> None:
 
 def _kv_report(args, payload: dict) -> str:
     if args.format == "json":
-        return json.dumps(
-            {"schema": 1, **payload}, sort_keys=True, separators=(",", ": ")
-        ) + "\n"
+        return _json_text({"schema": 1, **payload})
     lines = ["key,value"]
     for key in sorted(payload):
         val = payload[key]
@@ -106,8 +99,9 @@ def _kv_report(args, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_text(args, table: KernelTable) -> str:
-    return table.to_json() if args.format == "json" else table.to_csv()
+def _emit_table(args, kind: str, rows: list, meta: dict) -> None:
+    table = KernelTable(kind=kind, rows=rows, meta=meta)
+    _emit(args, table.to_json() if args.format == "json" else table.to_csv())
 
 
 # ---------------------------------------------------------------------------
@@ -119,44 +113,33 @@ def _cmd_tree_kernel(args) -> None:
         raise ValidationError("need q >= 2")
     ab = tree_alphabet(args.q)
     spec = isotropic_walk(args.q, {0: Fraction(1, 2), 1: Fraction(1, 2)})
-    x = _parse_letters(args.x, ab)
+    x = parse_word(ab, args.x)
     xi = EndPrefix.from_pattern(ab, [1, 2], args.depth)
     row = ratio_kernel_isotropic(spec, x, xi)
-    table = KernelTable(
-        kind="tree-kernel",
-        rows=[row],
-        meta={"q": args.q, "depth": args.depth},
-    )
-    _emit(args, _table_text(args, table))
+    _emit_table(args, "tree-kernel", [row], {"q": args.q, "depth": args.depth})
 
 
 def _cmd_free_kernel(args) -> None:
     spec = _require_word_walk(_load_walk(args))
     system = shared_system(spec, _check_precision(args.precision))
-    x = _parse_letters(args.x, spec.alphabet)
+    x = parse_word(spec.alphabet, args.x)
     rows: list[KernelValue] = []
     if args.y is not None:
-        target = _parse_letters(args.y, spec.alphabet)
+        target = parse_word(spec.alphabet, args.y)
         rows.append(ratio_kernel_nn(system, x, target))
     else:
-        pattern = [int(t) for t in args.pattern.split(",")]
-        xi = EndPrefix.from_pattern(spec.alphabet, pattern, args.depth)
+        xi = _end(args.pattern, spec.alphabet, args.depth)
         if args.t is not None:
             rows.append(martin_kernel_nn(system, x, xi, args.t))
         else:
             rows.append(ratio_kernel_nn(system, x, xi))
-    table = KernelTable(
-        kind="free-kernel",
-        rows=rows,
-        meta={"preset": args.preset, "depth": args.depth},
-    )
-    _emit(args, _table_text(args, table))
+    _emit_table(args, "free-kernel", rows, {"preset": args.preset, "depth": args.depth})
 
 
 def _cmd_ratio_converge(args) -> None:
     spec = _require_word_walk(_load_walk(args))
-    x = _parse_letters(args.x, spec.alphabet)
-    y = _parse_letters(args.y, spec.alphabet)
+    x = parse_word(spec.alphabet, args.x)
+    y = parse_word(spec.alphabet, args.y)
     seq = ratio_sequence(spec, x, y, args.n_max)
     picks = []
     n = 1
@@ -181,12 +164,8 @@ def _cmd_ratio_converge(args) -> None:
                 stabilized=gap <= args.tol,
             )
         )
-    table = KernelTable(
-        kind="ratio-converge",
-        rows=rows,
-        meta={"preset": args.preset, "n_max": args.n_max, "tail_spread": seq.tail_spread},
-    )
-    _emit(args, _table_text(args, table))
+    meta = {"preset": args.preset, "n_max": args.n_max, "tail_spread": seq.tail_spread}
+    _emit_table(args, "ratio-converge", rows, meta)
 
 
 def _cmd_llt_fit(args) -> None:
@@ -214,16 +193,11 @@ def _cmd_llt_fit(args) -> None:
 
 def _cmd_martin_matrix(args) -> None:
     spec = _require_word_walk(_load_walk(args))
-    x = _parse_letters(args.x, spec.alphabet)
-    pattern = [int(t) for t in args.pattern.split(",")]
-    xi = EndPrefix.from_pattern(spec.alphabet, pattern, args.depth)
+    x = parse_word(spec.alphabet, args.x)
+    xi = _end(args.pattern, spec.alphabet, args.depth)
     row = martin_kernel_matrix(spec, x, xi)
-    table = KernelTable(
-        kind="martin-matrix",
-        rows=[row],
-        meta={"preset": args.preset, "depth": args.depth},
-    )
-    _emit(args, _table_text(args, table))
+    meta = {"preset": args.preset, "depth": args.depth}
+    _emit_table(args, "martin-matrix", [row], meta)
 
 
 def _cmd_product(args) -> None:
@@ -241,10 +215,7 @@ def _cmd_product(args) -> None:
             "window": [lo, args.n_max],
         }
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n",
-        )
+        _emit(args, _json_text(payload))
     else:
         flat: dict = {}
 
@@ -310,12 +281,11 @@ def _cmd_phi_claim(args) -> None:
     system = shared_system(spec, _check_precision(args.precision))
     r = float(system.radius().r)
     z = r * (1.0 - args.z_offset)
-    x = _parse_letters(args.x, spec.alphabet)
-    pattern = [int(t) for t in args.pattern.split(",")]
+    x = parse_word(spec.alphabet, args.x)
     e = identity(spec.alphabet)
     rows = []
     for depth in range(2, args.depth + 1, 2):
-        y = EndPrefix.from_pattern(spec.alphabet, pattern, depth).word
+        y = _end(args.pattern, spec.alphabet, depth).word
         top = green_second_order(system, x, y, z, tol=args.tol)
         bot = green_second_order(system, e, y, z, tol=args.tol)
         ratio = top.phi / bot.phi
@@ -330,12 +300,8 @@ def _cmd_phi_claim(args) -> None:
                 stabilized=top.stabilized and bot.stabilized,
             )
         )
-    table = KernelTable(
-        kind="phi-claim",
-        rows=rows,
-        meta={"preset": args.preset, "z": z, "z_offset": args.z_offset},
-    )
-    _emit(args, _table_text(args, table))
+    meta = {"preset": args.preset, "z": z, "z_offset": args.z_offset}
+    _emit_table(args, "phi-claim", rows, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -23,12 +25,12 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         if self.kind not in ("free", "involutive"):
-            raise ValueError(f"unknown alphabet kind {self.kind!r}")
+            raise ValidationError(f"unknown alphabet kind {self.kind!r}")
         if self.size < 1:
-            raise ValueError("alphabet needs at least one generator")
+            raise ValidationError("alphabet needs at least one generator")
         if self.kind == "involutive" and self.size < 3:
             # degree 1 and 2 trees are covered by the free alphabets
-            raise ValueError("involutive alphabet needs >= 3 letters")
+            raise ValidationError("involutive alphabet needs >= 3 letters")
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -55,9 +57,9 @@ class Alphabet:
     def check_letter(self, letter: int) -> None:
         if self.kind == "free":
             if letter == 0 or abs(letter) > self.size:
-                raise ValueError(f"letter {letter} outside alphabet")
+                raise ValidationError(f"letter {letter} outside alphabet")
         elif not 1 <= letter <= self.size:
-            raise ValueError(f"letter {letter} outside alphabet")
+            raise ValidationError(f"letter {letter} outside alphabet")
 
 
 def free_group(rank: int) -> Alphabet:
@@ -71,7 +73,7 @@ def tree_alphabet(q: int) -> Alphabet:
     involutive generators.  q = 1 gives the line (F_1, i.e. the integers).
     """
     if q < 1:
-        raise ValueError("q must be >= 1")
+        raise ValidationError("q must be >= 1")
     degree = q + 1
     if degree % 2 == 0:
         return free_group(degree // 2)
@@ -90,7 +92,7 @@ class ReducedWord:
         for a in self.letters:
             self.alphabet.check_letter(a)
             if prev is not None and a == self.alphabet.inverse_letter(prev):
-                raise ValueError(f"word {self.letters} is not reduced")
+                raise ValidationError(f"word {self.letters} is not reduced")
             prev = a
 
     def __len__(self) -> int:
@@ -112,7 +114,7 @@ class ReducedWord:
 
     def prefix(self, length: int) -> "ReducedWord":
         if not 0 <= length <= len(self.letters):
-            raise ValueError("prefix length out of range")
+            raise ValidationError("prefix length out of range")
         return ReducedWord(self.alphabet, self.letters[:length])
 
     def append(self, letter: int) -> "ReducedWord":
@@ -138,7 +140,7 @@ def word(alphabet: Alphabet, letters: Iterable[int]) -> ReducedWord:
 
 def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
     if x.alphabet != y.alphabet:
-        raise ValueError("words over different alphabets")
+        raise ValidationError("words over different alphabets")
     inv = x.alphabet.inverse_letter
     left = list(x.letters)
     i = 0
@@ -182,7 +184,7 @@ class EndPrefix:
         for a in letters:
             nxt = w.append(a)
             if len(nxt) <= len(w):
-                raise ValueError("extension must move away from the root")
+                raise ValidationError("extension must move away from the root")
             w = nxt
         return EndPrefix(w)
 
@@ -196,7 +198,7 @@ class EndPrefix:
     ) -> "EndPrefix":
         pat = tuple(pattern)
         if not pat:
-            raise ValueError("pattern must be nonempty")
+            raise ValidationError("pattern must be nonempty")
         letters: list[int] = []
         while len(letters) < depth:
             letters.append(pat[len(letters) % len(pat)])
@@ -225,18 +227,18 @@ def confluent(
     vw = v.word if isinstance(v, EndPrefix) else v
     ww = w.word if isinstance(w, EndPrefix) else w
     if vw.alphabet != ww.alphabet:
-        raise ValueError("words over different alphabets")
+        raise ValidationError("words over different alphabets")
     v_is_end = isinstance(v, EndPrefix)
     w_is_end = isinstance(w, EndPrefix)
     if not v_is_end and not w_is_end and vw == ww:
-        raise ValueError("confluent undefined for v = w")
+        raise ValidationError("confluent undefined for v = w")
     m = _common_prefix_length(vw.letters, ww.letters)
     # Unresolved if the common part swallowed an entire prefix whose end
     # could still continue along the other argument.
     if v_is_end and m == len(vw) and (w_is_end or m < len(ww)):
-        raise ValueError("prefix too short to resolve confluent")
+        raise ValidationError("prefix too short to resolve confluent")
     if w_is_end and m == len(ww) and (v_is_end or m < len(vw)):
-        raise ValueError("prefix too short to resolve confluent")
+        raise ValidationError("prefix too short to resolve confluent")
     return vw.prefix(m)
 
 
@@ -259,11 +261,11 @@ def horocycle(x: ReducedWord, xi: EndPrefix, depth: int | None = None) -> int:
     if depth is None:
         depth = xi.depth
     if depth > xi.depth:
-        raise ValueError("requested depth exceeds materialised prefix")
+        raise ValidationError("requested depth exceeds materialised prefix")
     xi_d = xi.truncate(depth)
     c = confluent(x, xi_d)  # raises if unresolved
     if depth <= len(x) + len(c):
-        raise ValueError("prefix too short to resolve confluent")
+        raise ValidationError("prefix too short to resolve confluent")
     return distance(x, c) - len(c)
 
 
@@ -278,7 +280,7 @@ class GeodesicSegment:
     @classmethod
     def between(cls, x: ReducedWord, y: ReducedWord) -> "GeodesicSegment":
         if x.alphabet != y.alphabet:
-            raise ValueError("words over different alphabets")
+            raise ValidationError("words over different alphabets")
         if x == y:
             return cls(x, y, (x,))
         c = confluent(x, y)
@@ -296,7 +298,7 @@ class GeodesicSegment:
 def sphere_size(q: int, d: int) -> int:
     """Number of vertices at distance d from a vertex of the (q+1)-regular tree."""
     if d < 0:
-        raise ValueError("d must be >= 0")
+        raise ValidationError("d must be >= 0")
     if d == 0:
         return 1
     return (q + 1) * q ** (d - 1)
@@ -340,7 +342,12 @@ def format_word(x: ReducedWord) -> str:
 
 
 def parse_word(alphabet: Alphabet, text: str) -> ReducedWord:
+    """Word from comma-separated letters, e.g. '1,-2'; 'e' or '' is the identity."""
     text = text.strip()
     if text in ("e", ""):
         return identity(alphabet)
-    return word(alphabet, (int(t) for t in text.split(",")))
+    try:
+        letters = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"cannot parse word {text!r}; want e.g. '1,-2'")
+    return word(alphabet, letters)

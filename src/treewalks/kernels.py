@@ -138,11 +138,34 @@ class KernelTable:
                 for row in self.rows
             ],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n"
+        return _json_text(payload)
+
+
+def _json_text(payload: dict) -> str:
+    """The one JSON layout of every report: sorted keys, one trailing newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
 def _prefix_label(xi: EndPrefix) -> str:
     return format_word(xi.word) + "..."
+
+
+def _end_row(x: ReducedWord, xi: EndPrefix, limit, finite: float) -> KernelValue:
+    """Boundary row from limit(m), a function of the confluent length m.
+
+    The error column is the distance of the finite reading at the prefix
+    word from the limit; the limit read from the prefix cut by four
+    letters must agree for the stabilized flag.
+    """
+    value = limit(meet_length(x, xi))
+    try:
+        m4 = meet_length(x, xi.truncate(max(xi.depth - 4, 0)))
+        stab = abs(limit(m4) - value) <= STABILIZE_TOL
+    except ValidationError:
+        stab = False
+    return KernelValue(
+        format_word(x), _prefix_label(xi), xi.depth, value, abs(finite - value), stab
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +205,14 @@ def ratio_kernel_isotropic(spec: WalkSpec, x: ReducedWord, target) -> KernelValu
         raise ValidationError("radial projection requires isotropy")
     q = spec.q
     if isinstance(target, EndPrefix):
-        m = meet_length(x, target)
-        hor = len(x) - 2 * m
-        value = float(q) ** (-hor / 2.0)
         finite = spherical(q, distance(x, target.word)) / spherical(
             q, len(target.word)
         )
-        err = abs(finite - value)
-        try:
-            m4 = meet_length(x, target.truncate(max(target.depth - 4, 0)))
-            stab = abs(float(q) ** (-(len(x) - 2 * m4) / 2.0) - value) <= STABILIZE_TOL
-        except ValidationError:
-            stab = False
-        return KernelValue(
-            format_word(x), _prefix_label(target), target.depth, value, err, stab
-        )
+
+        def limit(m):  # exponential in the horocycle index len(x) - 2m
+            return float(q) ** (-(len(x) - 2 * m) / 2.0)
+
+        return _end_row(x, target, limit, finite)
     d = distance(x, target)
     value = spherical(q, d) / spherical(q, len(target))
     return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
@@ -204,13 +220,6 @@ def ratio_kernel_isotropic(spec: WalkSpec, x: ReducedWord, target) -> KernelValu
 
 # ---------------------------------------------------------------------------
 # Nearest-neighbour word-walk kernels
-
-
-def _letter_products(system: FirstPassageSystem, z=None, values=None):
-    if values is not None:
-        return values
-    sol = system.solve(z)
-    return {c: float(sol.values[c]) for c in system.letters}
 
 
 def _passage_product(values: dict, w: ReducedWord) -> float:
@@ -229,10 +238,21 @@ def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
             f"Martin kernel needs t at or above the walk's decay rate; "
             f"t = {t!r} puts 1/t beyond the singularity"
         )
-    if z >= cert.lo - 1e-12:
-        fp = system.fold()
-        return {c: float(fp.values[c]) for c in system.letters}
-    return _letter_products(system, z=z)
+    point = system.fold() if z >= cert.lo - 1e-12 else system.solve(z)
+    return {c: float(point.values[c]) for c in system.letters}
+
+
+def _end_quotient(values: dict, x: ReducedWord, prefix: ReducedWord, m: int) -> float:
+    """Boundary quotient for a confluent of length m: the passage product
+    from x down to the confluent over the one from e out to it."""
+    inv = prefix.alphabet.inverse_letter
+    num = 1.0
+    for c in x.letters[m:][::-1]:
+        num *= values[inv(c)]
+    den = 1.0
+    for c in prefix.letters[:m]:
+        den *= values[c]
+    return num / den
 
 
 def martin_kernel_nn(
@@ -245,33 +265,12 @@ def martin_kernel_nn(
     prefix resolves the confluent; the error column is exactly zero then.
     """
     values = _nn_values_at(system, t)
-    ab = system.spec.alphabet
     if isinstance(target, EndPrefix):
-        m = meet_length(x, target)
-        num = 1.0
-        for c in x.letters[m:][::-1]:
-            num *= values[ab.inverse_letter(c)]
-        den = 1.0
-        for c in target.word.letters[:m]:
-            den *= values[c]
-        value = num / den
         finite = _passage_product(values, x.inverse() * target.word) / (
             _passage_product(values, target.word)
         )
-        err = abs(finite - value)
-        try:
-            m4 = meet_length(x, target.truncate(max(target.depth - 4, 0)))
-            num4 = 1.0
-            for c in x.letters[m4:][::-1]:
-                num4 *= values[ab.inverse_letter(c)]
-            den4 = 1.0
-            for c in target.word.letters[:m4]:
-                den4 *= values[c]
-            stab = abs(num4 / den4 - value) <= STABILIZE_TOL
-        except ValidationError:
-            stab = False
-        return KernelValue(
-            format_word(x), _prefix_label(target), target.depth, value, err, stab
+        return _end_row(
+            x, target, lambda m: _end_quotient(values, x, target.word, m), finite
         )
     value = _passage_product(values, x.inverse() * target) / _passage_product(
         values, target

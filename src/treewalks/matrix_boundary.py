@@ -10,7 +10,6 @@ the tests against the scalar first-passage closed forms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ from .geometry import (
     multiply,
     word,
 )
-from .kernels import KernelValue, meet_length
+from .kernels import KernelValue, _json_text, meet_length
 from .series import FirstPassageSystem, shared_system
 from .walks import WalkSpec
 
@@ -445,7 +444,7 @@ class PassageMatrix:
             "ball": [format_word(w) for w in self.index.words],
             "rows": [[float(v) for v in row] for row in self.array],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n"
+        return _json_text(payload)
 
 
 def passage_matrix(

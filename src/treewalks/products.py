@@ -9,7 +9,6 @@ in closed form; boundary kernels multiply coordinatewise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,11 +19,11 @@ from scipy.special import gammaln, logsumexp
 from .errors import ValidationError
 from .geometry import EndPrefix, ReducedWord, format_word
 from .kernels import KernelValue, ratio_kernel_isotropic, ratio_kernel_nn
-from .series import FirstPassageSystem, shared_system
+from .series import series_coefficients, shared_system
 from .walks import (
-    RadialChain,
     WalkSpec,
-    lattice_return_sequence,
+    _return_probabilities,
+    _signed_length,
     nstep,
     spectral_radius,
     word_twin,
@@ -94,16 +93,6 @@ class ProductBoundaryPoint:
 # Per-factor dispatch
 
 
-def _system_for(spec: WalkSpec) -> FirstPassageSystem:
-    return shared_system(spec)
-
-
-def _signed_length(x: ReducedWord) -> int:
-    if not x.letters:
-        return 0
-    return len(x) if x.letters[0] > 0 else -len(x)
-
-
 def _lattice_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
     # ratio limit of a one-generator word walk: the n-step law tilts by
     # the exponential that minimises the step transform, and the target
@@ -119,39 +108,45 @@ def _lattice_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
     return KernelValue(format_word(x), label, None, value, 0.0, True)
 
 
-def factor_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
-    """Ratio-limit kernel of one factor, routed by walk structure."""
-    if spec.mode == "isotropic":
-        return ratio_kernel_isotropic(spec, x, target)
-    if spec.group.size == 1:
-        return _lattice_kernel(spec, x, target)
-    if spec.is_nearest_neighbour:
-        return ratio_kernel_nn(_system_for(spec), x, target)
+def _unrouted(spec: WalkSpec, *args):
     raise ValidationError(
-        "no ratio kernel route for this factor; need isotropic, rank-one "
-        "or nearest-neighbour structure"
+        "no ratio kernel or return-sequence route for this factor; need "
+        "isotropic, rank-one or nearest-neighbour structure"
     )
+
+
+# the routes look public names up at call time, so a wrapper installed on
+# this module (a tracer, a test double) sees every call
+_KERNELS = {
+    "radial": lambda spec, x, target: ratio_kernel_isotropic(spec, x, target),
+    "lattice": _lattice_kernel,
+    "nn": lambda spec, x, target: ratio_kernel_nn(shared_system(spec), x, target),
+    "words": _unrouted,
+}
+
+_RETURNS = {
+    "radial": _return_probabilities,
+    "lattice": _return_probabilities,
+    "nn": lambda spec, n_max: series_coefficients(
+        shared_system(spec), None, n_max, exact=False
+    ).floats(),
+    "words": _unrouted,
+}
+
+
+def factor_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
+    """Ratio-limit kernel of one factor, routed by walk class."""
+    return _KERNELS[spec.walk_class](spec, x, target)
 
 
 def factor_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
     """Return probabilities p^(n)(e,e), n = 0..n_max, for one factor."""
-    if spec.mode == "isotropic":
-        return RadialChain(spec).return_sequence(n_max)
-    if spec.group.size == 1:
-        return lattice_return_sequence(spec, n_max)
-    if spec.is_nearest_neighbour:
-        from .series import series_coefficients
-
-        ps = series_coefficients(_system_for(spec), None, n_max, exact=False)
-        return np.array(ps.floats(), dtype=float)
-    raise ValidationError("no return-sequence route for this factor")
+    return _RETURNS[spec.walk_class](spec, n_max)
 
 
 def factor_alpha(spec: WalkSpec) -> float:
     """Local-limit power for one factor: 1/2 on the line, 3/2 on trees."""
-    if spec.mode == "isotropic":
-        return 0.5 if spec.q == 1 else 1.5
-    return 0.5 if spec.group.size == 1 else 1.5
+    return 0.5 if spec.alphabet.q == 1 else 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +326,30 @@ def identify_equivalent_boundary(
     within relative tol at every probe; input order fixes the outcome,
     keeping reports deterministic.
     """
-    vectors = []
-    for cand in candidates:
-        vec = np.array(
-            [product_ratio_kernel(pw, probe, cand).value for probe in probes]
-        )
-        vectors.append(vec)
+    vectors = [
+        np.array([product_ratio_kernel(pw, probe, cand).value for probe in probes])
+        for cand in candidates
+    ]
+    return BoundaryClasses(
+        classes=_greedy_classes(vectors, tol), tol=tol, probe_count=len(probes)
+    )
+
+
+def _greedy_classes(vectors: list[np.ndarray], tol: float) -> tuple:
+    """Each vector joins the first class whose representative matches it
+    within relative tol everywhere, else founds a new class."""
     classes: list[list[int]] = []
     reps: list[np.ndarray] = []
     for i, vec in enumerate(vectors):
-        placed = False
         for c, rep in enumerate(reps):
             scale = np.maximum(np.abs(rep), 1e-300)
             if np.max(np.abs(vec - rep) / scale) <= tol:
                 classes[c].append(i)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([i])
             reps.append(vec)
-    return BoundaryClasses(
-        classes=tuple(tuple(c) for c in classes),
-        tol=tol,
-        probe_count=len(probes),
-    )
+    return tuple(tuple(c) for c in classes)
 
 
 # ---------------------------------------------------------------------------

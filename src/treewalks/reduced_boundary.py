@@ -9,15 +9,19 @@ ball, and a tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import ReducedWord, ball, format_word
-from .kernels import KernelTable
-from .products import ProductWalk, factor_kernel, product_ratio_kernel
+from .kernels import KernelTable, _json_text
+from .products import (
+    ProductWalk,
+    _greedy_classes,
+    factor_kernel,
+    product_ratio_kernel,
+)
 from .walks import WalkSpec
 
 __all__ = ["EquivalenceReport", "detect_R_mu", "reduced_kernel_table"]
@@ -65,24 +69,7 @@ class EquivalenceReport:
             "inverse_closed": self.inverse_closed,
             "certificate": self.certificate,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n"
-
-
-def _greedy_classes(vectors: list[np.ndarray], tol: float):
-    classes: list[list[int]] = []
-    reps: list[np.ndarray] = []
-    for i, vec in enumerate(vectors):
-        placed = False
-        for c, rep in enumerate(reps):
-            scale = np.maximum(np.abs(rep), 1e-300)
-            if np.max(np.abs(vec - rep) / scale) <= tol:
-                classes[c].append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
-            reps.append(vec)
-    return tuple(tuple(c) for c in classes)
+        return _json_text(payload)
 
 
 def _single_walk_grid(spec: WalkSpec, candidate_radius: int, probe_radius: int):

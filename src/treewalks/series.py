@@ -518,22 +518,15 @@ class FirstPassageSystem:
         return format_word(target)
 
     def _target_value(self, target, sol: SolveResult):
-        if target is None:
-            return sol.green
         if isinstance(target, int):
             return sol.values[target]
-        return sol.green_to(target)
+        return sol.green if target is None else sol.green_to(target)
 
     def _target_fold_value(self, target, fp: FoldPoint):
-        if target is None:
-            if fp.green is None:
-                raise ConvergenceError(
-                    "Green function diverges at its singularity; "
-                    "no finite boundary value there"
-                )
-            return fp.green
         if isinstance(target, int):
             return fp.values[target]
+        if target is None:
+            target = identity(self.spec.alphabet)
         return fp.value_at_radius(target)
 
     def expansion(self, target=None) -> PuiseuxData:
@@ -641,90 +634,48 @@ def series_coefficients(
         raise ValidationError("need n_max >= 0")
     if exact is None:
         exact = n_max <= EXACT_STEP_LIMIT
+    # one recursion for both arithmetics: object arrays of Fractions are
+    # exact whatever the summation order, float64 arrays use numpy's
+    if exact:
+        num, dtype = Fraction, object
+    else:
+        num, dtype = float, float
+    zero, one = num(0), num(1)
     L = len(system.letters)
     inv = system.inv_index
-    if exact:
-        mu0 = system.mu0_fraction
-        mu = list(system.mu_fractions)
-        zero = Fraction(0)
-        f = [[zero] * (n_max + 1) for _ in range(L)]
-        t = [[zero] * (n_max + 1) for _ in range(L)]
-        s = [zero] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            for i in range(L):
-                acc = mu[i] if n == 1 else zero
-                acc += mu0 * f[i][n - 1]
-                conv = zero
-                for a in range(1, n - 1):
-                    conv += t[i][a] * f[i][n - 1 - a]
-                f[i][n] = acc + conv
-            s[n] = sum(mu[k] * f[inv[k]][n] for k in range(L))
-            for i in range(L):
-                t[i][n] = s[n] - mu[i] * f[inv[i]][n]
-        u = [zero] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            u[n] = s[n - 1] + (mu0 if n == 1 else zero)
-        g = [zero] * (n_max + 1)
-        g[0] = Fraction(1)
-        for n in range(1, n_max + 1):
-            g[n] = sum(u[k] * g[n - k] for k in range(1, n + 1))
-
-        def conv_exact(a, b):
-            out = [zero] * (n_max + 1)
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                for j in range(0, n_max + 1 - i):
-                    if b[j] != 0:
-                        out[i + j] += ai * b[j]
-            return out
-
-        if target is None:
-            coeffs = g
-        elif isinstance(target, int):
-            coeffs = f[system.index[target]]
-        else:
-            coeffs = [Fraction(1)] + [zero] * n_max
-            for c in target.letters:
-                coeffs = conv_exact(coeffs, f[system.index[c]])
-            coeffs = conv_exact(coeffs, g)
-        return PowerSeries(system._target_label(target), tuple(coeffs), True)
-
-    mu0 = float(system.mu0_fraction)
-    mu = np.array([float(p) for p in system.mu_fractions])
-    f = np.zeros((L, n_max + 1))
-    t = np.zeros((L, n_max + 1))
-    s = np.zeros(n_max + 1)
+    mu0 = num(system.mu0_fraction)
+    mu = np.array([num(p) for p in system.mu_fractions], dtype=dtype)
+    f = np.full((L, n_max + 1), zero, dtype=dtype)
+    t = np.full((L, n_max + 1), zero, dtype=dtype)
+    s = np.full(n_max + 1, zero, dtype=dtype)
     for n in range(1, n_max + 1):
         for i in range(L):
-            acc = mu[i] if n == 1 else 0.0
+            acc = mu[i] if n == 1 else zero
             acc += mu0 * f[i, n - 1]
             if n >= 3:
-                acc += float(np.dot(t[i, 1 : n - 1], f[i, n - 2 : 0 : -1]))
+                acc += np.dot(t[i, 1 : n - 1], f[i, n - 2 : 0 : -1])
             f[i, n] = acc
-        s[n] = float(np.dot(mu, f[inv, n]))
+        s[n] = np.dot(mu, f[inv, n])
         t[:, n] = s[n] - mu * f[inv, n]
-    u = np.zeros(n_max + 1)
+    u = np.full(n_max + 1, zero, dtype=dtype)
     u[1:] = s[:-1]
     if n_max >= 1:
         u[1] += mu0
-    g = np.zeros(n_max + 1)
-    g[0] = 1.0
+    g = np.full(n_max + 1, zero, dtype=dtype)
+    g[0] = one
     for n in range(1, n_max + 1):
-        g[n] = float(np.dot(u[1 : n + 1], g[n - 1 :: -1]))
+        g[n] = np.dot(u[1 : n + 1], g[n - 1 :: -1])
     if target is None:
         coeffs = g
     elif isinstance(target, int):
         coeffs = f[system.index[target]]
     else:
-        coeffs = np.zeros(n_max + 1)
-        coeffs[0] = 1.0
+        coeffs = np.full(n_max + 1, zero, dtype=dtype)
+        coeffs[0] = one
         for c in target.letters:
             coeffs = np.convolve(coeffs, f[system.index[c]])[: n_max + 1]
         coeffs = np.convolve(coeffs, g)[: n_max + 1]
-    return PowerSeries(
-        system._target_label(target), tuple(float(v) for v in coeffs), False
-    )
+    return PowerSeries(system._target_label(target), tuple(coeffs.tolist()), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +704,8 @@ def green_second_order(
         raise ValidationError("need tol > 0")
     w = x.inverse() * y
     sol = system.solve(z)
+    green_pair = sol.green_to(w)  # raises once the Green function diverges
     green = sol.green
-    if green is None:
-        raise ConvergenceError(
-            f"Green function diverges at z = {mp.nstr(sol.z, 17)}: "
-            "the return generating function reaches 1"
-        )
     letters = system.letters
     L = len(letters)
     inv = np.array(system.inv_index)
@@ -766,7 +713,7 @@ def green_second_order(
     om = fvals * fvals[inv]
     path = w.letters
     d = len(path)
-    prefactor = float(green) * float(sol.green_to(w))
+    prefactor = float(green) * float(green_pair)
 
     T = np.tile(om, (d + 1, 1))
     for m in range(d + 1):
@@ -836,7 +783,7 @@ def green_second_order(
         tail=tail,
         shells=shells,
         stabilized=stabilized,
-        green_pair=float(sol.green_to(w)),
+        green_pair=float(green_pair),
         green_origin=float(green),
     )
 

@@ -12,6 +12,7 @@ rationals for small n and in floating point with mass pruning beyond.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -151,6 +152,21 @@ class WalkSpec:
         return self.range == 1
 
     @property
+    def walk_class(self) -> str:
+        """Engine route: 'radial', 'lattice', 'nn' or 'words'.
+
+        Isotropic walks project to the radial chain; rank-one word walks
+        of any range live on the integer line; other nearest-neighbour
+        word walks have a first-passage system; the rest convolve on
+        words.  Every per-class routine dispatches on this value alone.
+        """
+        if self.mode == "isotropic":
+            return "radial"
+        if self.group.size == 1:
+            return "lattice"
+        return "nn" if self.is_nearest_neighbour else "words"
+
+    @property
     def is_uniform_nn(self) -> bool:
         """True when the step law is lazy uniform nearest-neighbour."""
         if self.mode == "isotropic":
@@ -279,20 +295,8 @@ class RadialChain:
 
     def distribution_exact(self, n: int) -> list[Fraction]:
         """Distribution of |X_n| started at the root, as exact rationals."""
-        kmax = n * self.spec.range
-        rows = [self.row(k) for k in range(kmax + 1)]
-        vec = [Fraction(0)] * (kmax + 1)
-        vec[0] = Fraction(1)
-        for _ in range(n):
-            nxt = [Fraction(0)] * (kmax + 1)
-            for k, mass in enumerate(vec):
-                if mass == 0:
-                    continue
-                for kp, p in rows[k].items():
-                    if kp <= kmax:
-                        nxt[kp] += mass * p
-            vec = nxt
-        return vec
+        for _, vec in self._distributions(n, Fraction, [n]):
+            return vec.tolist()
 
     def distributions_float(self, n_max: int, collect: Sequence[int] | None = None):
         """Float distributions of |X_n|; yields (n, vector) at requested n.
@@ -301,30 +305,36 @@ class RadialChain:
         for n ~ 1e4.  Relative rounding stays tiny because every update
         adds nonnegative terms.
         """
+        yield from self._distributions(n_max, float, collect)
+
+    def _distributions(self, n_max: int, num, collect):
+        # one banded recursion for both arithmetics: num is float (float64
+        # arrays) or Fraction (object arrays, exact in any summation order)
         rng = self.spec.range
         kmax = n_max * rng
+        dtype = float if num is float else object
+        zero = num(0)
         offsets: dict[int, np.ndarray] = {}
-        ks = np.arange(kmax + 1)
         for delta in range(-rng, rng + 1):
-            col = np.zeros(kmax + 1)
+            col = np.full(kmax + 1, zero, dtype=dtype)
             for k in range(kmax + 1):
                 kp = k + delta
                 if kp < 0 or kp > kmax:
                     continue
-                total = 0.0
+                total = zero
                 for d, a in self._coeffs:
                     n_int = sphere_intersection(self.q, k, d, kp)
                     if n_int:
-                        total += float(a) * n_int / sphere_size(self.q, d)
+                        total += num(a) * n_int / sphere_size(self.q, d)
                 col[k] = total
             offsets[delta] = col
         wanted = set(collect) if collect is not None else set(range(n_max + 1))
-        vec = np.zeros(kmax + 1)
-        vec[0] = 1.0
+        vec = np.full(kmax + 1, zero, dtype=dtype)
+        vec[0] = num(1)
         if 0 in wanted:
             yield 0, vec.copy()
         for n in range(1, n_max + 1):
-            nxt = np.zeros(kmax + 1)
+            nxt = np.full(kmax + 1, zero, dtype=dtype)
             for delta, col in offsets.items():
                 prod = col * vec
                 if delta == 0:
@@ -339,10 +349,7 @@ class RadialChain:
 
     def return_sequence(self, n_max: int) -> np.ndarray:
         """p^(n)(e, e) for n = 0..n_max."""
-        out = np.zeros(n_max + 1)
-        for n, vec in self.distributions_float(n_max):
-            out[n] = vec[0]
-        return out
+        return _return_probabilities(self.spec, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +358,23 @@ class RadialChain:
 # affordable where the word engine would drown in dict churn.
 
 
+def _signed_length(w: ReducedWord) -> int:
+    """Position on the integer line of a word over one generator."""
+    return -len(w) if w.letters and w.letters[0] < 0 else len(w)
+
+
+def _require_lattice(spec: WalkSpec) -> None:
+    if spec.walk_class != "lattice":
+        raise ValidationError("lattice view requires a rank-one word walk")
+
+
 def lattice_offsets(spec: WalkSpec) -> dict[int, float]:
     """Step law of a rank-one word walk as signed displacements."""
-    if spec.mode != "finitely-supported" or spec.group.size != 1:
-        raise ValidationError("lattice view requires a rank-one word walk")
+    _require_lattice(spec)
     out: dict[int, float] = {}
     for w, p in spec.mu:
         if p > 0:
-            m = len(w) if not w.letters or w.letters[0] > 0 else -len(w)
+            m = _signed_length(w)
             out[m] = out.get(m, 0.0) + float(p)
     return out
 
@@ -389,10 +405,8 @@ def lattice_distributions(spec: WalkSpec, n_max: int):
 
 
 def lattice_return_sequence(spec: WalkSpec, n_max: int) -> np.ndarray:
-    out = np.zeros(n_max + 1)
-    for n, half, vec in lattice_distributions(spec, n_max):
-        out[n] = vec[half]
-    return out
+    _require_lattice(spec)
+    return _return_probabilities(spec, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -448,28 +462,35 @@ def nstep(
         raise ValidationError("n must be >= 0")
     if exact is None:
         exact = n <= EXACT_STEP_LIMIT
-    if spec.mode == "isotropic":
+    if spec.walk_class == "radial":
         chain = RadialChain(spec)
         if exact:
             return NStepResult(spec, n, True, radial=chain.distribution_exact(n))
-        for m, vec in chain.distributions_float(n, collect=[n]):
+        for _, vec in chain.distributions_float(n, collect=[n]):
             return NStepResult(spec, n, False, radial=list(vec))
-    table, pruned = _convolve_words(spec, n, exact=exact, prune=prune)
+    # every word walk, rank-one and nearest-neighbour ones included
+    for _, table, pruned in _word_laws(spec, n, exact=exact, prune=prune):
+        pass
     return NStepResult(spec, n, exact, table=table, pruned=pruned)
 
 
-def _convolve_words(spec, n, *, exact, prune):
-    steps = spec.step_items()
-    if exact:
-        cur: dict[ReducedWord, Fraction] = {identity(spec.alphabet): Fraction(1)}
-        pruned = Fraction(0)
-        threshold = Fraction(prune) if prune else Fraction(0)
-    else:
-        cur = {identity(spec.alphabet): 1.0}
-        pruned = 0.0
-        threshold = float(prune if prune is not None else PRUNE_DEFAULT)
-        steps = [(w, float(p)) for w, p in steps]
-    for _ in range(n):
+def _word_laws(spec, n_max, *, exact=False, prune=None):
+    """Yields (n, table, pruned) for n = 0..n_max by convolution on words.
+
+    ``table`` maps words to p^(n)(e, word), as exact rationals or floats;
+    entries below the prune threshold (default: none when exact,
+    PRUNE_DEFAULT in floats) are dropped and their mass added to
+    ``pruned``.  The table is replaced, never mutated, between steps.
+    """
+    num = Fraction if exact else float
+    if prune is None:
+        prune = 0 if exact else PRUNE_DEFAULT
+    threshold = num(prune)
+    steps = [(w, num(p)) for w, p in spec.step_items()]
+    cur = {identity(spec.alphabet): num(1)}
+    pruned = num(0)
+    yield 0, cur, pruned
+    for n in range(1, n_max + 1):
         nxt: dict[ReducedWord, object] = {}
         for x, mass in cur.items():
             for g, p in steps:
@@ -484,7 +505,69 @@ def _convolve_words(spec, n, *, exact, prune):
                     kept[y] = mass
             nxt = kept
         cur = nxt
-    return cur, pruned
+        yield n, cur, pruned
+
+
+# ---------------------------------------------------------------------------
+# Float sweeps: one generator per engine behind one loop
+
+
+def _radial_sweep(spec, n_max):
+    q = spec.q
+    for n, vec in RadialChain(spec).distributions_float(n_max):
+
+        def p(w, vec=vec):
+            k = len(w)
+            return float(vec[k] / sphere_size(q, k)) if k < len(vec) else 0.0
+
+        yield n, p
+
+
+def _lattice_sweep(spec, n_max):
+    for n, half, vec in lattice_distributions(spec, n_max):
+
+        def p(w, vec=vec, half=half):
+            i = half + _signed_length(w)
+            return float(vec[i]) if 0 <= i < len(vec) else 0.0
+
+        yield n, p
+
+
+def _word_sweep(spec, n_max):
+    for n, table, _ in _word_laws(spec, n_max):
+        yield n, lambda w, table=table: table.get(w, 0.0)
+
+
+_SWEEPS = {
+    "radial": _radial_sweep,
+    "lattice": _lattice_sweep,
+    "nn": _word_sweep,
+    "words": _word_sweep,
+}
+
+
+def _sweep(spec: WalkSpec, n_max: int):
+    """Yields (n, p) for n = 0..n_max, where p(word) = float p^(n)(e, word).
+
+    A target out of reach reads 0.  The engines do not rescale, so a
+    return probability that drops below the smallest normal double
+    raises ConvergenceError naming n; exact zeros forced by the walk's
+    structure, like p^(1)(e, e) without holding, pass through.
+    """
+    e = identity(spec.alphabet)
+    for n, p in _SWEEPS[spec.walk_class](spec, n_max):
+        ret = p(e)
+        if 0.0 < ret < sys.float_info.min:
+            raise ConvergenceError(
+                f"return probability p^(n)(e, e) = {ret!r} underflows "
+                f"below sys.float_info.min at n = {n}"
+            )
+        yield n, p
+
+
+def _return_probabilities(spec: WalkSpec, n_max: int) -> np.ndarray:
+    e = identity(spec.alphabet)
+    return np.array([p(e) for _, p in _sweep(spec, n_max)])
 
 
 # ---------------------------------------------------------------------------
@@ -512,56 +595,24 @@ def ratio_sequence(
 ) -> RatioSequence:
     """Sequence p^(n)(x,y)/p^(n)(e,e) for n <= n_max.
 
-    Isotropic walks use the radial chain for the whole sweep; word walks
-    fall back on truncated convolution and are only practical for small
-    n_max.  Zero-denominator entries are skipped and reported.
+    One float sweep for every walk class: the radial chain for isotropic
+    walks, the dense lattice vector for rank-one walks of any range, and
+    truncated word convolution (only practical for small n_max) for the
+    rest.  Zero-denominator entries are skipped and reported; a return
+    probability that underflows raises ConvergenceError naming n.
     """
     ns: list[int] = []
     values: list[float] = []
     skipped: list[int] = []
-    if spec.mode == "isotropic":
-        d = distance(x, y)
-        chain = RadialChain(spec)
-        size = sphere_size(spec.q, d)
-        for n, vec in chain.distributions_float(n_max):
-            ret = vec[0]
-            if ret <= 0.0:
-                skipped.append(n)
-                continue
-            num = vec[d] / size if d < len(vec) else 0.0
-            ns.append(n)
-            values.append(float(num / ret))
-    elif spec.group.size == 1:
-        tgt = x.inverse() * y
-        m = len(tgt) if not tgt.letters or tgt.letters[0] > 0 else -len(tgt)
-        for n, half, vec in lattice_distributions(spec, n_max):
-            ret = vec[half]
-            if ret <= 0.0:
-                skipped.append(n)
-                continue
-            ns.append(n)
-            values.append(float(vec[half + m] / ret))
-    else:
-        target = x.inverse() * y
-        e = identity(spec.alphabet)
-        cur: dict[ReducedWord, float] = {e: 1.0}
-        steps = [(w, float(p)) for w, p in spec.step_items()]
-        threshold = float(PRUNE_DEFAULT)
-        for n in range(n_max + 1):
-            ret = cur.get(e, 0.0)
-            if ret <= 0.0:
-                skipped.append(n)
-            else:
-                ns.append(n)
-                values.append(cur.get(target, 0.0) / ret)
-            if n == n_max:
-                break
-            nxt: dict[ReducedWord, float] = {}
-            for xw, mass in cur.items():
-                for g, p in steps:
-                    yw = xw * g
-                    nxt[yw] = nxt.get(yw, 0.0) + mass * p
-            cur = {w: m for w, m in nxt.items() if m >= threshold}
+    target = x.inverse() * y
+    e = identity(spec.alphabet)
+    for n, p in _sweep(spec, n_max):
+        ret = p(e)
+        if ret <= 0.0:
+            skipped.append(n)
+            continue
+        ns.append(n)
+        values.append(p(target) / ret)
     if not values:
         raise ConvergenceError("no usable ratio values")
     tail = values[-max(2, len(values) // 10) :]
@@ -638,37 +689,23 @@ class SpectralRadius:
     details: dict = field(default_factory=dict, compare=False)
 
 
-def spectral_radius(spec: WalkSpec, *, fit_check: bool = False) -> SpectralRadius:
+def spectral_radius(spec: WalkSpec) -> SpectralRadius:
     """Decay rate rho = limsup p^(n)(e,e)^(1/n).
 
-    Isotropic walks use the spherical transform, nearest-neighbour free
-    group walks the singularity radius of the first-passage system, and
-    rank-one lattice walks the minimising exponential.  Anything else
-    falls back on a local limit fit.
+    Isotropic walks use the spherical transform, rank-one walks of any
+    range the minimising exponential on the line, other nearest-neighbour
+    word walks the singularity radius of the first-passage system.  The
+    remaining word walks fall back on a local limit fit over 120 steps
+    of pruned word convolution.
     """
-    if spec.mode == "isotropic":
-        from .kernels import spherical
+    return _RADII[spec.walk_class](spec)
 
-        val = sum(float(a) * spherical(spec.q, d) for d, a in spec.coefficients)
-        out = SpectralRadius(val, "spherical-transform", {"q": spec.q})
-    elif spec.is_nearest_neighbour and spec.group.size == 1:
-        out = _lattice_spectral_radius(spec)
-    elif spec.is_nearest_neighbour:
-        from .series import shared_system
 
-        system = shared_system(spec)
-        cert = system.radius()
-        out = SpectralRadius(
-            1.0 / cert.r,
-            "singularity-radius",
-            {"r": cert.r, "bracket": (cert.lo, cert.hi)},
-        )
-    else:
-        out = _fitted_spectral_radius(spec)
-    if fit_check and out.method != "fit":
-        fit = _fitted_spectral_radius(spec)
-        out = SpectralRadius(out.value, out.method, {**out.details, "fit": fit.value})
-    return out
+def _spherical_spectral_radius(spec: WalkSpec) -> SpectralRadius:
+    from .kernels import spherical
+
+    val = sum(float(a) * spherical(spec.q, d) for d, a in spec.coefficients)
+    return SpectralRadius(val, "spherical-transform", {"q": spec.q})
 
 
 def _lattice_spectral_radius(spec: WalkSpec) -> SpectralRadius:
@@ -684,30 +721,34 @@ def _lattice_spectral_radius(spec: WalkSpec) -> SpectralRadius:
     has_neg = any(m < 0 for m in mu)
     if not (has_pos and has_neg):
         raise ValidationError("lattice walk must move both ways")
-    c_star = brentq(dm, -60.0, 60.0, xtol=1e-15)
+    # the bracket keeps e^(c m) finite for every step length in the support
+    bound = 60.0 / max(abs(m) for m in mu)
+    c_star = brentq(dm, -bound, bound, xtol=1e-15)
     rho = sum(p * math.exp(c_star * m) for m, p in mu.items())
     return SpectralRadius(rho, "lattice-exponential", {"c": c_star})
 
 
+def _singularity_spectral_radius(spec: WalkSpec) -> SpectralRadius:
+    from .series import shared_system
+
+    cert = shared_system(spec).radius()
+    return SpectralRadius(
+        1.0 / cert.r, "singularity-radius", {"r": cert.r, "bracket": (cert.lo, cert.hi)}
+    )
+
+
 def _fitted_spectral_radius(spec: WalkSpec) -> SpectralRadius:
-    n_max = 400 if spec.mode == "isotropic" else 120
-    if spec.mode == "isotropic":
-        seq = RadialChain(spec).return_sequence(n_max)
-    else:
-        e = identity(spec.alphabet)
-        seq = np.zeros(n_max + 1)
-        cur = {e: 1.0}
-        steps = [(w, float(p)) for w, p in spec.step_items()]
-        for n in range(n_max + 1):
-            seq[n] = cur.get(e, 0.0)
-            nxt: dict[ReducedWord, float] = {}
-            for xw, mass in cur.items():
-                for g, p in steps:
-                    yw = xw * g
-                    nxt[yw] = nxt.get(yw, 0.0) + mass * p
-            cur = {w: m for w, m in nxt.items() if m > 1e-30}
-    fit = fit_local_limit(seq, (n_max // 4, n_max + 1))
+    n_max = 120
+    fit = fit_local_limit(_return_probabilities(spec, n_max), (n_max // 4, n_max + 1))
     return SpectralRadius(fit.rho, "fit", {"alpha": fit.alpha})
+
+
+_RADII = {
+    "radial": _spherical_spectral_radius,
+    "lattice": _lattice_spectral_radius,
+    "nn": _singularity_spectral_radius,
+    "words": _fitted_spectral_radius,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,21 @@ def test_malformed_word_exits_2(capsys):
     assert "cannot parse word" in err
 
 
+@pytest.mark.parametrize(
+    "arg, message",
+    [
+        ("--x=5", "outside alphabet"),
+        ("--pattern=1,-1", "pattern must be nonempty"),
+        ("--pattern=a", "cannot parse word"),
+    ],
+)
+def test_bad_word_argument_exits_2(capsys, arg, message):
+    rc, out, err = run_cli(capsys, "free-kernel", arg)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_malformed_window_exits_2(capsys):
     for window in ("oops", "10", "a:b"):
         rc, _, err = run_cli(capsys, "llt-fit", "--window", window)

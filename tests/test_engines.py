@@ -7,9 +7,10 @@ to reproduce them bit for bit.  The hypothesis tests check independent
 engines against each other on random small walks.
 """
 
+import csv
+import io
 import json
 import math
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from treewalks import (
     ConvergenceError,
+    ValidationError,
     factor_kernel,
     factor_returns,
     finite_walk,
@@ -72,6 +74,16 @@ def range2_f2():
             word(F2, [1, 2]): Fraction(1, 8),
         },
     )
+
+
+def lazy_range2_f2():
+    # holding 1 - 10^-8 keeps the pruned word support small for 120 steps
+    eps = Fraction(1, 10**8)
+    steps = {(1,): 2, (-1,): 1, (2,): 1, (-2,): 1, (1, 2): 1}
+    mu = {identity(F2): 1 - eps}
+    for letters, k in steps.items():
+        mu[word(F2, letters)] = eps * Fraction(k, 6)
+    return finite_walk(F2, mu)
 
 
 def skewed_f2():
@@ -139,6 +151,7 @@ PINS = {
     "spectral_radius lattice biased": lambda: _sr(biased_lattice()),
     "spectral_radius nn f2-lazy-uniform": lambda: _sr(preset("f2-lazy-uniform")),
     "spectral_radius lattice range-2": lambda: _sr(range2_lattice()),
+    "spectral_radius fit lazy range-2 F2": lambda: _sr(lazy_range2_f2()),
     "series exact green n=30": lambda: _series(None, 30, True),
     "series exact letter n=30": lambda: _series(-2, 30, True),
     "series exact word n=30": lambda: _series(word(F2, [1, -2, 1]), 30, True),
@@ -159,3 +172,189 @@ def test_pins_cover_every_case():
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_library_pin_is_repr_identical(name):
     assert repr(PINS[name]()) == GOLDEN_PINS[name]
+
+
+# -- walk classes --------------------------------------------------------------
+
+
+def test_walk_class_of_each_preset_and_range():
+    assert preset("t3-lazy-iso").walk_class == "radial"
+    assert preset("z-lazy").walk_class == "lattice"
+    assert range2_lattice().walk_class == "lattice"
+    assert preset("f2-lazy-uniform").walk_class == "nn"
+    assert range2_f2().walk_class == "words"
+    assert spectral_radius(lazy_range2_f2()).method == "fit"
+
+
+def test_words_class_has_no_factor_route():
+    with pytest.raises(ValidationError, match="no ratio kernel or return-sequence"):
+        factor_returns(range2_f2(), 4)
+    with pytest.raises(ValidationError, match="no ratio kernel or return-sequence"):
+        factor_kernel(range2_f2(), identity(F2), word(F2, [1]))
+
+
+# -- lattice route: targets out of reach, walks of range two -------------------
+
+
+def ratio_rows(capsys, *argv):
+    rc = main(list(argv))
+    out = capsys.readouterr().out
+    assert rc == 0
+    return [row[3] for row in csv.reader(io.StringIO(out))][1:]
+
+
+@pytest.mark.parametrize("y", ["-1,-1,-1", "1,1,1"])
+def test_lattice_target_out_of_reach_reads_zero(capsys, y):
+    # p^(n)(e, +-3) = 0 for n <= 2; a negative index used to wrap around
+    # the dense vector and a positive one to run off its end
+    values = ratio_rows(
+        capsys, "ratio-converge", "--preset", "z-lazy", "--x=e", f"--y={y}",
+        "--n-max", "2",
+    )
+    assert values == ["0.0", "0.0"]
+
+
+def test_range_two_lattice_walk_takes_the_lattice_route():
+    # mu = {e: 1/2, a: 1/4, a^-2: 1/4}: the tilt solves e^(3c) = 2
+    spec = range2_lattice()
+    sr = spectral_radius(spec)
+    assert sr.method == "lattice-exponential"
+    closed = 0.5 + 2 ** (1 / 3) / 4 + 2 ** (-2 / 3) / 4
+    assert abs(sr.value - closed) < 1e-13
+    assert abs(math.exp(sr.details["c"]) - 2 ** (1 / 3)) < 1e-13
+    a = word(Z, [1])
+    kernel = factor_kernel(spec, a, identity(Z))
+    assert abs(kernel.value - 2 ** (1 / 3)) < 1e-13
+    seq = ratio_sequence(spec, a, identity(Z), 4000)
+    assert abs(seq.last - kernel.value) < 1e-2
+
+
+# -- underflow of the return probability ---------------------------------------
+
+STEEP_SPEC = "mode finitely-supported\nrank 1\ne 1/4\n1 9/16\n-1 3/16\n"
+
+# stdout at n_max = 4000, where p^(n)(e, e) stays a normal double
+STEEP_4000 = """\
+x,y_or_prefix,depth,value,error,stabilized
+1,e,1,0.75,0.17274964855015695,false
+1,e,2,0.34285714285714286,0.2343932085927002,false
+1,e,4,0.47442429182800083,0.10282605962184221,false
+1,e,8,0.5326762774401956,0.04457407400964741,false
+1,e,16,0.5540557111030092,0.023194640346833828,false
+1,e,32,0.5652935155533398,0.011956835896503204,false
+1,e,64,0.5712144614563476,0.006035889993495469,true
+1,e,128,0.5742548707298205,0.0029954807200225364,true
+1,e,256,0.5757956146743884,0.0014547367754546014,true
+1,e,512,0.5765711927755365,0.0006791586743065681,true
+1,e,1024,0.5769602923932955,0.0002900590565475536,true
+1,e,2048,0.5771551709810971,9.518046874590347e-05,true
+1,e,4000,0.577250351449843,0.0,true
+"""
+
+
+def test_underflowed_return_probability_exits_3(capsys, tmp_path):
+    spec_file = tmp_path / "steep.txt"
+    spec_file.write_text(STEEP_SPEC)
+    argv = ["ratio-converge", "--spec-file", str(spec_file), "--n-max"]
+    assert main(argv + ["4000"]) == 0
+    assert capsys.readouterr().out == STEEP_4000
+    # rho = 0.8995, so p^(n)(e, e) leaves the normal doubles near n = 6600;
+    # the ratio used to read 1.0, stabilized, from there on
+    assert main(argv + ["10000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflows" in captured.err and "n = 6641" in captured.err
+
+
+def test_radial_sweep_checks_underflow_too():
+    steep = isotropic_walk(50, {0: Fraction(1, 10), 1: Fraction(9, 10)})
+    e = identity(tree_alphabet(50))
+    with pytest.raises(ConvergenceError, match=r"n = \d+"):
+        ratio_sequence(steep, e, e, 1000)
+    with pytest.raises(ConvergenceError, match="underflows"):
+        factor_returns(steep, 1000)
+
+
+def test_structural_zero_return_is_skipped_not_raised():
+    # without holding, p^(1)(e, e) = 0 exactly and the sweep goes on
+    spec = isotropic_walk(2, {1: Fraction(1, 2), 2: Fraction(1, 2)})
+    e = identity(T3)
+    seq = ratio_sequence(spec, e, word(T3, [1]), 6)
+    assert seq.skipped == [1]
+    assert seq.ns == [0, 2, 3, 4, 5, 6]
+
+
+# -- differential tests between independent engines ---------------------------
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    hold=st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)]),
+    letters=st.lists(st.integers(1, 3), min_size=0, max_size=3),
+)
+def test_radial_chain_against_word_twin(q, hold, letters):
+    spec = isotropic_walk(q, {0: hold, 1: 1 - hold})
+    twin = word_twin(spec)
+    ab = twin.alphabet
+    y = word(ab, [(c - 1) % ab.size + 1 for c in letters])
+    e = identity(ab)
+    n = 6
+    assert nstep(spec, n, exact=True).probability(y) == nstep(
+        twin, n, exact=True
+    ).probability(y)
+    radial = ratio_sequence(spec, e, y, n)
+    words = ratio_sequence(twin, e, y, n)
+    assert radial.ns == words.ns
+    assert radial.values == pytest.approx(words.values, rel=1e-12, abs=0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    near=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    far=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    hold=st.integers(1, 4),
+    x=st.integers(-3, 3),
+    y=st.integers(-3, 3),
+)
+def test_lattice_sweep_against_word_convolution(near, far, hold, x, y):
+    # steps -1 and +1 always carry mass, -2 and +2 may
+    steps = {0: hold, -1: near[0], 1: near[1], -2: far[0], 2: far[1]}
+    total = sum(steps.values())
+    spec = lattice_walk({m: Fraction(k, total) for m, k in steps.items() if k})
+    assert spec.walk_class == "lattice"
+    xw = word(Z, [1] * x if x >= 0 else [-1] * -x)
+    yw = word(Z, [1] * y if y >= 0 else [-1] * -y)
+    n_max = 6
+    seq = ratio_sequence(spec, xw, yw, n_max)
+    e = identity(Z)
+    for n, value in zip(seq.ns, seq.values):
+        law = nstep(spec, n, exact=True)
+        want = float(law.pair(xw, yw) / law.probability(e))
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    rank=st.sampled_from([2, 3]),
+    weights=st.lists(st.integers(1, 5), min_size=6, max_size=6),
+    hold=st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+    letters=st.lists(st.integers(0, 5), min_size=0, max_size=2),
+)
+def test_float_series_against_exact_nstep(rank, weights, hold, letters):
+    ab = free_group(rank)
+    weights = weights[: len(ab.letters)]
+    mu = {identity(ab): hold}
+    for c, k in zip(ab.letters, weights):
+        mu[word(ab, [c])] = (1 - hold) * Fraction(k, sum(weights))
+    spec = finite_walk(ab, mu)
+    target = word(ab, [ab.letters[i % len(ab.letters)] for i in letters])
+    system = FirstPassageSystem(spec)
+    n_max = 5
+    green = series_coefficients(system, None, n_max, exact=False).coefficients
+    to_target = series_coefficients(system, target, n_max, exact=False).coefficients
+    for n in range(n_max + 1):
+        law = nstep(spec, n, exact=True)
+        assert green[n] == pytest.approx(float(law.probability(identity(ab))), rel=1e-12)
+        want = float(law.probability(target))
+        assert to_target[n] == pytest.approx(want, rel=1e-12, abs=1e-300)
