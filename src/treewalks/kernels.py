@@ -26,6 +26,7 @@ from .geometry import (
     EndPrefix,
     ReducedWord,
     ball,
+    confluent,
     distance,
     format_word,
     identity,
@@ -176,16 +177,9 @@ def meet_length(x: ReducedWord, xi: EndPrefix) -> int:
     """Length of the confluent of x with the end behind the prefix.
 
     Resolvable when the agreement stops before the prefix runs out, or
-    when x itself lies on the prefix.
+    when x itself lies on the prefix; otherwise ValidationError.
     """
-    lx = x.letters
-    lw = xi.word.letters
-    m = 0
-    while m < len(lx) and m < len(lw) and lx[m] == lw[m]:
-        m += 1
-    if m == len(lx) or m < len(lw):
-        return m
-    raise ValidationError("prefix too short to resolve confluent")
+    return len(confluent(x, xi))
 
 
 # ---------------------------------------------------------------------------

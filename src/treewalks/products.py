@@ -26,7 +26,6 @@ from .walks import (
     _signed_length,
     nstep,
     spectral_radius,
-    word_twin,
 )
 
 __all__ = [
@@ -196,14 +195,10 @@ def product_ratio_kernel(
 def product_nstep_pair(pw: ProductWalk, n: int, y1: ReducedWord, y2: ReducedWord):
     """Exact n-step probability of reaching (y1, y2) from the origin pair.
 
-    Isotropic factors are rewritten as their word twins so the rational
-    convolution applies.
+    Each factor law comes from nstep in exact rationals: the radial chain
+    for isotropic factors, word convolution for the others.
     """
     left, right = pw.left, pw.right
-    if left.mode == "isotropic":
-        left = word_twin(left)
-    if right.mode == "isotropic":
-        right = word_twin(right)
     if pw.kind == "direct":
         p1 = nstep(left, n, exact=True).probability(y1)
         p2 = nstep(right, n, exact=True).probability(y2)

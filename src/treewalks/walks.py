@@ -284,13 +284,15 @@ class RadialChain:
 
     def row(self, k: int) -> dict[int, Fraction]:
         """Exact transition probabilities from distance k."""
-        out: dict[int, Fraction] = {}
+        return self._row(k, Fraction)
+
+    def _row(self, k: int, num) -> dict:
+        out: dict = {}
         for d, a in self._coeffs:
-            share = a / sphere_size(self.q, d)
             for kp in range(max(0, k - d), k + d + 1):
                 n = sphere_intersection(self.q, k, d, kp)
                 if n:
-                    out[kp] = out.get(kp, Fraction(0)) + share * n
+                    out[kp] = out.get(kp, num(0)) + num(a) * n / sphere_size(self.q, d)
         return out
 
     def distribution_exact(self, n: int) -> list[Fraction]:
@@ -314,19 +316,13 @@ class RadialChain:
         kmax = n_max * rng
         dtype = float if num is float else object
         zero = num(0)
+        rows = [self._row(k, num) for k in range(kmax + 1)]
         offsets: dict[int, np.ndarray] = {}
         for delta in range(-rng, rng + 1):
             col = np.full(kmax + 1, zero, dtype=dtype)
-            for k in range(kmax + 1):
-                kp = k + delta
-                if kp < 0 or kp > kmax:
-                    continue
-                total = zero
-                for d, a in self._coeffs:
-                    n_int = sphere_intersection(self.q, k, d, kp)
-                    if n_int:
-                        total += num(a) * n_int / sphere_size(self.q, d)
-                col[k] = total
+            for k, row in enumerate(rows):
+                if k + delta <= kmax:
+                    col[k] = row.get(k + delta, zero)
             offsets[delta] = col
         wanted = set(collect) if collect is not None else set(range(n_max + 1))
         vec = np.full(kmax + 1, zero, dtype=dtype)
@@ -335,14 +331,11 @@ class RadialChain:
             yield 0, vec.copy()
         for n in range(1, n_max + 1):
             nxt = np.full(kmax + 1, zero, dtype=dtype)
+            top = (n - 1) * rng + 1  # |X_(n-1)| < top: the rest is zero
             for delta, col in offsets.items():
-                prod = col * vec
-                if delta == 0:
-                    nxt += prod
-                elif delta > 0:
-                    nxt[delta:] += prod[:-delta]
-                else:
-                    nxt[:delta] += prod[-delta:]
+                k0 = max(0, -delta)
+                k1 = max(k0, top)
+                nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
             vec = nxt
             if n in wanted:
                 yield n, vec.copy()
@@ -393,13 +386,10 @@ def lattice_distributions(spec: WalkSpec, n_max: int):
     yield 0, half, vec
     for n in range(1, n_max + 1):
         nxt = np.zeros_like(vec)
+        # after n - 1 steps the walk sits in [-(n-1) rng, (n-1) rng]
+        lo, hi = half - (n - 1) * rng, half + (n - 1) * rng + 1
         for m, p in steps.items():
-            if m == 0:
-                nxt += p * vec
-            elif m > 0:
-                nxt[m:] += p * vec[:-m]
-            else:
-                nxt[:m] += p * vec[-m:]
+            nxt[lo + m : hi + m] += p * vec[lo:hi]
         vec = nxt
         yield n, half, vec
 
