@@ -99,6 +99,20 @@ def _kv_report(args, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flat(obj, prefix: str = "") -> dict:
+    """Nested dicts and lists as one level of dotted keys, for CSV."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return {prefix.rstrip("."): obj}
+    out: dict = {}
+    for k, v in items:
+        out.update(_flat(v, f"{prefix}{k}."))
+    return out
+
+
 def _emit_table(args, kind: str, rows: list, meta: dict) -> None:
     table = KernelTable(kind=kind, rows=rows, meta=meta)
     _emit(args, table.to_json() if args.format == "json" else table.to_csv())
@@ -214,25 +228,8 @@ def _cmd_product(args) -> None:
             "alpha_hat": fit.alpha,
             "window": [lo, args.n_max],
         }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        flat: dict = {}
-
-        def _flatten(prefix, obj):
-            if isinstance(obj, dict):
-                for k, v in obj.items():
-                    _flatten(f"{prefix}{k}.", v)
-                return
-            if isinstance(obj, list):
-                for i, v in enumerate(obj):
-                    _flatten(f"{prefix}{i}.", v)
-                return
-            key = prefix.rstrip(".")
-            flat[key] = obj
-
-        _flatten("", payload)
-        _emit(args, _kv_report(args, flat))
+    # the report already carries its schema key, so JSON comes out as is
+    _emit(args, _kv_report(args, payload if args.format == "json" else _flat(payload)))
 
 
 def _cmd_reduced(args) -> None:

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from mpmath import mp
@@ -259,16 +259,16 @@ def martin_kernel_nn(
     prefix resolves the confluent; the error column is exactly zero then.
     """
     values = _nn_values_at(system, t)
+
+    def finite(w: ReducedWord) -> float:
+        return _passage_product(values, x.inverse() * w) / _passage_product(values, w)
+
     if isinstance(target, EndPrefix):
-        finite = _passage_product(values, x.inverse() * target.word) / (
-            _passage_product(values, target.word)
-        )
+        wy = target.word
         return _end_row(
-            x, target, lambda m: _end_quotient(values, x, target.word, m), finite
+            x, target, lambda m: _end_quotient(values, x, wy, m), finite(wy)
         )
-    value = _passage_product(values, x.inverse() * target) / _passage_product(
-        values, target
-    )
+    value = finite(target)
     return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
 
 
@@ -291,20 +291,14 @@ def ratio_kernel_nn(system: FirstPassageSystem, x: ReducedWord, target) -> Kerne
             out += gammas[c]
         return out
 
+    def finite(w: ReducedWord) -> float:
+        k = martin_kernel_nn(system, x, w, rho).value
+        return k * gamma_of(x.inverse() * w) / gamma_of(w)
+
     if isinstance(target, EndPrefix):
         base = martin_kernel_nn(system, x, target, rho)
-        wy = target.word
-        finite = (
-            martin_kernel_nn(system, x, wy, rho).value
-            * gamma_of(x.inverse() * wy)
-            / gamma_of(wy)
-        )
-        err = abs(finite - base.value)
-        return KernelValue(
-            base.x, base.y_or_prefix, base.depth, base.value, err, base.stabilized
-        )
-    k = martin_kernel_nn(system, x, target, rho).value
-    value = k * gamma_of(x.inverse() * target) / gamma_of(target)
+        return replace(base, error=abs(finite(target.word) - base.value))
+    value = finite(target)
     return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
 
 
@@ -388,10 +382,13 @@ def verify_t_harmonic(
     alphabet, row = _row_source(source)
     worst = 0.0
     for x in ball(alphabet, radius):
-        acc = sum(p * f(y) for y, p in row(x))
-        target = t * f(x)
-        worst = max(worst, abs(float(acc - target) / float(target)))
+        worst = max(worst, _harmonic_residual(row, f, t, x))
     return worst
+
+
+def _harmonic_residual(row, f, t, x: ReducedWord) -> float:
+    target = t * f(x)
+    return abs(float(sum(p * f(y) for y, p in row(x)) - target) / float(target))
 
 
 def doob_transform(
@@ -409,11 +406,9 @@ def doob_transform(
     """
     alphabet, row = _row_source(source)
     for x in ball(alphabet, radius):
-        fx = f(x)
-        if not fx > 0:
+        if not f(x) > 0:
             raise ValidationError(f"f is not positive at {format_word(x)}")
-        acc = sum(p * f(y) for y, p in row(x))
-        if abs(float(acc - t * fx) / float(t * fx)) > tol:
+        if _harmonic_residual(row, f, t, x) > tol:
             raise ValidationError(f"f is not t-harmonic at {format_word(x)}")
     return DoobWalk(alphabet=alphabet, base_row=row, t=t, f=f)
 

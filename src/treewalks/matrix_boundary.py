@@ -315,19 +315,13 @@ def _sparse_passage(
         inc = float(new.sum())
         total = float(got.sum())
         live = float(u.sum())
-        if live == 0.0:
-            # everything either absorbed or left the state ball for good
+        small = small + 1 if total > 0.0 and inc < tol * total else 0
+        # done once everything is absorbed or out of the state ball for
+        # good, or after three increments below tol
+        if live == 0.0 or small >= 3:
             return PassageVector(
                 index, x, y, z, got, "sparse-dp", step, escaped, escaped
             )
-        if total > 0.0 and inc < tol * total:
-            small += 1
-            if small >= 3:
-                return PassageVector(
-                    index, x, y, z, got, "sparse-dp", step, escaped, escaped
-                )
-        else:
-            small = 0
     raise ConvergenceError(
         f"first-passage budget exhausted after {budget} steps at z = {z}: "
         f"last increment {inc:.3e}, live weight {float(u.sum()):.3e}, "

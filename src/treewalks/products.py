@@ -10,7 +10,7 @@ in closed form; boundary kernels multiply coordinatewise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -365,20 +365,11 @@ def product_report(
     payload: dict = {
         "schema": 1,
         "kind": pw.kind,
-        "factors": [
-            {"rho": fits[0][0], "alpha": fits[0][1]},
-            {"rho": fits[1][0], "alpha": fits[1][1]},
-        ],
+        "factors": [{"rho": rho, "alpha": alpha} for rho, alpha in fits],
     }
     if pw.kind == "cartesian":
         payload["weight"] = float(pw.weight)
-        asym = cartesian_asymptotics(pw, fits[0], fits[1])
-        payload["combined"] = {
-            "rho": asym.rho,
-            "alpha": asym.alpha,
-            "coefficient": asym.coefficient,
-            "theta": asym.theta,
-        }
+        payload["combined"] = asdict(cartesian_asymptotics(pw, fits[0], fits[1]))
     else:
         payload["combined"] = {
             "rho": fits[0][0] * fits[1][0],

@@ -85,22 +85,12 @@ def _single_walk_grid(spec: WalkSpec, candidate_radius: int, probe_radius: int):
 
 
 def _product_grid(pw: ProductWalk, candidate_radius: int, probe_radius: int):
-    b1c = list(ball(pw.left.alphabet, candidate_radius))
-    b2c = list(ball(pw.right.alphabet, candidate_radius))
-    cands = [
-        (y1, y2)
-        for y1 in b1c
-        for y2 in b2c
-        if len(y1) + len(y2) <= candidate_radius
-    ]
-    b1p = list(ball(pw.left.alphabet, probe_radius))
-    b2p = list(ball(pw.right.alphabet, probe_radius))
-    probes = [
-        (x1, x2)
-        for x1 in b1p
-        for x2 in b2p
-        if len(x1) + len(x2) <= probe_radius
-    ]
+    def pairs(radius: int) -> list:
+        # vertex pairs whose lengths add up to at most the radius
+        left, right = ball(pw.left.alphabet, radius), ball(pw.right.alphabet, radius)
+        return [(u, v) for u in left for v in right if len(u) + len(v) <= radius]
+
+    cands, probes = pairs(candidate_radius), pairs(probe_radius)
 
     def h(x, y):
         return product_ratio_kernel(pw, x, y).value
