@@ -36,7 +36,6 @@ grammars, and monotone systems of nonlinear equations", JACM 2009):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -553,9 +552,11 @@ class FirstPassageSystem:
             v2 = self._target_value(target, self.solve(r - eps2))
             d1 = alpha - v1
             d2 = alpha - v2
-            exponent = math.nan
-            if d1 > 0 and d2 > 0:
-                exponent = float(mp.log(d1 / d2) / mp.log(eps1 / eps2))
+            if not (d1 > 0 and d2 > 0):
+                raise ConvergenceError(
+                    "not a square-root singularity at requested precision"
+                )
+            exponent = float(mp.log(d1 / d2) / mp.log(eps1 / eps2))
             if not 0.45 <= exponent <= 0.55:
                 raise ConvergenceError(
                     "not a square-root singularity at requested precision"

@@ -284,15 +284,16 @@ class RadialChain:
 
     def row(self, k: int) -> dict[int, Fraction]:
         """Exact transition probabilities from distance k."""
-        return self._row(k, Fraction)
+        return self._row(k, self._coeffs)
 
-    def _row(self, k: int, num) -> dict:
+    def _row(self, k: int, coeffs) -> dict:
+        # coeffs: the radial weights as Fractions or as floats
         out: dict = {}
-        for d, a in self._coeffs:
+        for d, a in coeffs:
             for kp in range(max(0, k - d), k + d + 1):
                 n = sphere_intersection(self.q, k, d, kp)
                 if n:
-                    out[kp] = out.get(kp, num(0)) + num(a) * n / sphere_size(self.q, d)
+                    out[kp] = out.get(kp, 0) + a * n / sphere_size(self.q, d)
         return out
 
     def distribution_exact(self, n: int) -> list[Fraction]:
@@ -316,7 +317,8 @@ class RadialChain:
         kmax = n_max * rng
         dtype = float if num is float else object
         zero = num(0)
-        rows = [self._row(k, num) for k in range(kmax + 1)]
+        coeffs = [(d, num(a)) for d, a in self._coeffs]
+        rows = [self._row(k, coeffs) for k in range(kmax + 1)]
         offsets: dict[int, np.ndarray] = {}
         for delta in range(-rng, rng + 1):
             col = np.full(kmax + 1, zero, dtype=dtype)
