@@ -30,7 +30,7 @@ from .geometry import (
     word,
 )
 from .kernels import KernelValue, _json_text, meet_length
-from .series import FirstPassageSystem, shared_system
+from .series import shared_system
 from .walks import WalkSpec
 
 __all__ = [

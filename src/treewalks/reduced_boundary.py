@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import ReducedWord, ball, format_word
+from .geometry import ball, format_word
 from .kernels import KernelTable, _json_text
 from .products import (
     ProductWalk,

@@ -6,7 +6,10 @@ spheres, and finitely supported walks on a free group, given by an
 explicit probability map on reduced words.  Isotropic walks project to
 a Markov chain on distances; that radial chain is the workhorse for
 large n.  Finitely supported walks convolve on words, exactly in
-rationals for small n and in floating point with mass pruning beyond.
+rationals for small n and in floating point with mass pruning beyond;
+float sweeps of walks over one generator run on the integer line as
+dense vectors instead.  WalkSpec.walk_class names the engine each walk
+takes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
