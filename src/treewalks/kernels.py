@@ -29,7 +29,6 @@ from .geometry import (
     confluent,
     distance,
     format_word,
-    identity,
     word,
 )
 from .walks import WalkSpec, nstep, spectral_radius
@@ -522,13 +521,12 @@ def ancona_harnack_check(
             out.append(rng.choice(choices))
         return word(ab, out)
 
-    e = identity(ab)
     triple_min = math.inf
     triple_max = -math.inf
     green_gap = 0.0
     harnack_max = 0.0
     quad_max = 0.0
-    spread = []
+    worst: dict[int, float] = {}  # per distance, the worst spread over z
     samples = 0
     for z in z_values:
         sol = system.solve(z)
@@ -568,11 +566,7 @@ def ancona_harnack_check(
                 samples += 1
             triple_min = min(triple_min, lo_n)
             triple_max = max(triple_max, hi_n)
-            spread.append((n, hi_n / lo_n - 1.0))
-    # collapse per-distance spreads over z grids: worst per distance
-    worst: dict[int, float] = {}
-    for n, s in spread:
-        worst[n] = max(worst.get(n, 0.0), s)
+            worst[n] = max(worst.get(n, 0.0), hi_n / lo_n - 1.0)
     return AnconaReport(
         z_values=tuple(float(z) for z in z_values),
         distances=tuple(distances),
