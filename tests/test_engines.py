@@ -205,8 +205,8 @@ def ratio_rows(capsys, *argv):
 
 @pytest.mark.parametrize("y", ["-1,-1,-1", "1,1,1"])
 def test_lattice_target_out_of_reach_reads_zero(capsys, y):
-    # p^(n)(e, +-3) = 0 for n <= 2; a negative index used to wrap around
-    # the dense vector and a positive one to run off its end
+    # p^(n)(e, +-3) = 0 for n <= 2: both targets lie outside the dense
+    # lattice vector, on either side
     values = ratio_rows(
         capsys, "ratio-converge", "--preset", "z-lazy", "--x=e", f"--y={y}",
         "--n-max", "2",
@@ -258,8 +258,8 @@ def test_underflowed_return_probability_exits_3(capsys, tmp_path):
     argv = ["ratio-converge", "--spec-file", str(spec_file), "--n-max"]
     assert main(argv + ["4000"]) == 0
     assert capsys.readouterr().out == STEEP_4000
-    # rho = 0.8995, so p^(n)(e, e) leaves the normal doubles near n = 6600;
-    # the ratio used to read 1.0, stabilized, from there on
+    # rho = 0.8995, so p^(n)(e, e) leaves the normal doubles near n = 6600,
+    # where ratios of subnormal numbers would read 1.0, stabilized
     assert main(argv + ["10000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
