@@ -8,6 +8,8 @@ Exit codes: 0 success, 2 invalid input, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from fractions import Fraction
 
@@ -244,13 +246,14 @@ def _cmd_reduced(args) -> None:
         _emit(args, report.to_json())
         return
     members = set(report.member_indices)
-    lines = ["label,deviation,member"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["label", "deviation", "member"])
     for i, label in enumerate(report.labels):
-        lines.append(
-            f"{label},{report.deviations[i]!r},{'true' if i in members else 'false'}"
+        writer.writerow(
+            [label, repr(report.deviations[i]), "true" if i in members else "false"]
         )
-    lines.append(f"# {report.certificate}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, buf.getvalue() + f"# {report.certificate}\n")
 
 
 def _cmd_ancona_check(args) -> None:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import ConvergenceError, ValidationError
@@ -46,6 +45,8 @@ __all__ = [
     "contraction_limit",
     "martin_kernel_matrix",
 ]
+
+STATE_CAP = 200_000  # vertices in the state ball of one sparse solve
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,11 @@ class PassageVector:
     """First-entry weights from one vertex into the ball around another.
 
     ``values[i]`` is the generating-function weight of paths from the
-    source that first meet the target ball at centre*words[i].
+    source that first meet the target ball at centre*words[i].  On the
+    sparse route ``escaped`` (also ``error_estimate``) is the weight of
+    the paths killed at the state ball's edge, which for z <= 1 bounds
+    what the truncation loses, and ``steps`` is 1, the number of sparse
+    solves; the radial and inside routes take 0 steps.
     """
 
     index: BallIndex
@@ -259,10 +264,9 @@ def _sparse_passage(
     y: ReducedWord,
     z: float,
     state_radius: int,
-    budget: int,
-    tol: float,
-    state_cap: int,
 ) -> PassageVector:
+    from scipy.sparse.linalg import spsolve
+
     steps = _step_pairs(spec)
     absorb = {multiply(y, u): i for i, u in enumerate(index.words)}
     states: dict[ReducedWord, int] = {x: 0}
@@ -271,14 +275,12 @@ def _sparse_passage(
         cur = queue.pop()
         for g, _ in steps:
             nxt = multiply(cur, g)
-            if nxt in states or nxt in absorb:
+            if nxt in states or nxt in absorb or distance(nxt, y) > state_radius:
                 continue
-            if distance(nxt, y) > state_radius:
-                continue
-            if len(states) >= state_cap:
+            if len(states) >= STATE_CAP:
                 raise ConvergenceError(
                     f"state ball of radius {state_radius} around "
-                    f"{format_word(y)} exceeds {state_cap} vertices"
+                    f"{format_word(y)} exceeds {STATE_CAP} vertices"
                 )
             states[nxt] = len(states)
             queue.append(nxt)
@@ -300,32 +302,22 @@ def _sparse_passage(
                 vals.append(p)
             else:
                 leak[i] += p
-    P = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    Q = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A = scipy.sparse.csr_matrix((aval, (arow, acol)), shape=(n, index.size))
-    u = np.zeros(n)
-    u[0] = 1.0
-    got = np.zeros(index.size)
-    escaped = 0.0
-    small = 0
-    for step in range(1, budget + 1):
-        new = z * (u @ A)
-        got += new
-        escaped += z * float(u @ leak)
-        u = z * (u @ P)
-        inc = float(new.sum())
-        total = float(got.sum())
-        live = float(u.sum())
-        small = small + 1 if total > 0.0 and inc < tol * total else 0
-        # done once everything is absorbed or out of the state ball for
-        # good, or after three increments below tol
-        if live == 0.0 or small >= 3:
-            return PassageVector(
-                index, x, y, z, got, "sparse-dp", step, escaped, escaped
-            )
-    raise ConvergenceError(
-        f"first-passage budget exhausted after {budget} steps at z = {z}: "
-        f"last increment {inc:.3e}, live weight {float(u.sum()):.3e}, "
-        f"escaped weight {escaped:.3e}"
+    # g[s] is the z-weight of paths from x to s that stay in the state
+    # ball: the row of the killed chain's Green matrix, (I - zQ)^T g = e_x
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    g = spsolve((scipy.sparse.identity(n) - z * Q).T.tocsc(), rhs)
+    if not (np.all(np.isfinite(g)) and g.min() >= 0.0):
+        raise ConvergenceError(
+            f"confined first-passage solve at z = {z} is not a nonnegative "
+            "Green row: z lies past the singularity of the walk killed "
+            f"outside the state ball of radius {state_radius}"
+        )
+    escaped = z * float(leak @ g)
+    return PassageVector(
+        index, x, y, z, z * (A.T @ g), "sparse-dp", 1, escaped, escaped
     )
 
 
@@ -335,10 +327,7 @@ def first_passage_to_ball(
     y: ReducedWord,
     z: float,
     index: BallIndex | None = None,
-    budget: int = 2000,
-    tol: float = 1e-12,
     state_radius: int | None = None,
-    state_cap: int = 200_000,
     method: str = "auto",
 ) -> PassageVector:
     """First-entry weight vector from x into the ball around y.
@@ -346,10 +335,13 @@ def first_passage_to_ball(
     Uniform nearest-neighbour walks route through the radial chain: the
     tree forces first entry at the unique ball point facing x, so the
     vector has a single positive coordinate.  Other finite-range walks
-    run a truncated absorption sweep; the state ball starts at three
-    block lengths and doubles once if the sweep cannot settle.  The
-    method override forces one engine, mostly so the two can be played
-    against each other.
+    are killed on leaving a state ball around y (three block lengths by
+    default, at least one block beyond x) and absorbed on entering the
+    target ball; one sparse solve gives the exact entry weights of that
+    truncated chain.  A z past its singularity, or a state ball over
+    ``STATE_CAP`` vertices, raises ConvergenceError.  The method override
+    forces one engine, mostly so the two can be played against each
+    other.
     """
     if index is None:
         index = ball_index(spec)
@@ -374,19 +366,10 @@ def first_passage_to_ball(
         values = np.zeros(index.size)
         values[gate] = radial_passage(spec, len(path) - 1, z)
         return PassageVector(index, x, y, z, values, "radial", 0, 0.0, 1e-18)
-    base = state_radius or 3 * index.block_length
-    if distance(x, y) > base:
-        base = distance(x, y) + index.block_length
-    try:
-        return _sparse_passage(
-            spec, index, x, y, z, base, budget, tol, state_cap
-        )
-    except ConvergenceError:
-        if state_radius is not None:
-            raise
-        return _sparse_passage(
-            spec, index, x, y, z, 2 * base, budget, tol, state_cap
-        )
+    radius = state_radius or 3 * index.block_length
+    if distance(x, y) > radius:
+        radius = distance(x, y) + index.block_length
+    return _sparse_passage(spec, index, x, y, z, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +429,13 @@ def passage_matrix(
     block: ReducedWord,
     z: float,
     index: BallIndex | None = None,
-    **kwargs,
 ) -> PassageMatrix:
     """Assemble the ball-to-ball matrix for one prefix block."""
     if index is None:
         index = ball_index(spec)
     arr = np.zeros((index.size, index.size))
     for i, u in enumerate(index.words):
-        fpv = first_passage_to_ball(spec, u, block, z, index=index, **kwargs)
+        fpv = first_passage_to_ball(spec, u, block, z, index=index)
         arr[i, :] = fpv.values
     return PassageMatrix(index=index, block=block, z=z, array=arr)
 
@@ -535,18 +517,10 @@ def _kernel_quotient(
     spec: WalkSpec,
     index: BallIndex,
     x: ReducedWord,
-    xi: EndPrefix,
+    u_k: ReducedWord,
     z: float,
-    k: int,
-    blocks_to: int,
+    mats: list[PassageMatrix],
 ) -> float:
-    d = index.block_length
-    u_k = xi.word.prefix(k * d)
-    mats = []
-    for j in range(k, blocks_to):
-        a = xi.word.prefix(j * d)
-        b = xi.word.prefix((j + 1) * d)
-        mats.append(passage_matrix(spec, multiply(a.inverse(), b), z, index))
     w_inf = contraction_limit(mats).direction
     fb_x = first_passage_to_ball(spec, x, u_k, z, index=index).values
     fb_e = first_passage_to_ball(
@@ -555,7 +529,8 @@ def _kernel_quotient(
     den = float(fb_e @ w_inf)
     if den <= 0.0:
         raise ConvergenceError(
-            f"kernel denominator vanished at block {k}; not yet contracted"
+            f"kernel denominator vanished at {format_word(u_k)}; "
+            "not yet contracted"
         )
     return float(fb_x @ w_inf) / den
 
@@ -595,9 +570,14 @@ def martin_kernel_matrix(
             f"prefix depth {xi.depth} too short for the matrix kernel: "
             f"need at least {(k + 1) * d}"
         )
-    value = _kernel_quotient(spec, index, x, xi, z, k, blocks)
+    centers = [xi.word.prefix(j * d) for j in range(k, blocks + 1)]
+    mats = [
+        passage_matrix(spec, multiply(a.inverse(), b), z, index)
+        for a, b in zip(centers, centers[1:])
+    ]
+    value = _kernel_quotient(spec, index, x, centers[0], z, mats)
     if blocks >= k + 2:
-        again = _kernel_quotient(spec, index, x, xi, z, k + 1, blocks)
+        again = _kernel_quotient(spec, index, x, centers[1], z, mats[1:])
         err = abs(value - again)
         stab = err < 1e-8
     else:

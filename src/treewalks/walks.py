@@ -38,6 +38,7 @@ from .geometry import (
 
 EXACT_STEP_LIMIT = 64  # exact rational convolution is the default up to here
 PRUNE_DEFAULT = Fraction(1, 10**30)
+WORD_SUPPORT_CAP = 200_000  # words one convolution step may hold
 
 
 @dataclass(frozen=True)
@@ -476,6 +477,8 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
     entries below the prune threshold (default: none when exact,
     PRUNE_DEFAULT in floats) are dropped and their mass added to
     ``pruned``.  The table is replaced, never mutated, between steps.
+    A step whose table passes WORD_SUPPORT_CAP words raises
+    ConvergenceError.
     """
     num = Fraction if exact else float
     if prune is None:
@@ -491,6 +494,11 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
             for g, p in steps:
                 y = x * g
                 nxt[y] = nxt.get(y, 0) + mass * p
+            if len(nxt) > WORD_SUPPORT_CAP:
+                raise ConvergenceError(
+                    f"word convolution support passes {WORD_SUPPORT_CAP} "
+                    f"words (WORD_SUPPORT_CAP) at n = {n}"
+                )
         if threshold:
             kept = {}
             for y, mass in nxt.items():
@@ -756,6 +764,17 @@ _RADII = {
 #                             |  -1,2 1/10   (word a1^-1 a2)
 
 
+def _weight_lines(lines: list[str], parse_key) -> dict:
+    weights = {}
+    for ln in lines:
+        key, _, val = ln.partition(" ")
+        try:
+            weights[parse_key(key)] = Fraction(val.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad weight line {ln!r}: {exc}") from exc
+    return weights
+
+
 def load_walk_spec(text: str) -> WalkSpec:
     lines = [
         ln.strip()
@@ -776,20 +795,14 @@ def load_walk_spec(text: str) -> WalkSpec:
     if mode_val == "isotropic":
         if size_key != "q":
             raise ValidationError("isotropic spec needs a 'q <int>' line")
-        weights: dict[int, Fraction] = {}
-        for ln in lines[2:]:
-            key, _, val = ln.partition(" ")
-            weights[int(key)] = Fraction(val.strip())
-        return isotropic_walk(size, weights)
+        return isotropic_walk(size, _weight_lines(lines[2:], int))
     if mode_val == "finitely-supported":
         if size_key != "rank":
             raise ValidationError("finitely supported spec needs a 'rank <int>' line")
         group = free_group(size)
-        mu: dict[ReducedWord, Fraction] = {}
-        for ln in lines[2:]:
-            key, _, val = ln.partition(" ")
-            mu[parse_word(group, key)] = Fraction(val.strip())
-        return finite_walk(group, mu)
+        return finite_walk(
+            group, _weight_lines(lines[2:], lambda key: parse_word(group, key))
+        )
     raise ValidationError(f"unknown mode {mode_val!r}")
 
 

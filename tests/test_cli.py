@@ -312,6 +312,23 @@ def test_reduced_json_round_trip(capsys):
     assert payload["inverse_closed"] is True
 
 
+def test_reduced_csv_rows_read_back_as_three_fields(capsys):
+    # labels such as e|-1,-1 hold commas, so the writer quotes them
+    args = ["reduced", "--preset", "t3xZ", "--candidate-radius", "2"]
+    args += ["--probe-radius", "2"]
+    rc, out, _ = run_cli(capsys, *args)
+    assert rc == 0
+    body, certificate = out.rstrip("\n").rsplit("\n", 1)
+    assert certificate.startswith("# ")
+    header, rows = parse_csv(body)
+    assert header == ["label", "deviation", "member"]
+    assert all(len(row) == 3 for row in rows)
+    assert any("," in row[0] for row in rows)
+    rc, out, _ = run_cli(capsys, *args, "--format", "json")
+    members = {row[0] for row in rows if row[2] == "true"}
+    assert members == set(json.loads(out)["members"])
+
+
 # -- ancona-check -----------------------------------------------------------------
 
 
@@ -382,6 +399,24 @@ def test_spec_file_round_trip(capsys, tmp_path, f2_spec):
     rc2, from_preset, _ = run_cli(capsys, "free-kernel", "--y", "2")
     assert rc2 == 0
     assert from_file == from_preset
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("mode finitely-supported\nrank 2\ne 1/2\n1 abc\n-1 1/2\n", "1 abc"),
+        ("mode isotropic\nq 2\n0 1/2\nx 1/2\n", "x 1/2"),
+    ],
+)
+def test_malformed_spec_file_exits_2(capsys, tmp_path, text, line):
+    spec_path = tmp_path / "walk.spec"
+    spec_path.write_text(text)
+    rc, out, err = run_cli(
+        capsys, "ratio-converge", "--spec-file", str(spec_path), "--n-max", "4"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(line) in err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

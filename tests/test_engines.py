@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -282,6 +283,18 @@ def test_structural_zero_return_is_skipped_not_raised():
     seq = ratio_sequence(spec, e, word(T3, [1]), 6)
     assert seq.skipped == [1]
     assert seq.ns == [0, 2, 3, 4, 5, 6]
+
+
+# -- support cap of the word convolution --------------------------------------
+
+
+def test_word_support_cap_stops_a_growing_walk():
+    # the word fit convolves 120 steps and this walk's support roughly
+    # triples per step: uncapped it passed 2 GB of memory within minutes
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"passes 200000 words .* n = 10"):
+        spectral_radius(range2_f2())
+    assert time.perf_counter() - t0 < 30.0
 
 
 # -- differential tests between independent engines ---------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewalks import (
     BallIndex,
@@ -15,6 +17,7 @@ from treewalks import (
     ValidationError,
     ball_index,
     contraction_limit,
+    finite_walk,
     first_passage_to_ball,
     format_word,
     free_group,
@@ -26,6 +29,7 @@ from treewalks import (
     ratio_kernel_nn,
     word,
 )
+from treewalks import matrix_boundary
 
 F2 = free_group(2)
 
@@ -177,8 +181,6 @@ def test_radial_passage_accepts_isotropic_nn(t3_spec):
 def test_radial_passage_needs_uniform_law():
     e = identity(F2)
     t = Fraction(1, 10)
-    from treewalks import finite_walk
-
     skew = finite_walk(
         F2,
         {
@@ -239,7 +241,7 @@ def test_sparse_engine_on_the_line(z_spec):
     z = 0.8
     rad = first_passage_to_ball(z_spec, x, y, z, method="radial")
     dp = first_passage_to_ball(z_spec, x, y, z, method="dp")
-    # the sweep truncates excursions past its state ball and says by
+    # the solve truncates excursions past its state ball and says by
     # how much; the closed form sits inside that bracket
     gap = float(np.max(np.abs(rad.values - dp.values)))
     assert gap <= dp.error_estimate + 1e-12
@@ -260,26 +262,111 @@ def test_passage_validates_method_and_alphabet(f2_spec):
         first_passage_to_ball(f2_spec, x, other, 0.5)
 
 
-def test_sparse_budget_exhaustion_is_reported(f2_spec):
+def test_sparse_solve_past_the_singularity_is_reported(f2_spec):
+    # the walk killed outside the radius-7 state ball still has its
+    # singularity below z = 1.5, where the Green row turns negative
     x = word(F2, [1, 1, 1, 1, 1, 1])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="z = 1.5 .* past the singularity"):
         first_passage_to_ball(
-            f2_spec,
-            x,
-            identity(F2),
-            0.9,
-            method="dp",
-            budget=2,
-            state_radius=7,
+            f2_spec, x, identity(F2), 1.5, method="dp", state_radius=7
         )
 
 
-def test_sparse_state_cap_is_reported(f2_spec):
+def test_sparse_state_cap_is_reported(f2_spec, monkeypatch):
+    monkeypatch.setattr(matrix_boundary, "STATE_CAP", 10)
     x = word(F2, [1, 1, 1, 1, 1, 1])
-    with pytest.raises(ConvergenceError):
-        first_passage_to_ball(
-            f2_spec, x, identity(F2), 0.9, method="dp", state_cap=10
-        )
+    with pytest.raises(ConvergenceError, match="exceeds 10 vertices"):
+        first_passage_to_ball(f2_spec, x, identity(F2), 0.9, method="dp")
+
+
+def nn_f2_walk(hold, weights):
+    e = identity(F2)
+    letters = [word(F2, [c]) for c in (1, -1, 2, -2)]
+    total = hold + sum(weights)
+    mu = {e: Fraction(hold, total)}
+    mu.update({w: Fraction(p, total) for w, p in zip(letters, weights)})
+    return finite_walk(F2, mu)
+
+
+def reduced_words(min_len, max_len):
+    def build(letters):
+        out = [letters[0]]
+        for c in letters[1:]:
+            out.append(c if c != -out[-1] else -c)
+        return word(F2, out)
+
+    return st.lists(
+        st.sampled_from([1, -1, 2, -2]), min_size=min_len, max_size=max_len
+    ).map(build)
+
+
+@pytest.mark.parametrize(
+    "weights,x",
+    [([3, 1, 2, 2], [1, 2, 1]), ([1, 1, 1, 1], [2, 2, -1, -1])],
+)
+def test_sparse_solve_conserves_mass_at_z_one(weights, x):
+    # at z = 1 every path from x ends in the target ball or is killed at
+    # the state ball's edge, so the entry weights and escaped sum to 1
+    spec = nn_f2_walk(2, weights)
+    pv = first_passage_to_ball(
+        spec, word(F2, x), identity(F2), 1.0, method="dp", state_radius=7
+    )
+    assert 0.0 < pv.escaped < 1.0
+    assert abs(pv.values.sum() + pv.escaped - 1.0) < 1e-12
+
+
+def assert_bracketed(route, pv):
+    # paths the state ball kills carry their weight up to the kill in
+    # ``escaped``, and for z <= 1 the rest of their way into the ball
+    # weighs at most 1, so 0 <= route - dp <= escaped coordinatewise-summed
+    gap = np.asarray(route) - pv.values
+    scale = float(np.max(route))
+    assert gap.min() >= -1e-11 * scale
+    assert gap.sum() <= pv.escaped + 1e-11 * scale
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    hold=st.integers(1, 3),
+    weights=st.lists(st.integers(1, 5), min_size=4, max_size=4),
+    x=reduced_words(2, 5),
+    z=st.floats(0.3, 0.95),
+    state_radius=st.integers(6, 7),
+)
+def test_sparse_solve_against_letter_passages(hold, weights, x, z, state_radius):
+    # skewed nearest-neighbour walks: the tree forces first entry at the
+    # ball point x starts towards, and the untruncated weight is the
+    # product of the letter first-passage functions from the mpmath solve
+    spec = nn_f2_walk(hold, weights)
+    pv = first_passage_to_ball(
+        spec, x, identity(F2), z, method="dp", state_radius=state_radius
+    )
+    assert pv.method == "sparse-dp" and pv.steps == 1
+    sol = FirstPassageSystem(spec).solve(z)
+    route = [
+        float(sol.first_passage(x.inverse() * u))
+        if len(u) == 1 and x.prefix(1) == u
+        else 0.0
+        for u in pv.index.words
+    ]
+    assert_bracketed(route, pv)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    hold=st.integers(1, 3),
+    x=reduced_words(2, 5),
+    z=st.floats(0.3, 0.95),
+    state_radius=st.integers(6, 7),
+)
+def test_sparse_solve_against_radial_closed_form(hold, x, z, state_radius):
+    spec = nn_f2_walk(hold, [1, 1, 1, 1])
+    e = identity(F2)
+    pv = first_passage_to_ball(
+        spec, x, e, z, method="dp", state_radius=state_radius
+    )
+    route = first_passage_to_ball(spec, x, e, z, method="radial").values
+    assert_bracketed(route, pv)
 
 
 # -- separation and product identities ----------------------------------------
@@ -430,8 +517,6 @@ def test_matrix_kernel_needs_certified_z_or_explicit(t3_spec, f2_spec):
     # longer-range walks have no certified singularity: demand explicit z
     e = identity(F2)
     t = Fraction(1, 10)
-    from treewalks import finite_walk
-
     longer = finite_walk(
         F2,
         {
