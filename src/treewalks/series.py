@@ -30,8 +30,20 @@ grammars, and monotone systems of nonlinear equations", JACM 2009):
   running out its step budget.
 * For lo < z the least fixed point f*(lo) is a post-fixed point of the map
   at z, since phi_z(f*(lo)) = (z / lo) phi_lo(f*(lo)) >= f*(lo), and it
-  lies below f*(z).  The radius bisection starts each midpoint's Newton
-  iteration there, and the certificate above still holds.
+  lies below f*(z).  A Newton iteration at z may start there, and the
+  certificate above still holds.
+
+The radius certificate asserts three things only: the system is solvable
+at lo, unsolvable at hi, and hi - lo <= 1e-12.  The bisection midpoints in
+between are bookkeeping: a midpoint far from the singularity r lands on
+the same side whether it is solved or compared with a good estimate of r,
+and a wrong comparison cannot go unnoticed, because it puts r outside the
+final bracket and one of the two end solves then fails.  So radius()
+estimates r from the fold system (a float64 bisection, then the augmented
+Newton iteration that fold() uses), solves only the midpoints within
+FOLD_BAND of the estimate, and then solves lo from zero and runs Newton
+at hi from the values at lo.  Should the estimate or either end check
+fail, the same bisection runs again with every midpoint solved.
 """
 
 from __future__ import annotations
@@ -62,8 +74,11 @@ __all__ = [
 
 KLEENE_WARMUP = 25
 NEWTON_CAP = 400
+FOLD_CAP = 80  # augmented Newton steps of the fold refinement
 VALUE_BOUND = 1e9
 BRACKET_WIDTH = 1e-13  # bisection stops below the certified 1e-12
+ESTIMATE_WIDTH = 1e-9  # float64 bisection that starts the fold estimate
+FOLD_BAND = 1e-14  # midpoints this close to the estimate, relative, are solved
 
 
 @dataclass
@@ -102,7 +117,7 @@ class RadiusCertificate:
     r: float
     lo: float  # system still solvable here
     hi: float  # system already unsolvable here
-    evaluations: int
+    evaluations: int  # bracket points decided: both ends and every midpoint
     prec: int
 
 
@@ -401,11 +416,16 @@ class FirstPassageSystem:
         Works on the solvability predicate directly: below the singularity
         the Newton polish lands on the minimal fixed point, above it there
         is no nonnegative solution to land on, and the certified negative
-        correction of solve() says so within a few steps.  The two ends
-        z = 1 and z = hi go through solve(); each midpoint starts Newton
-        from the solution at the current lo, a post-fixed point below the
-        midpoint's least fixed point (module docstring).  Midpoint solutions
-        are not cached, so solve(cert.lo) still starts from zero.
+        correction of solve() says so within a few steps.  The starting
+        ends z = 1 and z = min(2, 1/mu0) go through solve().  The midpoint
+        sequence is the plain bisection's, but a midpoint farther than
+        FOLD_BAND from the fold estimate takes its side from the estimate
+        without a solve (module docstring).  What is still solved: the
+        midpoints near the estimate, warm-started from the last solved
+        vector; cert.lo, from zero through solve(), whose cached values
+        fold() reads; and cert.hi, from the values at cert.lo, where Newton
+        must certify divergence.  If the estimate or either end check
+        fails, the bisection reruns with every midpoint solved.
         """
         if self._radius_cert is not None:
             return self._radius_cert
@@ -425,32 +445,129 @@ class FirstPassageSystem:
             raise ConvergenceError(
                 "singularity bisection bracket not found in (0, 2]"
             )
+        estimate = self._fold_estimate(start, hi)
+        cert = self._bisect(start, hi, estimate)
+        if estimate is not None and not self._brackets_singularity(cert):
+            cert = self._bisect(start, hi, None)
+        self._radius_cert = cert
+        return cert
+
+    def _bisect(self, start: SolveResult, hi: float, estimate):
+        """Bisect [1, hi] down to BRACKET_WIDTH.
+
+        A midpoint within FOLD_BAND (relative) of the estimate, or every
+        midpoint when the estimate is None, is decided by Newton's method
+        started from the vector at the last solved lo; any other midpoint
+        is solvable exactly when it lies below the estimate.
+        """
+        lo = 1.0
         f = [start.values[c] for c in self.letters]
         evaluations = 2
         with mp.workprec(self.prec):
             mu, mu0 = self._weights()
             while hi - lo > BRACKET_WIDTH:
                 mid = 0.5 * (lo + hi)
-                try:
-                    f_mid, _, _ = self._newton(mp.mpf(mid), f, mu, mu0)
-                except ConvergenceError:
-                    hi = mid
+                far = estimate is not None and (
+                    abs(mid - estimate) > FOLD_BAND * estimate
+                )
+                if far:
+                    solvable = mid < estimate
                 else:
-                    lo, f = mid, f_mid
+                    try:
+                        f, _, _ = self._newton(mp.mpf(mid), f, mu, mu0)
+                        solvable = True
+                    except ConvergenceError:
+                        solvable = False
+                if solvable:
+                    lo = mid
+                else:
+                    hi = mid
                 evaluations += 1
-        self._radius_cert = RadiusCertificate(
+        return RadiusCertificate(
             r=0.5 * (lo + hi), lo=lo, hi=hi, evaluations=evaluations,
             prec=self.prec,
         )
-        return self._radius_cert
 
-    def fold(self) -> FoldPoint:
-        if self._fold is not None:
-            return self._fold
-        cert = self.radius()
-        prec = max(self.prec + 64, 192)
+    def _brackets_singularity(self, cert: RadiusCertificate) -> bool:
+        """True when solve(cert.lo) succeeds and Newton at cert.hi, started
+        from its values, certifies that no fixed point exists."""
+        try:
+            base = self.solve(cert.lo)
+        except ConvergenceError:
+            return False
+        with mp.workprec(self.prec):
+            mu, mu0 = self._weights()
+            f = [base.values[c] for c in self.letters]
+            try:
+                self._newton(mp.mpf(cert.hi), f, mu, mu0)
+            except ConvergenceError:
+                return True
+        return False
+
+    def _fold_estimate(self, start: SolveResult, hi: float):
+        """Float estimate of the singularity, or None if it cannot be had.
+
+        A float64 bisection with warm-started Newton steps narrows [1, hi]
+        to ESTIMATE_WIDTH; the augmented fold Newton then runs at self.prec
+        from the vector at its lower end.  Nothing here is certified:
+        radius() checks the bracket the estimate leads to.
+        """
         L = len(self.letters)
-        base = self.solve(cert.lo)
+        inv = np.array(self.inv_index)
+        rows = np.arange(L)
+        mu = np.array([float(p) for p in self.mu_fractions])
+        mu0 = float(self.mu0_fraction)
+        tol = 2.0 ** (16 - 53)
+
+        def newton64(z, f):
+            for _ in range(NEWTON_CAP):
+                s = mu @ f[inv]
+                g = z * (mu + mu0 * f + f * (s - mu * f[inv])) - f
+                if np.abs(g).max() <= tol:
+                    return f
+                if g.min() < -tol * (1 + f.max()):
+                    return None
+                J = z * (np.outer(f, mu[inv]) + np.diag(mu0 + s - mu * f[inv]))
+                J[rows, inv] -= z * mu * f
+                try:
+                    delta = np.linalg.solve(np.eye(L) - J, g)
+                except np.linalg.LinAlgError:
+                    return None
+                if delta.min() < -tol * (1 + np.abs(delta).max()):
+                    return None
+                f = np.maximum(f + delta, 0.0)
+                if not np.all(f <= VALUE_BOUND):  # also catches NaN
+                    return None
+            return None
+
+        lo = 1.0
+        f = np.array([float(start.values[c]) for c in self.letters])
+        while hi - lo > ESTIMATE_WIDTH:
+            mid = 0.5 * (lo + hi)
+            f_mid = newton64(mid, f)
+            if f_mid is None:
+                hi = mid
+            else:
+                lo, f = mid, f_mid
+        try:
+            _, r, _, _ = self._fold_newton(
+                f, lo, lo - ESTIMATE_WIDTH, hi + ESTIMATE_WIDTH, self.prec
+            )
+        except ConvergenceError:
+            return None
+        return float(r)
+
+    def _fold_newton(self, f, z, lo: float, hi: float, prec: int):
+        """Newton's method on the augmented fold system at prec bits.
+
+        The unknowns are the letter values and z; the equations are
+        phi(f) = f and det(I - J(f)) = 0, with a forward-difference
+        Jacobian.  Starts from (f, z) and returns (values, r, residual,
+        iterations).  Raises ConvergenceError naming the guard that fired:
+        a singular correction step, FOLD_CAP exhausted, or an r outside
+        [lo, hi].
+        """
+        L = len(self.letters)
         with mp.workprec(prec):
             mu, mu0 = self._weights()
 
@@ -461,13 +578,13 @@ class FirstPassageSystem:
                 out.append(mp.det(mp.eye(L) - self._jacobian(f, zv, mu, mu0)))
                 return out
 
-            u = [mp.mpf(base.values[c]) for c in self.letters]
-            u.append(mp.mpf(cert.lo))
+            u = [mp.mpf(v) for v in f]
+            u.append(mp.mpf(z))
             tol = mp.mpf(2) ** (40 - prec)
             h = mp.mpf(2) ** (-(prec // 3))
             residual = None
             iterations = 0
-            for _ in range(80):
+            for _ in range(FOLD_CAP):
                 g = augmented(u)
                 residual = max(abs(v) for v in g)
                 if residual <= tol:
@@ -483,18 +600,45 @@ class FirstPassageSystem:
                     delta = mp.lu_solve(A, mp.matrix(g))
                 except (ZeroDivisionError, ValueError):
                     raise ConvergenceError(
-                        "fold refinement hit a singular correction step"
+                        f"fold refinement hit a singular correction step at "
+                        f"step {iterations}"
                     ) from None
                 u = [u[k] - delta[k] for k in range(L + 1)]
                 iterations += 1
             else:
-                raise ConvergenceError("fold refinement did not converge")
-            r = u[L]
-            if not (cert.lo - 1e-9 <= float(r) <= cert.hi + 1e-9):
                 raise ConvergenceError(
-                    "fold refinement left the certified singularity bracket"
+                    f"fold refinement did not converge: FOLD_CAP = {FOLD_CAP} "
+                    "steps exhausted"
                 )
-            f = u[:L]
+            r = u[L]
+            if not (lo <= float(r) <= hi):
+                raise ConvergenceError(
+                    f"fold refinement left the singularity bracket "
+                    f"[{lo!r}, {hi!r}]: r = {mp.nstr(r, 17)}"
+                )
+        return u[:L], r, residual, iterations
+
+    def fold(self) -> FoldPoint:
+        """High-precision fold point, refined from solve(cert.lo).
+
+        Runs the augmented Newton at max(prec + 64, 192) bits and requires
+        the refined r to lie in the certified bracket, widened by 1e-15
+        relative for the rounding of its ends.
+        """
+        if self._fold is not None:
+            return self._fold
+        cert = self.radius()
+        prec = max(self.prec + 64, 192)
+        base = self.solve(cert.lo)
+        f, r, residual, iterations = self._fold_newton(
+            [base.values[c] for c in self.letters],
+            cert.lo,
+            cert.lo * (1 - 1e-15),
+            cert.hi * (1 + 1e-15),
+            prec,
+        )
+        with mp.workprec(prec):
+            mu, mu0 = self._weights()
             _, s = self._phi(f, r, mu, mu0)
             ret = r * (mu0 + s)
             green = 1 / (1 - ret) if ret < 1 else None

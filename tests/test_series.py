@@ -196,6 +196,71 @@ def test_singular_newton_matrix_is_named(f2_spec, monkeypatch):
         system.solve(1.0)
 
 
+def test_fold_budget_names_its_cap(f2_spec, monkeypatch):
+    system = FirstPassageSystem(f2_spec)
+    system.radius()
+    monkeypatch.setattr(series, "FOLD_CAP", 1)
+    with pytest.raises(ConvergenceError, match="FOLD_CAP = 1 steps exhausted"):
+        system.fold()
+
+
+def test_singular_fold_correction_is_named(f2_spec, monkeypatch):
+    system = FirstPassageSystem(f2_spec)
+    system.solve(system.radius().lo)
+    L = len(system.letters)
+    # det(I - J) is then constant, so the augmented Jacobian has a zero row
+    monkeypatch.setattr(system, "_jacobian", lambda *args: mp.eye(L))
+    with pytest.raises(ConvergenceError, match="singular correction step at step 0"):
+        system.fold()
+
+
+def test_fold_outside_the_bracket_is_named(f2_spec, monkeypatch):
+    system = FirstPassageSystem(f2_spec)
+    # a bracket below the true singularity (about 1.12): the refinement
+    # converges to the fold all the same and lands outside it
+    wrong = series.RadiusCertificate(
+        r=1.05, lo=1.05, hi=1.05 + 1e-13, evaluations=46, prec=system.prec
+    )
+    monkeypatch.setattr(system, "_radius_cert", wrong)
+    with pytest.raises(ConvergenceError, match="left the singularity bracket"):
+        system.fold()
+
+
+def pinned_walk(name, f2_spec):
+    if name == "f2-lazy-uniform":
+        return f2_spec
+    return asymmetric_walk() if name == "skewed-f2" else f3_walk()
+
+
+@pytest.mark.parametrize("estimate", [None, 1 + 1e-6, 1 - 1e-6])
+@pytest.mark.parametrize("name", sorted(RADIUS_PINS))
+def test_radius_survives_a_missing_or_wrong_estimate(
+    f2_spec, monkeypatch, name, estimate
+):
+    r = RADIUS_PINS[name][2]
+    value = None if estimate is None else r * estimate
+    monkeypatch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: value)
+    cert = FirstPassageSystem(pinned_walk(name, f2_spec)).radius()
+    assert (cert.lo, cert.hi, cert.r) == RADIUS_PINS[name]
+    assert cert.evaluations == 46
+
+
+def test_radius_solves_only_near_the_estimate(f2_spec, monkeypatch):
+    calls = []
+    newton = FirstPassageSystem._newton
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return newton(self, *args)
+
+    monkeypatch.setattr(FirstPassageSystem, "_newton", counted)
+    cert = FirstPassageSystem(f2_spec).radius()
+    assert cert.evaluations == 46
+    # z = 1, the midpoints near the estimate, lo from zero and hi from lo;
+    # the plain bisection solves every one of its 44 midpoints
+    assert len(calls) <= 6
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     rank=st.sampled_from([2, 3]),
@@ -221,6 +286,10 @@ def test_radius_certificate_against_cold_solves(rank, weights, hold):
     # the fold is an independent Newton iteration on the augmented system
     r = float(system.fold().r)
     assert cert.lo * (1 - 1e-15) <= r <= cert.hi * (1 + 1e-15)
+    # the same bisection with every midpoint solved reaches the same bracket
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: None)
+        assert FirstPassageSystem(spec).radius() == cert
 
 
 # -- coefficients --------------------------------------------------------------
