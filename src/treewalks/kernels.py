@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
 from mpmath import mp
 
 from .errors import ConvergenceError, ValidationError
@@ -42,6 +43,8 @@ __all__ = [
     "ratio_kernel_isotropic",
     "martin_kernel_nn",
     "ratio_kernel_nn",
+    "ratio_grid_isotropic",
+    "ratio_grid_nn",
     "ratio_bound",
     "DoobWalk",
     "PlainTreeRows",
@@ -211,6 +214,37 @@ def ratio_kernel_isotropic(spec: WalkSpec, x: ReducedWord, target) -> KernelValu
     return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
 
 
+def _cancelled(x: ReducedWord, y: ReducedWord) -> int:
+    """Letters that cancel in x^-1 y: the common prefix length of x and y."""
+    k = 0
+    for a, b in zip(x.letters, y.letters):
+        if a != b:
+            break
+        k += 1
+    return k
+
+
+def ratio_grid_isotropic(spec: WalkSpec, probes, targets) -> np.ndarray:
+    """ratio_kernel_isotropic(spec, x, y).value for every probe row x and
+    vertex column y.
+
+    Both eigenfunction values come from one table indexed by distance,
+    d(x, y) = |x| + |y| - 2k with k the cancelled letters, so every entry
+    is the scalar route's division of the same two floats.
+    """
+    if spec.mode != "isotropic":
+        raise ValidationError("radial projection requires isotropy")
+    reach = max(map(len, probes)) + max(map(len, targets))
+    phi = [spherical(spec.q, n) for n in range(reach + 1)]
+    grid = np.empty((len(probes), len(targets)))
+    for i, x in enumerate(probes):
+        grid[i] = [
+            phi[len(x) + len(y) - 2 * _cancelled(x, y)] / phi[len(y)]
+            for y in targets
+        ]
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # Nearest-neighbour word-walk kernels
 
@@ -219,6 +253,14 @@ def _passage_product(values: dict, w: ReducedWord) -> float:
     out = 1.0
     for c in w.letters:
         out *= values[c]
+    return out
+
+
+def _gamma_sum(gammas: dict, letters) -> float:
+    """Sqrt-to-value ratio of a word target: the Green gamma plus its letters'."""
+    out = gammas["green"]
+    for c in letters:
+        out += gammas[c]
     return out
 
 
@@ -284,21 +326,54 @@ def ratio_kernel_nn(system: FirstPassageSystem, x: ReducedWord, target) -> Kerne
     rho = 1.0 / float(fp.r)
     gammas = system.gamma_table()
 
-    def gamma_of(w: ReducedWord) -> float:
-        out = gammas["green"]
-        for c in w.letters:
-            out += gammas[c]
-        return out
-
     def finite(w: ReducedWord) -> float:
         k = martin_kernel_nn(system, x, w, rho).value
-        return k * gamma_of(x.inverse() * w) / gamma_of(w)
+        return k * _gamma_sum(gammas, (x.inverse() * w).letters) / _gamma_sum(
+            gammas, w.letters
+        )
 
     if isinstance(target, EndPrefix):
         base = martin_kernel_nn(system, x, target, rho)
         return replace(base, error=abs(finite(target.word) - base.value))
     value = finite(target)
     return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
+
+
+def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
+    """ratio_kernel_nn(system, x, y).value for every probe row x and vertex
+    column y, with the fold values and gamma table read once.
+
+    The word x^-1 y is the first |x| - k letters of x^-1 followed by
+    y[k:], k the cancelled letters.  Each row keeps the running passage
+    products (from 1.0) and gamma sums (from the Green gamma) over x^-1,
+    and each entry continues them through y[k:] letter by letter, so it
+    multiplies and adds the same floats in the same order as the scalar
+    route before forming (P(x^-1 y) / P(y)) * G(x^-1 y) / G(y).
+    """
+    fp = system.fold()
+    values = _nn_values_at(system, 1.0 / float(fp.r))
+    gammas = system.gamma_table()
+    columns = [
+        (y, _passage_product(values, y), _gamma_sum(gammas, y.letters))
+        for y in targets
+    ]
+    grid = np.empty((len(probes), len(targets)))
+    for i, x in enumerate(probes):
+        n = len(x)
+        passage, gamma = [1.0], [gammas["green"]]
+        for c in x.inverse().letters:
+            passage.append(passage[-1] * values[c])
+            gamma.append(gamma[-1] + gammas[c])
+        row = []
+        for y, p_y, g_y in columns:
+            k = _cancelled(x, y)
+            p, g = passage[n - k], gamma[n - k]
+            for c in y.letters[k:]:
+                p *= values[c]
+                g += gammas[c]
+            row.append((p / p_y) * g / g_y)
+        grid[i] = row
+    return grid
 
 
 def ratio_bound(spec: WalkSpec, x: ReducedWord, k_cap: int = 64) -> float:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import (
@@ -265,6 +264,7 @@ def _sparse_passage(
     z: float,
     state_radius: int,
 ) -> PassageVector:
+    import scipy.sparse
     from scipy.sparse.linalg import spsolve
 
     steps = _step_pairs(spec)

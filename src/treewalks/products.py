@@ -14,11 +14,16 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ValidationError
 from .geometry import EndPrefix, ReducedWord, format_word
-from .kernels import KernelValue, ratio_kernel_isotropic, ratio_kernel_nn
+from .kernels import (
+    KernelValue,
+    ratio_grid_isotropic,
+    ratio_grid_nn,
+    ratio_kernel_isotropic,
+    ratio_kernel_nn,
+)
 from .series import series_coefficients, shared_system
 from .walks import (
     WalkSpec,
@@ -34,9 +39,11 @@ __all__ = [
     "direct_product",
     "cartesian_product",
     "factor_kernel",
+    "factor_kernel_grid",
     "factor_returns",
     "factor_alpha",
     "product_ratio_kernel",
+    "product_kernel_grid",
     "product_return_sequence",
     "product_nstep_pair",
     "cartesian_asymptotics",
@@ -107,6 +114,14 @@ def _lattice_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
     return KernelValue(format_word(x), label, None, value, 0.0, True)
 
 
+def _lattice_grid(spec: WalkSpec, probes, targets) -> np.ndarray:
+    # the kernel does not depend on the target, so one spectral radius
+    # gives every row
+    c = spectral_radius(spec).details["c"]
+    column = np.array([math.exp(c * _signed_length(x)) for x in probes])
+    return np.repeat(column[:, None], len(targets), axis=1)
+
+
 def _unrouted(spec: WalkSpec, *args):
     raise ValidationError(
         "no ratio kernel or return-sequence route for this factor; need "
@@ -123,6 +138,18 @@ _KERNELS = {
     "words": _unrouted,
 }
 
+# one float64 array per factor: probes are rows, vertex targets columns
+_GRIDS = {
+    "radial": lambda spec, probes, targets: ratio_grid_isotropic(
+        spec, probes, targets
+    ),
+    "lattice": _lattice_grid,
+    "nn": lambda spec, probes, targets: ratio_grid_nn(
+        shared_system(spec), probes, targets
+    ),
+    "words": _unrouted,
+}
+
 _RETURNS = {
     "radial": _return_probabilities,
     "lattice": _return_probabilities,
@@ -136,6 +163,12 @@ _RETURNS = {
 def factor_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
     """Ratio-limit kernel of one factor, routed by walk class."""
     return _KERNELS[spec.walk_class](spec, x, target)
+
+
+def factor_kernel_grid(spec: WalkSpec, probes, targets) -> np.ndarray:
+    """factor_kernel(spec, x, y).value for every probe x (rows) and vertex
+    target y (columns), bit for bit, with the per-walk data read once."""
+    return _GRIDS[spec.walk_class](spec, probes, targets)
 
 
 def factor_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
@@ -188,6 +221,25 @@ def product_ratio_kernel(
     )
 
 
+def product_kernel_grid(pw: ProductWalk, probes, targets) -> np.ndarray:
+    """product_ratio_kernel(pw, x, y).value for every probe pair x (rows)
+    and vertex pair y (columns).
+
+    Each factor grid covers the distinct words of its coordinate; an entry
+    is the one multiply of the scalar route, g1[x1, y1] * g2[x2, y2].
+    """
+
+    def gathered(spec: WalkSpec, side: int) -> np.ndarray:
+        row = {w: i for i, w in enumerate(dict.fromkeys(x[side] for x in probes))}
+        col = {w: j for j, w in enumerate(dict.fromkeys(y[side] for y in targets))}
+        grid = factor_kernel_grid(spec, list(row), list(col))
+        return grid[
+            np.ix_([row[x[side]] for x in probes], [col[y[side]] for y in targets])
+        ]
+
+    return gathered(pw.left, 0) * gathered(pw.right, 1)
+
+
 # ---------------------------------------------------------------------------
 # n-step laws
 
@@ -223,6 +275,8 @@ def product_return_sequence(pw: ProductWalk, n_max: int) -> np.ndarray:
     factor sequences binomially; the mixture runs in log space since
     the summands span hundreds of orders of magnitude by n ~ 10^3.
     """
+    from scipy.special import gammaln, logsumexp
+
     r1 = factor_returns(pw.left, n_max)
     r2 = factor_returns(pw.right, n_max)
     if pw.kind == "direct":
@@ -330,20 +384,27 @@ def identify_equivalent_boundary(
     )
 
 
-def _greedy_classes(vectors: list[np.ndarray], tol: float) -> tuple:
+def _greedy_classes(vectors, tol: float) -> tuple:
     """Each vector joins the first class whose representative matches it
-    within relative tol everywhere, else founds a new class."""
+    within relative tol everywhere, else founds a new class.
+
+    One vector is compared with every representative at once; the
+    representatives and their scales fill preallocated rows.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    reps = np.empty_like(vectors)
+    scales = np.empty_like(vectors)
     classes: list[list[int]] = []
-    reps: list[np.ndarray] = []
     for i, vec in enumerate(vectors):
-        for c, rep in enumerate(reps):
-            scale = np.maximum(np.abs(rep), 1e-300)
-            if np.max(np.abs(vec - rep) / scale) <= tol:
-                classes[c].append(i)
-                break
-        else:
-            classes.append([i])
-            reps.append(vec)
+        n = len(classes)
+        gaps = np.max(np.abs(vec - reps[:n]) / scales[:n], axis=1)
+        hits = np.flatnonzero(gaps <= tol)
+        if hits.size:
+            classes[hits[0]].append(i)
+            continue
+        reps[n] = vec
+        scales[n] = np.maximum(np.abs(vec), 1e-300)
+        classes.append([i])
     return tuple(tuple(c) for c in classes)
 
 

@@ -19,8 +19,8 @@ from .kernels import KernelTable, _json_text
 from .products import (
     ProductWalk,
     _greedy_classes,
-    factor_kernel,
-    product_ratio_kernel,
+    factor_kernel_grid,
+    product_kernel_grid,
 )
 from .walks import WalkSpec
 
@@ -73,15 +73,11 @@ class EquivalenceReport:
 
 
 def _single_walk_grid(spec: WalkSpec, candidate_radius: int, probe_radius: int):
-    cands = list(ball(spec.alphabet, candidate_radius))
-    probes = list(ball(spec.alphabet, probe_radius))
-
-    def h(x, y):
-        return factor_kernel(spec, x, y).value
-
+    cands = ball(spec.alphabet, candidate_radius)
+    grid = factor_kernel_grid(spec, ball(spec.alphabet, probe_radius), cands)
     labels = [format_word(y) for y in cands]
     inverses = {format_word(y): format_word(y.inverse()) for y in cands}
-    return cands, probes, h, labels, inverses
+    return grid, labels, inverses
 
 
 def _product_grid(pw: ProductWalk, candidate_radius: int, probe_radius: int):
@@ -90,10 +86,8 @@ def _product_grid(pw: ProductWalk, candidate_radius: int, probe_radius: int):
         left, right = ball(pw.left.alphabet, radius), ball(pw.right.alphabet, radius)
         return [(u, v) for u in left for v in right if len(u) + len(v) <= radius]
 
-    cands, probes = pairs(candidate_radius), pairs(probe_radius)
-
-    def h(x, y):
-        return product_ratio_kernel(pw, x, y).value
+    cands = pairs(candidate_radius)
+    grid = product_kernel_grid(pw, pairs(probe_radius), cands)
 
     def lab(pair):
         return f"{format_word(pair[0])}|{format_word(pair[1])}"
@@ -102,7 +96,7 @@ def _product_grid(pw: ProductWalk, candidate_radius: int, probe_radius: int):
     inverses = {
         lab(y): lab((y[0].inverse(), y[1].inverse())) for y in cands
     }
-    return cands, probes, h, labels, inverses
+    return grid, labels, inverses
 
 
 def detect_R_mu(
@@ -117,23 +111,27 @@ def detect_R_mu(
     H(x, y) and H(x, e); candidates below tol are reported members and
     the member set is spot-checked for closure under inversion, the
     cheap half of the subgroup axioms.
+
+    H is read from a kernel grid, one float64 array H[probe, candidate]
+    per factor built once from the walk's invariants (a product gathers
+    its two factor grids and multiplies them).  Each entry repeats the
+    scalar kernel's float operations in the same order: a radial entry
+    divides two eigenfunction values looked up by distance, a lattice
+    entry is exp(c * signed length of x) with c from one spectral
+    radius, and a nearest-neighbour entry continues running passage
+    products and gamma sums over x^-1 through the letters of y that do
+    not cancel.  So the grid equals factor_kernel(walk, x, y).value (or
+    product_ratio_kernel) bit for bit, and so does every report.
     """
     if isinstance(walk, ProductWalk):
-        cands, probes, h, labels, inverses = _product_grid(
-            walk, candidate_radius, probe_radius
-        )
+        grid, labels, inverses = _product_grid(walk, candidate_radius, probe_radius)
     else:
-        cands, probes, h, labels, inverses = _single_walk_grid(
+        grid, labels, inverses = _single_walk_grid(
             walk, candidate_radius, probe_radius
         )
-    base = np.array([h(x, cands[0]) for x in probes])
+    base = grid[:, :1]
     scale = np.maximum(np.abs(base), 1e-300)
-    vectors = []
-    deviations = []
-    for y in cands:
-        vec = np.array([h(x, y) for x in probes])
-        vectors.append(vec)
-        deviations.append(float(np.max(np.abs(vec - base) / scale)))
+    deviations = np.max(np.abs(grid - base) / scale, axis=0).tolist()
     member_indices = tuple(
         i for i, d in enumerate(deviations) if d <= tol
     )
@@ -160,7 +158,7 @@ def detect_R_mu(
         tol=tol,
         labels=tuple(labels),
         deviations=tuple(deviations),
-        classes=_greedy_classes(vectors, tol),
+        classes=_greedy_classes(grid.T, tol),
         member_indices=member_indices,
         inverse_closed=inverse_closed,
         certificate=certificate,

@@ -487,3 +487,29 @@ def test_stdout_matches_golden_bytes(capsys, case):
     rc, out, _ = run_cli(capsys, *case["argv"])
     assert rc == case["exit"]
     assert out == case["stdout"]
+
+
+# -- import cost -----------------------------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the few routines that use it, so the
+    # package import (the floor of every CLI call) does not pay for it
+    src_root = str(Path(treewalks.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, treewalks\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -7,22 +7,36 @@ certificates say exactly what was computed.
 """
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewalks import (
     KernelTable,
     KernelValue,
     ProductBoundaryPoint,
     ValidationError,
+    ball,
+    cartesian_product,
     detect_R_mu,
+    direct_product,
+    factor_kernel,
+    factor_kernel_grid,
+    finite_walk,
+    free_group,
     identity,
+    isotropic_walk,
     preset,
+    product_kernel_grid,
     product_ratio_kernel,
     reduced_kernel_table,
     tree_alphabet,
     word,
 )
+from treewalks import kernels, products
 
 T3 = tree_alphabet(2)
 
@@ -103,6 +117,162 @@ def test_class_lookup_rejects_unknown_label(t3xz):
     report = detect_R_mu(t3xz, candidate_radius=1, probe_radius=1)
     with pytest.raises((ValueError, ValidationError)):
         report.class_of("3,3|e")
+
+
+# -- kernel grids ----------------------------------------------------------------
+#
+# detect_R_mu reads H from one array per factor; every entry must be the
+# scalar kernel's float, compared with ==, so reports stay bit-identical.
+
+
+def scalar_grid(kernel, probes, targets):
+    return np.array([[kernel(x, y).value for y in targets] for x in probes])
+
+
+def nn_walk(rank, weights, hold):
+    ab = free_group(rank)
+    mu = {identity(ab): hold}
+    for c, w in zip(ab.letters, weights):
+        mu[word(ab, [c])] = (1 - hold) * Fraction(w, sum(weights))
+    return finite_walk(ab, mu)
+
+
+def line_walk(weights):
+    # weights of the offsets -1, 0, 1, 2 on the integer line
+    z1 = free_group(1)
+    steps = (word(z1, [-1]), identity(z1), word(z1, [1]), word(z1, [1, 1]))
+    total = sum(weights)
+    return finite_walk(
+        z1, {w: Fraction(p, total) for w, p in zip(steps, weights) if p}
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    rank=st.sampled_from([2, 3]),
+    weights=st.lists(st.integers(1, 5), min_size=6, max_size=6),
+    hold=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
+)
+def test_nn_grid_equals_the_scalar_kernel_bitwise(rank, weights, hold):
+    spec = nn_walk(rank, weights[: 2 * rank], hold)
+    probes, targets = ball(spec.alphabet, 2), ball(spec.alphabet, 2)
+    grid = factor_kernel_grid(spec, probes, targets)
+    assert grid.dtype == np.float64
+    want = scalar_grid(lambda x, y: factor_kernel(spec, x, y), probes, targets)
+    assert (grid == want).all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        preset("t3-lazy-iso"),
+        isotropic_walk(3, {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}),
+        preset("z-lazy"),
+        line_walk([1, 2, 2, 1]),
+    ],
+    ids=["t3", "t4-range-two", "z-lazy", "line-drift"],
+)
+def test_radial_and_lattice_grids_equal_the_scalar_kernel_bitwise(spec):
+    probes, targets = ball(spec.alphabet, 3), ball(spec.alphabet, 4)
+    grid = factor_kernel_grid(spec, probes, targets)
+    want = scalar_grid(lambda x, y: factor_kernel(spec, x, y), probes, targets)
+    assert (grid == want).all()
+
+
+@pytest.mark.parametrize(
+    "pw",
+    [
+        preset("t3xZ"),
+        preset("t3xt3"),
+        cartesian_product(
+            nn_walk(2, [1, 2, 3, 4], Fraction(1, 4)), line_walk([1, 2, 2, 1])
+        ),
+        direct_product(preset("z-lazy"), preset("f2-lazy-uniform")),
+    ],
+    ids=["t3xZ", "t3xt3", "f2xline", "Zxf2-direct"],
+)
+def test_product_grid_equals_the_product_kernel_bitwise(pw):
+    def pairs(radius):
+        left, right = ball(pw.left.alphabet, radius), ball(pw.right.alphabet, radius)
+        return [(u, v) for u in left for v in right if len(u) + len(v) <= radius]
+
+    probes, targets = pairs(2), pairs(3)
+    grid = product_kernel_grid(pw, probes, targets)
+    want = scalar_grid(lambda x, y: product_ratio_kernel(pw, x, y), probes, targets)
+    assert (grid == want).all()
+
+
+def test_words_walk_scan_raises_the_scalar_error():
+    ab = free_group(2)
+    mu = {identity(ab): Fraction(1, 4)}
+    for letters in ([1], [-1], [2], [-2], [1, 2], [-2, -1]):
+        mu[word(ab, letters)] = Fraction(1, 8)
+    spec = finite_walk(ab, mu)
+    assert spec.walk_class == "words"
+    e = identity(ab)
+    with pytest.raises(ValidationError) as scalar:
+        factor_kernel(spec, e, e)
+    with pytest.raises(ValidationError) as scan:
+        detect_R_mu(spec, candidate_radius=1, probe_radius=1)
+    assert str(scan.value) == str(scalar.value)
+    with pytest.raises(ValidationError) as product_scan:
+        detect_R_mu(cartesian_product(preset("t3-lazy-iso"), spec), 1, 1)
+    assert str(product_scan.value) == str(scalar.value)
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_lattice_factor_scan_finds_its_spectral_radius_once(monkeypatch):
+    calls = counting(monkeypatch, products, "spectral_radius")
+    report = detect_R_mu(preset("t3xZ"), candidate_radius=4, probe_radius=3)
+    assert len(report.labels) > 50
+    assert len(calls) == 1
+
+
+def test_nn_scan_makes_no_scalar_kernel_call(monkeypatch, f2_spec):
+    routed = counting(monkeypatch, products, "ratio_kernel_nn")
+    direct = counting(monkeypatch, kernels, "ratio_kernel_nn")
+    report = detect_R_mu(f2_spec, candidate_radius=4, probe_radius=4)
+    assert report.members() == ["e"]
+    assert routed == direct == []
+
+
+def reference_classes(vectors, tol):
+    # the one-representative-at-a-time loop the array version replaces
+    classes, reps = [], []
+    for i, vec in enumerate(vectors):
+        for c, rep in enumerate(reps):
+            scale = np.maximum(np.abs(rep), 1e-300)
+            if np.max(np.abs(vec - rep) / scale) <= tol:
+                classes[c].append(i)
+                break
+        else:
+            classes.append([i])
+            reps.append(vec)
+    return tuple(tuple(c) for c in classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    nudges=st.lists(st.sampled_from([0.0, 1e-9, -3e-7, 2e-6, 0.5]), min_size=30, max_size=30),
+)
+def test_greedy_classes_match_the_one_by_one_loop(picks, nudges):
+    # a few base vectors, each copy nudged below, near or above tol
+    bases = np.random.default_rng(7).uniform(0.1, 3.0, size=(6, 5))
+    bases[2, 1] = 0.0
+    vectors = [bases[k] * (1.0 + nudges[i]) for i, k in enumerate(picks)]
+    assert products._greedy_classes(vectors, 1e-6) == reference_classes(vectors, 1e-6)
 
 
 # -- report serialization --------------------------------------------------------
