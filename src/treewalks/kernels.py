@@ -256,10 +256,10 @@ def _passage_product(values: dict, w: ReducedWord) -> float:
     return out
 
 
-def _gamma_sum(gammas: dict, letters) -> float:
+def _gamma_sum(gammas: dict, w: ReducedWord) -> float:
     """Sqrt-to-value ratio of a word target: the Green gamma plus its letters'."""
     out = gammas["green"]
-    for c in letters:
+    for c in w.letters:
         out += gammas[c]
     return out
 
@@ -328,9 +328,7 @@ def ratio_kernel_nn(system: FirstPassageSystem, x: ReducedWord, target) -> Kerne
 
     def finite(w: ReducedWord) -> float:
         k = martin_kernel_nn(system, x, w, rho).value
-        return k * _gamma_sum(gammas, (x.inverse() * w).letters) / _gamma_sum(
-            gammas, w.letters
-        )
+        return k * _gamma_sum(gammas, x.inverse() * w) / _gamma_sum(gammas, w)
 
     if isinstance(target, EndPrefix):
         base = martin_kernel_nn(system, x, target, rho)
@@ -354,7 +352,7 @@ def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
     values = _nn_values_at(system, 1.0 / float(fp.r))
     gammas = system.gamma_table()
     columns = [
-        (y, _passage_product(values, y), _gamma_sum(gammas, y.letters))
+        (y, _passage_product(values, y), _gamma_sum(gammas, y))
         for y in targets
     ]
     grid = np.empty((len(probes), len(targets)))
