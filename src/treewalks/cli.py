@@ -289,14 +289,13 @@ def _cmd_phi_claim(args) -> None:
         top = green_second_order(system, x, y, z, tol=args.tol)
         bot = green_second_order(system, e, y, z, tol=args.tol)
         ratio = top.phi / bot.phi
-        err = abs(top.tail / top.value) + abs(bot.tail / bot.value)
         rows.append(
             KernelValue(
                 x=args.x or "e",
                 y_or_prefix=f"{args.pattern}...",
                 depth=depth,
                 value=ratio,
-                error=err,
+                error=top.error + bot.error,
                 stabilized=top.stabilized and bot.stabilized,
             )
         )
@@ -384,7 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="2,-1")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--z-offset", type=float, default=1e-6)
-    common(p, preset_default="f2-lazy-uniform", with_precision=True, with_tol=1e-10)
+    common(p, preset_default="f2-lazy-uniform", with_precision=True)
+    p.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="relative accuracy asked of each second-order sum; a row is "
+        "stabilized when both sums' error bounds are at most this",
+    )
     p.set_defaults(func=_cmd_phi_claim)
 
     return parser

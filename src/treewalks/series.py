@@ -187,11 +187,10 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class SecondOrderGreen:
-    """Shell-summed value of sum_v G(x,v|z) G(v,y|z)."""
+    """sum_v G(x,v|z) G(v,y|z); green_second_order explains the fields."""
 
     value: float
-    partial: float
-    tail: float
+    error: float
     shells: int
     stabilized: bool
     green_pair: float  # G(x,y|z)
@@ -831,18 +830,39 @@ def green_second_order(
     x: ReducedWord,
     y: ReducedWord,
     z,
-    max_shell: int | None = None,
     tol: float = 1e-12,
 ) -> SecondOrderGreen:
-    """sum_v G(x,v|z) G(v,y|z), summed by shells around the x-to-y geodesic.
+    """sum_v G(x,v|z) G(v,y|z) in closed form, from one L x L solve.
 
-    Each summand factors through the projection of v onto the geodesic, so
-    the shell sums obey a per-letter transfer recursion; a shell's banned
-    first letters keep the projection point exact and the word reduced.
-    Three consecutive shell increments below tol times the running total
-    stop the sum.  A long non-decreasing stretch of increments is treated
-    as divergence.  With an explicit max_shell the partial sum is returned
-    together with a geometric tail estimate.
+    Write v as a vertex m of the x-to-y geodesic (d = |x^-1 y| edges)
+    followed by a reduced tail leaving it; its summand is G(e,e) G(x,y)
+    times the product of omega_c = f_c f_{c^-1} over the tail's letters.
+    The tails at m of length k + 1 sum to 1^T M^k t_m, where t_m is omega
+    with the letters along the geodesic at m set to zero, and
+    M = diag(omega)(J - P), J all ones, P the inverse-letter permutation,
+    so (M t)_c = omega_c (sum(t) - t_{c^-1}).  With s = sum_m t_m,
+
+        value = G(e,e) G(x,y) ((d + 1) + u^T s),   (I - M^T) u = 1.
+
+    M >= 0, so the sum is finite exactly when the Perron root of M is
+    below 1, and then u = sum_k (M^T)^k 1 > 0; conversely u > 0 with
+    (I - M^T) u > 0 puts the Perron root below 1 (Berman and Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6).  So the
+    float64 u must be positive, with a residual r = (I - M^T) u - 1,
+    evaluated exactly from the float64 data, of size eps = max |r| < 1;
+    otherwise ConvergenceError names this u > 0 guard.  Past the
+    singularity system.solve(z) raises first.
+
+    error bounds the relative error of value against the closed form at
+    the solver's letter values.  It adds eps / (1 - eps) for the solve,
+    since (I - M^T)^-1 >= 0 maps 1 to the exact u, which the float64 u
+    therefore misses by at most eps u componentwise; eta v^T s / total,
+    to first order, for the letter values rounded to float64, which move
+    omega and s by a relative eta <= 2^-51, with v = (I - M^T)^-1 u since
+    (I - M^T)^-1 M^T u = v - u; and (L + 6) 2^-53 for the float64
+    operations after the solve.  tol is the relative accuracy asked for:
+    stabilized = error <= tol.  shells counts linear solves, as
+    PassageVector.steps does, so it is 1.
     """
     if tol <= 0:
         raise ValidationError("need tol > 0")
@@ -850,83 +870,43 @@ def green_second_order(
     sol = system.solve(z)
     green_pair = sol.green_to(w)  # raises once the Green function diverges
     green = sol.green
-    letters = system.letters
-    L = len(letters)
+    L = len(system.letters)
     inv = np.array(system.inv_index)
-    fvals = np.array([float(sol.values[c]) for c in letters])
+    fvals = np.array([float(sol.values[c]) for c in system.letters])
     om = fvals * fvals[inv]
-    path = w.letters
-    d = len(path)
-    prefactor = float(green) * float(green_pair)
-
-    T = np.tile(om, (d + 1, 1))
-    for m in range(d + 1):
-        banned: set[int] = set()
-        if d > 0:
-            if m == 0:
-                banned = {path[0]}
-            elif m == d:
-                banned = {system.spec.alphabet.inverse_letter(path[d - 1])}
-            else:
-                banned = {
-                    path[m],
-                    system.spec.alphabet.inverse_letter(path[m - 1]),
-                }
-        for c in banned:
-            T[m, system.index[c]] = 0.0
-
-    cap = max_shell if max_shell is not None else 200_000
-    total = float(d + 1)
-    increments: list[float] = []
-    stabilized = False
-    shells = 0
-    for _ in range(cap):
-        inc = float(T.sum())
-        increments.append(inc)
-        total += inc
-        shells += 1
-        tail_window = increments[-3:]
-        if len(increments) >= 3 and all(v <= tol * total for v in tail_window):
-            stabilized = True
-            break
-        if shells >= 30 and inc > tol * total:
-            recent = increments[-12:]
-            # decay slower than 1e-9 per shell only happens essentially at
-            # the singularity, where the sum is divergent
-            if len(recent) == 12 and all(
-                recent[k + 1] >= recent[k] * (1 - 1e-9) for k in range(11)
-            ):
-                raise ConvergenceError(
-                    f"non-decreasing shell increments at z = "
-                    f"{mp.nstr(sol.z, 17)}: second-order Green sum diverges"
-                )
-        rowsums = T.sum(axis=1)
-        T = om[None, :] * (rowsums[:, None] - T[:, inv])
-    else:
-        if max_shell is None:
-            raise ConvergenceError(
-                f"second-order Green sum did not stabilize within {cap} "
-                f"shells at z = {mp.nstr(sol.z, 17)}"
-            )
-
-    tail_raw = 0.0
-    if not stabilized and len(increments) >= 2 and increments[-1] > 0:
-        ratio = increments[-1] / increments[-2]
-        if ratio >= 1.0:
-            raise ConvergenceError(
-                f"non-decreasing shell increments at z = "
-                f"{mp.nstr(sol.z, 17)}: second-order Green sum diverges"
-            )
-        tail_raw = increments[-1] * ratio / (1.0 - ratio)
-
-    partial = prefactor * total
-    tail = prefactor * tail_raw
+    count = np.full(L, len(w) + 1.0)
+    for c in w.letters:
+        count[system.index[c]] -= 1
+        count[inv[system.index[c]]] -= 1
+    s = om * count
+    M = om[:, None] * (1.0 - np.eye(L)[inv])
+    A = np.eye(L) - M.T
+    try:
+        u = np.linalg.solve(A, np.ones(L))
+        v = np.linalg.solve(A, u)
+    except np.linalg.LinAlgError:  # exactly singular: the Perron root is 1
+        u = v = np.zeros(L)
+    eps = np.inf
+    if np.isfinite(u).all() and u.min() > 0:
+        uq = [Fraction(b) for b in u.tolist()]
+        q = [Fraction(a) * b for a, b in zip(om.tolist(), uq)]
+        qsum = sum(q)  # (M^T u)_c = qsum - q_{c^-1}
+        eps = float(max(abs(uq[k] - qsum + q[inv[k]] - 1) for k in range(L)))
+    if not eps < 1:
+        raise ConvergenceError(
+            f"second-order Green sum at z = {mp.nstr(sol.z, 17)} failed the "
+            f"u > 0 guard (min u = {u.min():.3g}, residual {eps:.3g}): the "
+            "Perron root of M is not certified below 1, and at 1 or above "
+            "the sum diverges"
+        )
+    total = (len(w) + 1) + float(u @ s)
+    error = eps / (1 - eps) + 2.0**-51 * float(v @ s) / total
+    error += (L + 6) * 2.0**-53
     return SecondOrderGreen(
-        value=partial + tail,
-        partial=partial,
-        tail=tail,
-        shells=shells,
-        stabilized=stabilized,
+        value=float(green) * float(green_pair) * total,
+        error=error,
+        shells=1,
+        stabilized=error <= tol,
         green_pair=float(green_pair),
         green_origin=float(green),
     )

@@ -392,3 +392,31 @@ def test_criterion_12_second_order_ratio_near_one(f2_spec):
     ratio = top.phi / bot.phi
     verdict("12-ratio", abs(ratio - 1.0) < 0.05, f"ratio at depth 10 = {ratio:.4f}")
     assert abs(ratio - 1.0) < 0.05
+
+
+def test_criterion_12_ratio_tends_to_one_plus_two_over_depth(f2_spec):
+    # the ratio of the xfail above, on to depth 640: d (ratio - 1) climbs
+    # 1.673, 1.822, 1.907, 1.952, 1.976, 1.988, 1.994 towards |x| = 2, and
+    # (2 - d (ratio - 1)) d rises from 3.27 to 3.89, so the gap stays < 4/d
+    system = shared_system(f2_spec)
+    r = float(system.radius().r)
+    z = r * (1.0 - 1e-4)
+    F2 = f2_spec.alphabet
+    x = word(F2, [1, 1])
+    depths = (10, 20, 40, 80, 160, 320, 640)
+    rates = []
+    for d in depths:
+        y = EndPrefix.from_pattern(F2, [2, -1], d).word
+        top = green_second_order(system, x, y, z, tol=1e-10)
+        bot = green_second_order(system, identity(F2), y, z, tol=1e-10)
+        assert top.stabilized and bot.stabilized
+        rates.append(d * (top.phi / bot.phi - 1.0))
+    rising = all(a < b for a, b in zip(rates, rates[1:]))
+    inside = all(0 < 2.0 - rate <= 4.0 / d for rate, d in zip(rates, depths))
+    verdict(
+        "12-rate",
+        rising and inside,
+        f"d (ratio - 1) = {rates[0]:.4f} at d = 10, {rates[-1]:.4f} at d = 640",
+    )
+    assert rising
+    assert inside

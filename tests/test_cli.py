@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 import treewalks
 from treewalks import (
@@ -365,6 +366,35 @@ def test_phi_claim_ratios_decrease_toward_one(capsys):
     assert all(v > 1.0 for v in values)
     assert values[0] > values[1] > values[2]
     assert all(row["stabilized"] for row in payload["rows"])
+
+
+def test_phi_claim_is_finite_next_to_the_singularity(capsys):
+    rc, out, _ = run_cli(
+        capsys, "phi-claim", "--depth", "2", "--z-offset", "1e-10",
+        "--format", "json",
+    )
+    assert rc == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["stabilized"]
+    # phi(x, y) = sum_v G(x,v) G(v,y) / G(x,y) = 1 + z G'(x,y) / G(x,y),
+    # with G' by central differences, step 1e-5 of the distance to r
+    system = shared_system(preset("f2-lazy-uniform"))
+    F2 = system.spec.alphabet
+    r = float(system.radius().r)
+    z = r * (1.0 - 1e-10)
+    y = EndPrefix.from_pattern(F2, [2, -1], 2).word
+
+    def phi(x):
+        w = x.inverse() * y
+        with mp.workprec(system.prec):
+            zz = mp.mpf(z)
+            h = (mp.mpf(r) - zz) * mp.mpf("1e-5")
+            up = system.solve(zz + h).green_to(w)
+            dn = system.solve(zz - h).green_to(w)
+            return 1 + zz * (up - dn) / (2 * h) / system.solve(zz).green_to(w)
+
+    want = float(phi(word(F2, [1, 1])) / phi(identity(F2)))
+    assert abs(row["value"] - want) <= 1e-7 * want
 
 
 # -- output plumbing ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from treewalks import (
     identity,
     nstep,
     series_coefficients,
+    tree_alphabet,
     word,
 )
 from treewalks import series
@@ -354,26 +356,148 @@ def test_gamma_table_uniform_across_letters(f2_system):
 # -- second-order sums -------------------------------------------------------
 
 
-def test_second_order_diverges_at_radius(f2_system):
-    e = identity(F2)
-    r = f2_system.radius().r
-    with pytest.raises(ConvergenceError):
-        green_second_order(f2_system, e, e, r)
+def banned_letters(ab, path):
+    """Per geodesic vertex, the first letters that would step along it."""
+    d = len(path)
+    if d == 0:
+        return [set()]
+    inv = ab.inverse_letter
+    middle = [{path[m], inv(path[m - 1])} for m in range(1, d)]
+    return [{path[0]}, *middle, {inv(path[d - 1])}]
 
 
-def test_second_order_explicit_shell_cap_brackets(f2_system):
+def shell_sum(system, x, y, z, tol=1e-15):
+    """sum_v G(x,v|z) G(v,y|z) by shells around the x-to-y geodesic.
+
+    The reference recursion: one row of T per geodesic vertex, one column
+    per letter, T <- omega (rowsum(T) - T[:, inv]) per shell, stopped once
+    three increments in a row are at most tol times the running total.
+    """
+    w = x.inverse() * y
+    sol = system.solve(z)
+    inv = np.array(system.inv_index)
+    f = np.array([float(sol.values[c]) for c in system.letters])
+    om = f * f[inv]
+    T = np.array([
+        [0.0 if c in banned else om[k] for k, c in enumerate(system.letters)]
+        for banned in banned_letters(system.spec.alphabet, w.letters)
+    ])
+    total = float(len(w) + 1)
+    small = 0
+    for _ in range(100_000):
+        inc = float(T.sum())
+        total += inc
+        small = small + 1 if inc <= tol * total else 0
+        if small == 3:
+            return float(sol.green) * float(sol.green_to(w)) * total
+        T = om[None, :] * (T.sum(axis=1)[:, None] - T[:, inv])
+    raise AssertionError("reference shell sum did not stop")
+
+
+def closed_form_mp(system, x, y, z):
+    """The closed form G(e,e) G(x,y) ((d + 1) + u^T s) in mpmath."""
+    w = x.inverse() * y
+    sol = system.solve(z)
+    letters, inv, L = system.letters, system.inv_index, len(system.letters)
+    bans = banned_letters(system.spec.alphabet, w.letters)
+    with mp.workprec(system.prec):
+        f = [sol.values[c] for c in letters]
+        om = [f[k] * f[inv[k]] for k in range(L)]
+        A = mp.matrix(L, L)  # I - M^T with M = diag(omega) (J - P)
+        for i in range(L):
+            for j in range(L):
+                A[i, j] = int(i == j) - (om[j] if i != inv[j] else 0)
+        u = mp.lu_solve(A, mp.matrix([1] * L))
+        s = [om[k] * sum(c not in b for b in bans)
+             for k, c in enumerate(letters)]
+        total = len(w) + 1 + sum(u[k] * s[k] for k in range(L))
+        return sol.green * sol.green_to(w) * total
+
+
+T3 = tree_alphabet(2)
+TREE_WALK = finite_walk(
+    T3,
+    {
+        identity(T3): Fraction(1, 4),
+        word(T3, [1]): Fraction(1, 2),
+        word(T3, [2]): Fraction(1, 8),
+        word(T3, [3]): Fraction(1, 8),
+    },
+)
+
+
+@st.composite
+def nn_walks(draw):
+    ab = free_group(draw(st.sampled_from([2, 3])))
+    hold = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(ab.letters),
+                            max_size=len(ab.letters)))
+    mu = {identity(ab): hold}
+    for c, k in zip(ab.letters, weights):
+        mu[word(ab, [c])] = (1 - hold) * Fraction(k, sum(weights))
+    return finite_walk(ab, mu)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    spec=st.one_of(nn_walks(), st.just(TREE_WALK)),
+    frac=st.floats(0.05, 0.9),
+    data=st.data(),
+)
+def test_second_order_closed_form_against_shells_and_mpmath(spec, frac, data):
+    system = series.shared_system(spec)
+    z = frac * system.radius().r
+    letters = st.lists(st.sampled_from(spec.alphabet.letters), max_size=4)
+    x = word(spec.alphabet, data.draw(letters))
+    y = word(spec.alphabet, data.draw(letters))
+    g2 = green_second_order(system, x, y, z)
+    assert g2.shells == 1 and g2.stabilized
+    want = shell_sum(system, x, y, z)
+    assert abs(g2.value - want) <= 1e-12 * want
+    exact = closed_form_mp(system, x, y, z)
+    assert abs(g2.value - exact) <= g2.error * g2.value
+
+
+def test_second_order_diverges_past_the_radius(f2_system):
+    # cert.hi is certified unsolvable, and the solve says so first
     e = identity(F2)
-    x = word(F2, [1, 1])
-    full = green_second_order(f2_system, e, x, 0.8)
-    capped = green_second_order(f2_system, e, x, 0.8, max_shell=6)
-    assert capped.tail > 0
-    assert abs(capped.partial - full.value) <= 2 * capped.tail + 1e-12
+    with pytest.raises(ConvergenceError, match="no finite nonnegative fixed point"):
+        green_second_order(f2_system, e, e, f2_system.radius().hi)
+
+
+def test_second_order_is_finite_but_unstabilized_at_the_radius(f2_system):
+    # cert.r lies below fold().r, so the sum is finite there; the Perron
+    # root of M is within 1e-7 of 1, which leaves a residual near 1e-9
+    e = identity(F2)
+    cert = f2_system.radius()
+    assert cert.r < f2_system.fold().r
+    g2 = green_second_order(f2_system, e, e, cert.r, tol=1e-12)
+    assert math.isfinite(g2.value) and g2.value > 1e8
+    assert 1e-12 < g2.error < 1e-6
+    assert not g2.stabilized
+
+
+def test_second_order_names_the_positive_solution_guard(f2_system, monkeypatch):
+    # letter values 0.7 make M = 0.49 (J - P), whose Perron root is
+    # 3 * 0.49 = 1.47: no u > 0 solves (I - M^T) u = 1
+    e = identity(F2)
+    fake = series.SolveResult(
+        z=mp.mpf("0.5"),
+        letters=f2_system.letters,
+        values={c: mp.mpf("0.7") for c in f2_system.letters},
+        green=mp.mpf(2),
+        iterations=0,
+        residual=mp.mpf(0),
+    )
+    monkeypatch.setattr(f2_system, "solve", lambda z: fake)
+    with pytest.raises(ConvergenceError, match="failed the u > 0 guard"):
+        green_second_order(f2_system, e, word(F2, [1, 2]), 0.5)
 
 
 def test_derivative_identity_shifted_form(f2_system):
     x = word(F2, [1, 2])
     out = derivative_identity(f2_system, x, 0.9)
-    assert out["residual_shifted"] < 1e-8
+    assert out["residual_shifted"] < 1e-15
 
 
 @pytest.mark.xfail(
