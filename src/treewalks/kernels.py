@@ -3,10 +3,11 @@
 Two kernel families live here.  Isotropic tree walks get kernels through
 the radial eigenfunction of the plain step operator; nearest-neighbour
 word walks get them through first-passage products and the square-root
-expansion data of their generating functions.  Boundary readings always
-carry an error estimate (distance of the finite reading at the prefix
-word from the limit value) and a stabilization flag (the limit computed
-from the prefix truncated by four letters must agree).
+expansion data of their generating functions, read in closed form off the
+null vectors of the fold.  Boundary readings always carry an error
+estimate (distance of the finite reading at the prefix word from the limit
+value) and a stabilization flag (the limit computed from the prefix
+truncated by four letters must agree).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import ConvergenceError, ValidationError
 from .geometry import (
     EndPrefix,
     ReducedWord,
+    _common_prefix_length,
     ball,
     confluent,
     distance,
@@ -33,7 +35,7 @@ from .geometry import (
     word,
 )
 from .walks import WalkSpec, nstep, spectral_radius
-from .series import FirstPassageSystem
+from .series import FirstPassageSystem, _gamma_sum
 
 __all__ = [
     "KernelValue",
@@ -214,16 +216,6 @@ def ratio_kernel_isotropic(spec: WalkSpec, x: ReducedWord, target) -> KernelValu
     return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
 
 
-def _cancelled(x: ReducedWord, y: ReducedWord) -> int:
-    """Letters that cancel in x^-1 y: the common prefix length of x and y."""
-    k = 0
-    for a, b in zip(x.letters, y.letters):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
 def ratio_grid_isotropic(spec: WalkSpec, probes, targets) -> np.ndarray:
     """ratio_kernel_isotropic(spec, x, y).value for every probe row x and
     vertex column y.
@@ -239,7 +231,8 @@ def ratio_grid_isotropic(spec: WalkSpec, probes, targets) -> np.ndarray:
     grid = np.empty((len(probes), len(targets)))
     for i, x in enumerate(probes):
         grid[i] = [
-            phi[len(x) + len(y) - 2 * _cancelled(x, y)] / phi[len(y)]
+            phi[len(x) + len(y) - 2 * _common_prefix_length(x.letters, y.letters)]
+            / phi[len(y)]
             for y in targets
         ]
     return grid
@@ -253,14 +246,6 @@ def _passage_product(values: dict, w: ReducedWord) -> float:
     out = 1.0
     for c in w.letters:
         out *= values[c]
-    return out
-
-
-def _gamma_sum(gammas: dict, w: ReducedWord) -> float:
-    """Sqrt-to-value ratio of a word target: the Green gamma plus its letters'."""
-    out = gammas["green"]
-    for c in w.letters:
-        out += gammas[c]
     return out
 
 
@@ -317,7 +302,8 @@ def ratio_kernel_nn(system: FirstPassageSystem, x: ReducedWord, target) -> Kerne
     """Ratio-limit kernel of a nearest-neighbour word walk.
 
     Finite target: quotient of square-root coefficients of the Green
-    functions, assembled from fold values and per-letter expansion data.
+    functions, assembled from fold values and the closed-form gamma table
+    (FirstPassageSystem.gamma_table, from the fold's null vectors).
     EndPrefix target: the boundary limit, which matches the Martin kernel
     at the decay rate; the finite reading at the prefix word fills the
     error column.
@@ -364,7 +350,7 @@ def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
             gamma.append(gamma[-1] + gammas[c])
         row = []
         for y, p_y, g_y in columns:
-            k = _cancelled(x, y)
+            k = _common_prefix_length(x.letters, y.letters)
             p, g = passage[n - k], gamma[n - k]
             for c in y.letters[k:]:
                 p *= values[c]

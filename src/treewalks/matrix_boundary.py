@@ -194,10 +194,10 @@ class PassageVector:
 
     ``values[i]`` is the generating-function weight of paths from the
     source that first meet the target ball at centre*words[i].  On the
-    sparse route ``escaped`` (also ``error_estimate``) is the weight of
-    the paths killed at the state ball's edge, which for z <= 1 bounds
-    what the truncation loses, and ``steps`` is 1, the number of sparse
-    solves; the radial and inside routes take 0 steps.
+    sparse route ``escaped`` is the weight of the paths killed at the
+    state ball's edge, which for z <= 1 bounds what the truncation loses,
+    and ``steps`` is 1, the number of sparse solves; the radial and inside
+    routes take 0 steps and escape nothing.
     """
 
     index: BallIndex
@@ -208,7 +208,6 @@ class PassageVector:
     method: str
     steps: int
     escaped: float
-    error_estimate: float
 
     def support(self) -> list[tuple[ReducedWord, float]]:
         return [
@@ -316,9 +315,7 @@ def _sparse_passage(
             f"outside the state ball of radius {state_radius}"
         )
     escaped = z * float(leak @ g)
-    return PassageVector(
-        index, x, y, z, z * (A.T @ g), "sparse-dp", 1, escaped, escaped
-    )
+    return PassageVector(index, x, y, z, z * (A.T @ g), "sparse-dp", 1, escaped)
 
 
 def first_passage_to_ball(
@@ -354,7 +351,7 @@ def first_passage_to_ball(
         # already inside: first entry is immediate, at x itself
         values = np.zeros(index.size)
         values[index.coordinate(w)] = 1.0
-        return PassageVector(index, x, y, z, values, "inside", 0, 0.0, 0.0)
+        return PassageVector(index, x, y, z, values, "inside", 0, 0.0)
     if method == "radial" and not spec.is_uniform_nn:
         raise ValidationError(
             "radial passage needs a uniform nearest-neighbour word walk"
@@ -365,7 +362,7 @@ def first_passage_to_ball(
         gate = index.coordinate(word(spec.alphabet, [back]))
         values = np.zeros(index.size)
         values[gate] = radial_passage(spec, len(path) - 1, z)
-        return PassageVector(index, x, y, z, values, "radial", 0, 0.0, 1e-18)
+        return PassageVector(index, x, y, z, values, "radial", 0, 0.0)
     radius = state_radius or 3 * index.block_length
     if distance(x, y) > radius:
         radius = distance(x, y) + index.block_length

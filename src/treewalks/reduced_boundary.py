@@ -186,7 +186,7 @@ def reduced_kernel_table(
     for row in table.rows:
         c = label_to_class.get(row.y_or_prefix)
         if c is None:
-            kept.append((len(order) + len(kept), row))
+            kept.append(row)
             continue
         key = (row.x, c)
         if key not in groups:
@@ -216,8 +216,7 @@ def reduced_kernel_table(
                 stabilized=rep.stabilized,
             )
         )
-    for _, row in kept:
-        out_rows.append(row)
+    out_rows.extend(kept)
     meta = dict(table.meta)
     meta["reduced_classes"] = len(report.classes)
     meta["reduced_tol"] = tol

@@ -5,9 +5,9 @@ order-two generators, which covers regular trees) every first-passage
 generating function factors over the letters of the target word, and the
 one-letter functions solve a quadratic fixed-point system with one unknown
 per letter.  This module solves that system in multiprecision arithmetic,
-locates the shared singularity of all the generating functions, extracts
-the square-root expansion data there, produces Taylor coefficients, and
-evaluates second-order Green sums.
+locates the shared singularity of all the generating functions, reads the
+square-root expansion data there off the null vectors of the fold,
+produces Taylor coefficients, and evaluates second-order Green sums.
 
 The minimal nonnegative solution of the fixed-point system is the
 probabilistic one.  We reach it by monotone iteration from zero followed by
@@ -154,9 +154,7 @@ class PuiseuxData:
     """Square-root expansion data of one generating function at the fold.
 
     value(z) = value_at_r - sqrt_coefficient * sqrt(r - z) + O(r - z);
-    gamma = sqrt_coefficient / value_at_r.  For word targets the same
-    coefficient is also assembled from per-letter gamma data, and the
-    relative gap between the two is reported.
+    gamma = sqrt_coefficient / value_at_r, from FirstPassageSystem.gamma_table.
     """
 
     label: str
@@ -164,9 +162,6 @@ class PuiseuxData:
     value_at_r: float
     sqrt_coefficient: float
     gamma: float
-    exponent_estimate: float
-    assembled_sqrt_coefficient: float | None
-    assembly_gap: float | None
     prec: int
 
 
@@ -205,8 +200,8 @@ class FirstPassageSystem:
     """Solver bundle for the one-letter first-passage functions of a walk.
 
     Exposes pointwise solves, the singularity bracket, fold refinement,
-    and square-root expansion extraction.  All pointwise results are cached
-    per evaluation point.
+    and the square-root expansion data read off the fold's null vectors.
+    All pointwise results are cached per evaluation point.
     """
 
     def __init__(self, spec: WalkSpec, prec: int = 96):
@@ -240,7 +235,7 @@ class FirstPassageSystem:
         self._solve_cache: dict = {}
         self._radius_cert: RadiusCertificate | None = None
         self._fold: FoldPoint | None = None
-        self._expansion_cache: dict = {}
+        self._gammas: dict | None = None
 
     # -- fixed-point map -----------------------------------------------
 
@@ -660,90 +655,90 @@ class FirstPassageSystem:
             return f"letter {target}"
         return format_word(target)
 
-    def _target_value(self, target, sol: SolveResult):
-        if isinstance(target, int):
-            return sol.values[target]
-        return sol.green if target is None else sol.green_to(target)
-
-    def _target_fold_value(self, target, fp: FoldPoint):
-        if isinstance(target, int):
-            return fp.values[target]
-        if target is None:
-            target = identity(self.spec.alphabet)
-        return fp.value_at_radius(target)
-
     def expansion(self, target=None) -> PuiseuxData:
         """Square-root expansion of one generating function at the fold.
 
         target: None for the Green function at the identity, a letter, or a
-        ReducedWord (meaning the Green function to that word).  The leading
-        coefficient comes from two-step differencing with Richardson
-        removal of the next fractional order; the measured local exponent
-        must sit near one half or the extraction is rejected.
+        ReducedWord (the Green function to that word, whose gamma is the
+        Green gamma plus its letters' gammas).  Reads gamma_table().
         """
-        label = self._target_label(target)
-        hit = self._expansion_cache.get(label)
-        if hit is not None:
-            return hit
         fp = self.fold()
+        gammas = self.gamma_table()
         with mp.workprec(fp.prec):
-            r = fp.r
-            eps1 = mp.mpf("1e-6")
-            eps2 = mp.mpf("1e-8")
-            alpha = self._target_fold_value(target, fp)
-            v1 = self._target_value(target, self.solve(r - eps1))
-            v2 = self._target_value(target, self.solve(r - eps2))
-            d1 = alpha - v1
-            d2 = alpha - v2
-            if not (d1 > 0 and d2 > 0):
-                raise ConvergenceError(
-                    "not a square-root singularity at requested precision"
-                )
-            exponent = float(mp.log(d1 / d2) / mp.log(eps1 / eps2))
-            if not 0.45 <= exponent <= 0.55:
-                raise ConvergenceError(
-                    "not a square-root singularity at requested precision"
-                )
-            s1 = mp.sqrt(eps1)
-            s2 = mp.sqrt(eps2)
-            b1 = d1 / s1
-            b2 = d2 / s2
-            beta = (b2 * s1 - b1 * s2) / (s1 - s2)
-            gamma = beta / alpha
-            assembled = None
-            gap = None
-            if isinstance(target, ReducedWord):
-                g0 = self.expansion(None)
-                parts = mp.mpf(g0.gamma)
-                for c in target.letters:
-                    parts += self.expansion(c).gamma
-                assembled_mp = alpha * parts
-                assembled = float(assembled_mp)
-                gap = float(abs(assembled_mp - beta) / abs(beta)) if beta != 0 else 0.0
-            data = PuiseuxData(
-                label=label,
-                radius=float(r),
-                value_at_r=float(alpha),
-                sqrt_coefficient=float(beta),
-                gamma=float(gamma),
-                exponent_estimate=exponent,
-                assembled_sqrt_coefficient=assembled,
-                assembly_gap=gap,
-                prec=fp.prec,
-            )
-        self._expansion_cache[label] = data
-        return data
+            if isinstance(target, int):
+                alpha, gamma = fp.values[target], gammas[target]
+            else:
+                w = identity(self.spec.alphabet) if target is None else target
+                alpha, gamma = fp.value_at_radius(w), _gamma_sum(gammas, w)
+            value = float(alpha)
+        return PuiseuxData(
+            label=self._target_label(target),
+            radius=float(fp.r),
+            value_at_r=value,
+            sqrt_coefficient=value * gamma,
+            gamma=gamma,
+            prec=fp.prec,
+        )
 
     def gamma_table(self) -> dict:
         """Per-letter gamma data plus the Green gamma, as floats.
 
-        The sqrt-to-value ratio of a word target is the Green entry plus
-        the sum over its letters, which is what boundary kernels consume.
+        Closed form at the fold (f, r), where A = I - J(f, r) is an
+        irreducible singular M-matrix: its right and left null vectors v, w
+        are positive, and each is one solve of a proper principal minor
+        (all are nonsingular) with the first entry fixed at 1.  Below the
+        fold f(r - eps) = f + delta, delta = -c v sqrt(eps) + O(eps), and
+        projecting A delta = -eps phi_z + D^2 phi[delta, delta] / 2 onto w,
+        with phi_z = f / r since phi is linear in z, gives
+
+            c^2 = 2 w.phi_z / w.D^2 phi[v, v],
+            D^2 phi_k[v, v] = 2 r v_k (sum_j mu_j v_{j^-1} - mu_k v_{k^-1}).
+
+        So a letter's gamma is c v_k / f_k, and the Green function
+        1 / (1 - z (mu0 + s)), s = sum_j mu_j f_{j^-1}, has gamma
+        G(r) r c sum_j mu_j v_{j^-1}.  When the fold is not a square-root
+        singularity ConvergenceError names the failed condition: no finite
+        Green value, a null vector not strictly positive, or
+        w.D^2 phi[v, v] <= 0.  Computed once per system, from fold() alone.
         """
-        table = {"green": self.expansion(None).gamma}
-        for c in self.letters:
-            table[c] = self.expansion(c).gamma
-        return table
+        if self._gammas is not None:
+            return dict(self._gammas)
+        fp = self.fold()
+        where = f"fold at r = {mp.nstr(fp.r, 17)} is not a square-root singularity"
+        if fp.green is None:
+            raise ConvergenceError(f"{where}: no finite Green value there")
+        L, inv, r = len(self.letters), self.inv_index, fp.r
+        with mp.workprec(fp.prec):
+            mu, mu0 = self._weights()
+            f = [fp.values[c] for c in self.letters]
+            A = mp.eye(L) - self._jacobian(f, r, mu, mu0)
+            try:  # first entry 1, the rest from the minor M[1:, 1:]
+                v, w = ([1, *mp.lu_solve(M[1:, 1:], -M[1:, 0])] for M in (A, A.T))
+            except ZeroDivisionError:  # a singular minor: A is reducible
+                v = w = [0]
+            for side, vec in (("right", v), ("left", w)):
+                if min(vec) <= 0:
+                    raise ConvergenceError(f"{where}: no positive {side} null vector")
+            sv = mp.fsum(mu[j] * v[inv[j]] for j in range(L))
+            curvature = 2 * r * mp.fsum(
+                w[k] * v[k] * (sv - mu[k] * v[inv[k]]) for k in range(L)
+            )
+            if curvature <= 0:
+                raise ConvergenceError(f"{where}: w.D^2 phi[v, v] <= 0")
+            c = mp.sqrt(2 * mp.fsum(w[k] * f[k] for k in range(L)) / (r * curvature))
+            table = {"green": float(fp.green * r * c * sv)}
+            for k, letter in enumerate(self.letters):
+                table[letter] = float(c * v[k] / f[k])
+        self._gammas = table
+        return dict(table)
+
+
+def _gamma_sum(gammas: dict, w: ReducedWord) -> float:
+    """Sqrt-to-value ratio of a word target: the Green gamma plus its letters'."""
+    out = gammas["green"]
+    for c in w.letters:
+        out += gammas[c]
+    return out
 
 
 # ---------------------------------------------------------------------------

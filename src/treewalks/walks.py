@@ -180,18 +180,6 @@ class WalkSpec:
         probs = {p for w, p in self.mu if len(w) == 1}
         return len(probs) == 1 and len([w for w, _ in self.mu if len(w) == 1]) == self.degree
 
-    def as_isotropic(self) -> "WalkSpec":
-        """Radial weights of a uniform nearest-neighbour word walk."""
-        if self.mode == "isotropic":
-            return self
-        if not self.is_uniform_nn:
-            raise ValidationError("radial projection requires isotropy")
-        mu = self.mu_map
-        e = identity(self.group)
-        a0 = mu.get(e, Fraction(0))
-        coeffs = [(0, a0), (1, 1 - a0)]
-        return isotropic_walk(self.alphabet.q, dict(coeffs))
-
     def step_items(self) -> list[tuple[ReducedWord, Fraction]]:
         """Support as explicit (word, probability) pairs, any mode."""
         if self.mode == "finitely-supported":
@@ -345,10 +333,6 @@ class RadialChain:
             vec = nxt
             if n in wanted:
                 yield n, vec.copy()
-
-    def return_sequence(self, n_max: int) -> np.ndarray:
-        """p^(n)(e, e) for n = 0..n_max."""
-        return _return_probabilities(self.spec, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from treewalks import (
     EndPrefix,
+    FirstPassageSystem,
     KernelTable,
     PlainTreeRows,
     ValidationError,
@@ -16,11 +18,14 @@ from treewalks import (
     ball,
     doob_green_decay,
     doob_transform,
+    distance,
+    finite_walk,
     free_group,
     identity,
     martin_kernel_nn,
     meet_length,
     plain_tree_rho,
+    preset,
     radial_fold,
     ratio_kernel_isotropic,
     ratio_kernel_nn,
@@ -28,6 +33,7 @@ from treewalks import (
     tree_alphabet,
     verify_t_harmonic,
     word,
+    word_twin,
 )
 
 F2 = free_group(2)
@@ -122,6 +128,38 @@ def test_nn_ratio_kernel_reports_finite_depth_gap(f2_system):
     got = ratio_kernel_nn(f2_system, word(F2, [1]), xi)
     assert got.error > 1e-3
     assert got.stabilized
+
+
+def lazy_uniform_f3():
+    ab = free_group(3)
+    mu = {identity(ab): Fraction(1, 7)}
+    mu.update({word(ab, [c]): Fraction(1, 7) for c in ab.letters})
+    return finite_walk(ab, mu)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: preset("f2-lazy-uniform"),
+        lambda: word_twin(preset("t3-lazy-iso")),
+        lazy_uniform_f3,
+    ],
+    ids=["f2-lazy-uniform", "t3-twin", "f3-lazy-uniform"],
+)
+def test_nn_ratio_kernel_is_the_spherical_quotient(build):
+    # uniform walks have H(x, y) = phi(d(x, y)) / phi(|y|) with phi the
+    # spherical function; the square-root data must reproduce it to rounding
+    spec = build()
+    system = FirstPassageSystem(spec)
+    q = spec.alphabet.q
+    words = ball(spec.alphabet, 3)
+    worst = 0.0
+    for x in words:
+        for y in words:
+            ref = spherical(q, distance(x, y)) / spherical(q, len(y))
+            got = ratio_kernel_nn(system, x, y).value
+            worst = max(worst, abs(got - ref) / ref)
+    assert worst <= 1e-14
 
 
 def test_nn_kernel_value_is_alpha_product(f2_system):

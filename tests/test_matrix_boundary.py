@@ -244,7 +244,7 @@ def test_sparse_engine_on_the_line(z_spec):
     # the solve truncates excursions past its state ball and says by
     # how much; the closed form sits inside that bracket
     gap = float(np.max(np.abs(rad.values - dp.values)))
-    assert gap <= dp.error_estimate + 1e-12
+    assert gap <= dp.escaped + 1e-12
     # minimal root of (1/4) z f^2 - (1 - z/2) f + z/4 = 0
     roots = np.roots([0.25 * z, -(1.0 - 0.5 * z), 0.25 * z])
     f = min(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)

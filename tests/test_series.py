@@ -2,11 +2,12 @@
 
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -14,6 +15,7 @@ from treewalks import (
     ConvergenceError,
     FirstPassageSystem,
     ValidationError,
+    ball,
     derivative_identity,
     finite_walk,
     free_group,
@@ -332,19 +334,128 @@ def test_coefficients_reject_negative_order(f2_system):
 # -- square-root expansion -------------------------------------------------------
 
 
-def test_expansion_exponent_near_half(f2_system):
-    data = f2_system.expansion()
-    assert abs(data.exponent_estimate - 0.5) < 0.05
+def target_value(point, target):
+    """Value of the target's generating function at a solve or fold point."""
+    if target is None:
+        return point.green
+    if isinstance(target, int):
+        return point.values[target]
+    out = point.green
+    for c in target.letters:
+        out *= point.values[c]
+    return out
+
+
+def sqrt_fit(system, target):
+    """beta in value(z) = value(r) - beta sqrt(r - z) + O(r - z), from solves.
+
+    (value(r) - value(r - eps)) / sqrt(eps) is a power series in sqrt(eps),
+    so a cubic in sqrt(eps) through eps = 1e-8 .. 1e-11 leaves O(eps^2).
+    Reads only fold values and solve(), never the gamma table.
+    """
+    fp = system.fold()
+    with mp.workprec(fp.prec):
+        alpha = target_value(fp, target)
+        s, b = [], []
+        for k in (8, 9, 10, 11):
+            sol = system.solve(fp.r - mp.mpf(10) ** -k)
+            s.append(mp.sqrt(fp.r - sol.z))  # sol.z as rounded by solve()
+            b.append((alpha - target_value(sol, target)) / s[-1])
+        vandermonde = mp.matrix([[si**j for j in range(4)] for si in s])
+        return mp.lu_solve(vandermonde, mp.matrix(b))[0]
+
+
+def assert_matches_fit(system, target, tol=1e-12):
+    got = system.expansion(target).sqrt_coefficient
+    ref = sqrt_fit(system, target)
+    assert abs(got - ref) <= tol * abs(ref), (target, got, ref)
+
+
+def test_green_singularity_exponent_is_half(f2_system):
+    # the closed form rests on a square-root fold; measure the exponent
+    # of G(r) - G(r - eps) from two solves
+    fp = f2_system.fold()
+    with mp.workprec(fp.prec):
+        gaps = [
+            fp.green - f2_system.solve(fp.r - mp.mpf(eps)).green
+            for eps in ("1e-6", "1e-8")
+        ]
+        exponent = mp.log(gaps[0] / gaps[1]) / mp.log(100)
+    assert abs(exponent - 0.5) < 0.05
 
 
 @pytest.mark.parametrize(
     "letters", [[1], [1, 2], [1, 2, -1], [1, 2, -1, 2]]
 )
-def test_expansion_assembly_consistent(f2_system, letters):
-    data = f2_system.expansion(word(F2, letters))
-    assert data.assembled_sqrt_coefficient is not None
-    assert data.assembly_gap is not None
-    assert data.assembly_gap < 1e-4
+def test_word_expansion_matches_sqrt_fit(f2_system, letters):
+    assert_matches_fit(f2_system, word(F2, letters))
+
+
+def weighted_walk(ab, weights, hold):
+    mu = {identity(ab): hold}
+    total = sum(weights)
+    for c, w in zip(ab.letters, weights):
+        mu[word(ab, [c])] = (1 - hold) * Fraction(w, total)
+    return finite_walk(ab, mu)
+
+
+@st.composite
+def skewed_walks(draw):
+    ab = free_group(draw(st.sampled_from([2, 3])))
+    size = len(ab.letters)
+    weights = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    hold = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]))
+    return weighted_walk(ab, weights, hold)
+
+
+INVOLUTIVE_WALK = weighted_walk(tree_alphabet(2), [1, 2, 3], Fraction(1, 4))
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=skewed_walks(), data=st.data())
+@example(spec=INVOLUTIVE_WALK, data=None)
+def test_expansion_matches_sqrt_fit_on_skewed_walks(spec, data):
+    # the closed-form gamma table against a fit that only solves below r
+    system = FirstPassageSystem(spec)
+    ab = spec.alphabet
+    if data is None:
+        words = [w for w in ball(ab, 4) if len(w) >= 2]
+    else:
+        letters = st.lists(st.sampled_from(ab.letters), min_size=2, max_size=4)
+        words = [word(ab, data.draw(letters)) for _ in range(4)]
+    for target in [None, *ab.letters, *words]:
+        assert_matches_fit(system, target)
+
+
+def test_gamma_table_makes_no_solve_once_folded(f2_spec, monkeypatch):
+    system = FirstPassageSystem(f2_spec)
+    system.fold()
+    calls = []
+    monkeypatch.setattr(system, "solve", lambda z: calls.append(z))
+    table = system.gamma_table()
+    system.expansion(word(F2, [1, 2]))
+    assert calls == []
+    assert set(table) == {"green", *system.letters}
+
+
+@pytest.mark.parametrize(
+    "change, condition",
+    [
+        (lambda fp: {"values": {**fp.values, 1: 5 * fp.values[1]}},
+         "no positive right null vector"),
+        (lambda fp: {"green": None}, "no finite Green value"),
+    ],
+    ids=["null-vector", "green"],
+)
+def test_gamma_table_guards_name_the_failed_condition(
+    f2_spec, f2_system, monkeypatch, change, condition
+):
+    fp = f2_system.fold()
+    system = FirstPassageSystem(f2_spec)
+    monkeypatch.setattr(system, "fold", lambda: replace(fp, **change(fp)))
+    with pytest.raises(ConvergenceError, match="not a square-root singularity") as exc:
+        system.gamma_table()
+    assert condition in str(exc.value)
 
 
 def test_gamma_table_uniform_across_letters(f2_system):
