@@ -562,14 +562,20 @@ def ancona_harnack_check(
     is measured across samples, distances and z in [1, r]; its product
     with G(e,e|z) should sit at 1 for a tree.  One-step Green ratios give
     the distance-one growth constant, and boundary-separated quadruples
-    give the deviation of the cross-ratio from 1.
+    give the deviation of the cross-ratio from 1.  Those need a letter off
+    the first letter's axis, so a walk over one generator is refused.
     """
+    ab = system.spec.alphabet
+    letters = system.letters
+    if set(letters) <= {letters[0], ab.inverse_letter(letters[0])}:
+        raise ValidationError(
+            "ancona_harnack_check needs a letter off the first letter's axis "
+            "for its boundary-separated quadruples; this alphabet has none"
+        )
     rng = random.Random(seed)
     cert = system.radius()
     if z_values is None:
         z_values = (1.0, 0.5 * (1.0 + cert.lo), cert.lo)
-    ab = system.spec.alphabet
-    letters = system.letters
 
     def random_word(n: int) -> ReducedWord:
         out: list[int] = []

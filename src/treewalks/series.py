@@ -35,15 +35,17 @@ grammars, and monotone systems of nonlinear equations", JACM 2009):
 
 The radius certificate asserts three things only: the system is solvable
 at lo, unsolvable at hi, and hi - lo <= 1e-12.  The bisection midpoints in
-between are bookkeeping: a midpoint far from the singularity r lands on
-the same side whether it is solved or compared with a good estimate of r,
-and a wrong comparison cannot go unnoticed, because it puts r outside the
-final bracket and one of the two end solves then fails.  So radius()
-estimates r from the fold system (a float64 bisection, then the augmented
-Newton iteration that fold() uses), solves only the midpoints within
-FOLD_BAND of the estimate, and then solves lo from zero and runs Newton
-at hi from the values at lo.  Should the estimate or either end check
-fail, the same bisection runs again with every midpoint solved.
+between are bookkeeping: a wrong side for a midpoint cannot go unnoticed,
+because it puts r outside the final bracket and one of the two end solves
+then fails.  So radius() estimates r from the fold system, takes the side
+of every midpoint from that estimate, and then solves lo from zero and
+runs Newton at hi from the values at lo.  Should the estimate or either
+end check fail, the same bisection runs again with every midpoint solved.
+
+The fold is the zero of the bordered system phi(f, z) = f, J(f, z) v = v,
+v[0] = 1 (Moore and Spence, SIAM J. Numer. Anal. 17, 1980), and its right
+null vector v comes with it.  One-generator walks fold with a
+two-dimensional null space, and fold() refuses them.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ __all__ = [
 
 KLEENE_WARMUP = 25
 NEWTON_CAP = 400
-FOLD_CAP = 80  # augmented Newton steps of the fold refinement
+FOLD_CAP = 80  # bordered Newton steps of the fold refinement
 VALUE_BOUND = 1e9
 BRACKET_WIDTH = 1e-13  # bisection stops below the certified 1e-12
 ESTIMATE_WIDTH = 1e-9  # float64 bisection that starts the fold estimate
-FOLD_BAND = 1e-14  # midpoints this close to the estimate, relative, are solved
 
 
 @dataclass
@@ -91,9 +92,6 @@ class SolveResult:
     green: object | None  # None when the return series diverges
     iterations: int
     residual: object
-
-    def value(self, letter: int):
-        return self.values[letter]
 
     def first_passage(self, target: ReducedWord):
         out = mp.mpf(1)
@@ -123,15 +121,15 @@ class RadiusCertificate:
 
 @dataclass
 class FoldPoint:
-    """High-precision singularity data from the augmented (fold) system.
+    """High-precision singularity data from the bordered fold system.
 
-    At the singularity the Jacobian of the fixed-point map has eigenvalue
-    one; appending that determinant condition to the system and solving for
-    (values, z) jointly recovers both to near working precision.
+    At the singularity the Jacobian J of the fixed-point map has eigenvalue
+    one; the values, a null vector of I - J and z are solved for jointly.
     """
 
     r: object
     values: dict[int, object]
+    null_vector: list  # right null vector of I - J(f, r), letter order, v[0] = 1
     green: object | None
     residual: object
     iterations: int
@@ -411,13 +409,10 @@ class FirstPassageSystem:
         the Newton polish lands on the minimal fixed point, above it there
         is no nonnegative solution to land on, and the certified negative
         correction of solve() says so within a few steps.  The starting
-        ends z = 1 and z = min(2, 1/mu0) go through solve().  The midpoint
-        sequence is the plain bisection's, but a midpoint farther than
-        FOLD_BAND from the fold estimate takes its side from the estimate
-        without a solve (module docstring).  What is still solved: the
-        midpoints near the estimate, warm-started from the last solved
-        vector; cert.lo, from zero through solve(), whose cached values
-        fold() reads; and cert.hi, from the values at cert.lo, where Newton
+        ends z = 1 and z = min(2, 1/mu0) go through solve().  Every midpoint
+        takes its side from the fold estimate (module docstring).  Solved
+        are cert.lo, from zero through solve(), whose cached values fold()
+        reads, and cert.hi, by Newton from the values at cert.lo, which
         must certify divergence.  If the estimate or either end check
         fails, the bisection reruns with every midpoint solved.
         """
@@ -449,10 +444,9 @@ class FirstPassageSystem:
     def _bisect(self, start: SolveResult, hi: float, estimate):
         """Bisect [1, hi] down to BRACKET_WIDTH.
 
-        A midpoint within FOLD_BAND (relative) of the estimate, or every
-        midpoint when the estimate is None, is decided by Newton's method
-        started from the vector at the last solved lo; any other midpoint
-        is solvable exactly when it lies below the estimate.
+        A midpoint is solvable exactly when it lies below the estimate, or,
+        with no estimate, when Newton's method started from the vector at
+        the last solvable lo converges there.
         """
         lo = 1.0
         f = [start.values[c] for c in self.letters]
@@ -461,22 +455,17 @@ class FirstPassageSystem:
             mu, mu0 = self._weights()
             while hi - lo > BRACKET_WIDTH:
                 mid = 0.5 * (lo + hi)
-                far = estimate is not None and (
-                    abs(mid - estimate) > FOLD_BAND * estimate
-                )
-                if far:
-                    solvable = mid < estimate
-                else:
+                evaluations += 1
+                if estimate is None:
                     try:
                         f, _, _ = self._newton(mp.mpf(mid), f, mu, mu0)
-                        solvable = True
+                        lo = mid
                     except ConvergenceError:
-                        solvable = False
-                if solvable:
+                        hi = mid
+                elif mp.mpf(mid) < estimate:  # a float r may sit an ulp off
                     lo = mid
                 else:
                     hi = mid
-                evaluations += 1
         return RadiusCertificate(
             r=0.5 * (lo + hi), lo=lo, hi=hi, evaluations=evaluations,
             prec=self.prec,
@@ -499,10 +488,10 @@ class FirstPassageSystem:
         return False
 
     def _fold_estimate(self, start: SolveResult, hi: float):
-        """Float estimate of the singularity, or None if it cannot be had.
+        """The singularity to self.prec bits, or None if it cannot be had.
 
         A float64 bisection with warm-started Newton steps narrows [1, hi]
-        to ESTIMATE_WIDTH; the augmented fold Newton then runs at self.prec
+        to ESTIMATE_WIDTH; the bordered fold Newton then runs at self.prec
         from the vector at its lower end.  Nothing here is certified:
         radius() checks the bracket the estimate leads to.
         """
@@ -544,87 +533,85 @@ class FirstPassageSystem:
             else:
                 lo, f = mid, f_mid
         try:
-            _, r, _, _ = self._fold_newton(
+            return self._fold_newton(
                 f, lo, lo - ESTIMATE_WIDTH, hi + ESTIMATE_WIDTH, self.prec
-            )
+            )[2]
         except ConvergenceError:
             return None
-        return float(r)
 
     def _fold_newton(self, f, z, lo: float, hi: float, prec: int):
-        """Newton's method on the augmented fold system at prec bits.
+        """Newton's method on the bordered fold system at prec bits.
 
-        The unknowns are the letter values and z; the equations are
-        phi(f) = f and det(I - J(f)) = 0, with a forward-difference
-        Jacobian.  Starts from (f, z) and returns (values, r, residual,
-        iterations).  Raises ConvergenceError naming the guard that fired:
-        a singular correction step, FOLD_CAP exhausted, or an r outside
-        [lo, hi].
+        The unknowns are f, v with v[0] = 1, and z; the equations are
+        phi(f, z) = f and J(f, z) v = v.  phi is linear in z and quadratic
+        in f, so the Jacobian is [[J - I, 0, phi / z], [H, (J - I)[:, 1:],
+        J v / z]] with H = D^2 phi[v, .], which is _jacobian at v without
+        the holding term.  Starts from (f, v = 1, z) and returns (values,
+        v, r, residual, iterations).  Raises ConvergenceError naming the
+        guard that fired: a singular correction step, FOLD_CAP exhausted,
+        or an r outside [lo, hi].
         """
         L = len(self.letters)
         with mp.workprec(prec):
             mu, mu0 = self._weights()
-
-            def augmented(u):
-                f, zv = u[:L], u[L]
-                phi, _ = self._phi(f, zv, mu, mu0)
-                out = [phi[k] - f[k] for k in range(L)]
-                out.append(mp.det(mp.eye(L) - self._jacobian(f, zv, mu, mu0)))
-                return out
-
-            u = [mp.mpf(v) for v in f]
-            u.append(mp.mpf(z))
+            f = [mp.mpf(x) for x in f]
+            v = [mp.mpf(1)] * L
+            zz = mp.mpf(z)
             tol = mp.mpf(2) ** (40 - prec)
-            h = mp.mpf(2) ** (-(prec // 3))
-            residual = None
-            iterations = 0
-            for _ in range(FOLD_CAP):
-                g = augmented(u)
-                residual = max(abs(v) for v in g)
+            for iterations in range(FOLD_CAP):
+                phi, _ = self._phi(f, zz, mu, mu0)
+                J = self._jacobian(f, zz, mu, mu0)
+                Jv = J * mp.matrix(v)
+                g = [phi[k] - f[k] for k in range(L)]
+                g += [Jv[k] - v[k] for k in range(L)]
+                residual = max(abs(x) for x in g)
                 if residual <= tol:
                     break
-                A = mp.matrix(L + 1, L + 1)
-                for j in range(L + 1):
-                    up = list(u)
-                    up[j] = up[j] + h
-                    gj = augmented(up)
-                    for i in range(L + 1):
-                        A[i, j] = (gj[i] - g[i]) / h
+                JI = (J - mp.eye(L)).tolist()
+                H = self._jacobian(v, zz, mu, 0).tolist()
+                A = [JI[i] + [0] * (L - 1) + [phi[i] / zz] for i in range(L)]
+                A += [H[i] + JI[i][1:] + [Jv[i] / zz] for i in range(L)]
                 try:
-                    delta = mp.lu_solve(A, mp.matrix(g))
+                    delta = mp.lu_solve(mp.matrix(A), mp.matrix(g))
                 except (ZeroDivisionError, ValueError):
                     raise ConvergenceError(
                         f"fold refinement hit a singular correction step at "
                         f"step {iterations}"
                     ) from None
-                u = [u[k] - delta[k] for k in range(L + 1)]
-                iterations += 1
+                f = [f[k] - delta[k] for k in range(L)]
+                v = [v[0]] + [v[k] - delta[L - 1 + k] for k in range(1, L)]
+                zz -= delta[2 * L - 1]
             else:
                 raise ConvergenceError(
                     f"fold refinement did not converge: FOLD_CAP = {FOLD_CAP} "
                     "steps exhausted"
                 )
-            r = u[L]
-            if not (lo <= float(r) <= hi):
+            if not (lo <= float(zz) <= hi):
                 raise ConvergenceError(
                     f"fold refinement left the singularity bracket "
-                    f"[{lo!r}, {hi!r}]: r = {mp.nstr(r, 17)}"
+                    f"[{lo!r}, {hi!r}]: r = {mp.nstr(zz, 17)}"
                 )
-        return u[:L], r, residual, iterations
+        return f, v, zz, residual, iterations
 
     def fold(self) -> FoldPoint:
-        """High-precision fold point, refined from solve(cert.lo).
+        """High-precision fold point and null vector from solve(cert.lo).
 
-        Runs the augmented Newton at max(prec + 64, 192) bits and requires
+        Runs the bordered Newton at max(prec + 64, 192) bits and requires
         the refined r to lie in the certified bracket, widened by 1e-15
-        relative for the rounding of its ends.
+        relative for the rounding of its ends.  A walk over one generator
+        raises ValidationError before any Newton step.
         """
+        if self.spec.walk_class == "lattice":
+            raise ValidationError(
+                "fold() needs two generators: a one-generator walk folds with "
+                "a 2-dimensional null space; use the lattice route (factor_kernel)"
+            )
         if self._fold is not None:
             return self._fold
         cert = self.radius()
         prec = max(self.prec + 64, 192)
         base = self.solve(cert.lo)
-        f, r, residual, iterations = self._fold_newton(
+        f, v, r, residual, iterations = self._fold_newton(
             [base.values[c] for c in self.letters],
             cert.lo,
             cert.lo * (1 - 1e-15),
@@ -639,6 +626,7 @@ class FirstPassageSystem:
             self._fold = FoldPoint(
                 r=r,
                 values={c: f[self.index[c]] for c in self.letters},
+                null_vector=v,
                 green=green,
                 residual=residual,
                 iterations=iterations,
@@ -685,8 +673,9 @@ class FirstPassageSystem:
 
         Closed form at the fold (f, r), where A = I - J(f, r) is an
         irreducible singular M-matrix: its right and left null vectors v, w
-        are positive, and each is one solve of a proper principal minor
-        (all are nonsingular) with the first entry fixed at 1.  Below the
+        are positive.  v comes with the fold (fold().null_vector), and w is
+        one solve of the proper principal minor A[1:, 1:]^T (all proper
+        minors are nonsingular) with the first entry fixed at 1.  Below the
         fold f(r - eps) = f + delta, delta = -c v sqrt(eps) + O(eps), and
         projecting A delta = -eps phi_z + D^2 phi[delta, delta] / 2 onto w,
         with phi_z = f / r since phi is linear in z, gives
@@ -711,11 +700,12 @@ class FirstPassageSystem:
         with mp.workprec(fp.prec):
             mu, mu0 = self._weights()
             f = [fp.values[c] for c in self.letters]
-            A = mp.eye(L) - self._jacobian(f, r, mu, mu0)
-            try:  # first entry 1, the rest from the minor M[1:, 1:]
-                v, w = ([1, *mp.lu_solve(M[1:, 1:], -M[1:, 0])] for M in (A, A.T))
+            v = fp.null_vector
+            At = (mp.eye(L) - self._jacobian(f, r, mu, mu0)).T
+            try:  # first entry 1, the rest from the minor At[1:, 1:]
+                w = [1, *mp.lu_solve(At[1:, 1:], -At[1:, 0])]
             except ZeroDivisionError:  # a singular minor: A is reducible
-                v = w = [0]
+                w = [0]
             for side, vec in (("right", v), ("left", w)):
                 if min(vec) <= 0:
                     raise ConvergenceError(f"{where}: no positive {side} null vector")

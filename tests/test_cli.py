@@ -345,6 +345,47 @@ def test_ancona_check_is_deterministic(capsys):
     assert any(key.startswith("spread_at_") for key in kv)
 
 
+def test_ancona_check_needs_two_axes(capsys):
+    rc, out, err = run_cli(capsys, "ancona-check", "--preset", "z-lazy")
+    assert rc == 2 and out == ""
+    assert "needs a letter off the first letter's axis" in err
+
+
+# -- one-generator walks ----------------------------------------------------------
+
+
+def test_one_generator_free_kernel_names_the_lattice_route(capsys):
+    rc, out, err = run_cli(
+        capsys, "free-kernel", "--preset", "z-lazy", "--x", "1", "--y", "1,1"
+    )
+    assert rc == 2 and out == ""
+    assert "lattice route (factor_kernel)" in err
+
+
+# stdout of the commands that read only radius() and solve() on z-lazy
+ONE_GENERATOR_STDOUT = {
+    "martin-matrix": (
+        ["--pattern", "1", "--depth", "44"],
+        "x,y_or_prefix,depth,value,error,stabilized\n"
+        '1,"' + ",".join(["1"] * 44) + '...",44,0.9999999999999433,0.0,true\n',
+    ),
+    "phi-claim": (
+        ["--pattern", "1", "--depth", "4"],
+        "x,y_or_prefix,depth,value,error,stabilized\n"
+        "1,1...,2,0.9980079701397506,2.2318463168544628e-13,true\n"
+        "1,1...,4,0.998015875012195,2.223052662920031e-13,true\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_GENERATOR_STDOUT))
+def test_one_generator_radius_commands_keep_their_output(capsys, command):
+    extra, want = ONE_GENERATOR_STDOUT[command]
+    rc, out, err = run_cli(capsys, command, "--preset", "z-lazy", "--x", "1", *extra)
+    assert rc == 0 and err == ""
+    assert out == want
+
+
 # -- phi-claim --------------------------------------------------------------------
 
 

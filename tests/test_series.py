@@ -212,8 +212,9 @@ def test_singular_fold_correction_is_named(f2_spec, monkeypatch):
     system = FirstPassageSystem(f2_spec)
     system.solve(system.radius().lo)
     L = len(system.letters)
-    # det(I - J) is then constant, so the augmented Jacobian has a zero row
-    monkeypatch.setattr(system, "_jacobian", lambda *args: mp.eye(L))
+    # J = 0 makes H and J v zero too, and v[0] = 1 is fixed, so the row of
+    # the equation (J v - v)[0] = 0 in the bordered Jacobian is zero
+    monkeypatch.setattr(system, "_jacobian", lambda *args: mp.zeros(L))
     with pytest.raises(ConvergenceError, match="singular correction step at step 0"):
         system.fold()
 
@@ -258,28 +259,34 @@ def test_radius_solves_only_near_the_estimate(f2_spec, monkeypatch):
         return newton(self, *args)
 
     monkeypatch.setattr(FirstPassageSystem, "_newton", counted)
-    cert = FirstPassageSystem(f2_spec).radius()
-    assert cert.evaluations == 46
-    # z = 1, the midpoints near the estimate, lo from zero and hi from lo;
-    # the plain bisection solves every one of its 44 midpoints
-    assert len(calls) <= 6
+    for spec in (f2_spec, f3_walk()):
+        calls.clear()
+        cert = FirstPassageSystem(spec).radius()
+        assert cert.evaluations == 46
+        # z = 1, lo from zero and hi from lo; every midpoint takes its side
+        # from the estimate, where the plain bisection solves all 44
+        assert calls == [1, cert.lo, cert.hi]
+
+
+# free groups and their involutive twins, the free products of order-two
+# generators that carry the regular trees T3 and T4
+RADIUS_ALPHABETS = [free_group(2), free_group(3), tree_alphabet(2), tree_alphabet(3)]
+
+
+@st.composite
+def radius_walks(draw):
+    ab = draw(st.sampled_from(RADIUS_ALPHABETS))
+    size = len(ab.letters)
+    weights = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    hold = draw(st.sampled_from(
+        [Fraction(1, 10), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]
+    ))
+    return weighted_walk(ab, weights, hold)
 
 
 @settings(max_examples=8, deadline=None)
-@given(
-    rank=st.sampled_from([2, 3]),
-    weights=st.lists(st.integers(1, 5), min_size=6, max_size=6),
-    hold=st.sampled_from(
-        [Fraction(1, 10), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]
-    ),
-)
-def test_radius_certificate_against_cold_solves(rank, weights, hold):
-    ab = free_group(rank)
-    weights = weights[: len(ab.letters)]
-    mu = {identity(ab): hold}
-    for c, k in zip(ab.letters, weights):
-        mu[word(ab, [c])] = (1 - hold) * Fraction(k, sum(weights))
-    spec = finite_walk(ab, mu)
+@given(spec=radius_walks())
+def test_radius_certificate_against_cold_solves(spec):
     system = FirstPassageSystem(spec)
     cert = system.radius()
     cold = FirstPassageSystem(spec)  # fresh cache: solves start from zero
@@ -287,13 +294,60 @@ def test_radius_certificate_against_cold_solves(rank, weights, hold):
     with pytest.raises(ConvergenceError):
         cold.solve(cert.hi)
     assert cert.hi - cert.lo <= 1e-12
-    # the fold is an independent Newton iteration on the augmented system
+    # the fold is an independent Newton iteration on the bordered system
     r = float(system.fold().r)
     assert cert.lo * (1 - 1e-15) <= r <= cert.hi * (1 + 1e-15)
     # the same bisection with every midpoint solved reaches the same bracket
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: None)
         assert FirstPassageSystem(spec).radius() == cert
+
+
+@settings(max_examples=8, deadline=None)
+@given(spec=radius_walks())
+def test_fold_null_vector_is_the_minor_solve(spec):
+    system = FirstPassageSystem(spec)
+    fp = system.fold()
+    v = fp.null_vector
+    L = len(system.letters)
+    assert v[0] == 1 and min(v) > 0
+    with mp.workprec(fp.prec):
+        mu, mu0 = system._weights()
+        f = [fp.values[c] for c in system.letters]
+        A = mp.eye(L) - system._jacobian(f, fp.r, mu, mu0)
+        residual = max(abs(x) for x in A * mp.matrix(v))
+        assert residual <= mp.mpf(2) ** (48 - fp.prec)
+        # the right null vector from the minor A[1:, 1:] with v[0] = 1
+        minor = [1, *mp.lu_solve(A[1:, 1:], -A[1:, 0])]
+        assert max(abs(a - b) for a, b in zip(v, minor)) <= 1e-40
+
+
+# one-generator walks: the lazy line walk and a drifted one
+LINE = free_group(1)
+DRIFTED_LINE = finite_walk(
+    LINE,
+    {
+        identity(LINE): Fraction(1, 2),
+        word(LINE, [1]): Fraction(3, 8),
+        word(LINE, [-1]): Fraction(1, 8),
+    },
+)
+
+
+@pytest.mark.parametrize("name", ["z-lazy", "drifted"])
+def test_one_generator_fold_names_the_lattice_route(z_spec, monkeypatch, name):
+    spec = z_spec if name == "z-lazy" else DRIFTED_LINE
+    system = FirstPassageSystem(spec)
+    # radius() and solve() still accept these walks
+    cert = system.radius()
+    system.solve(cert.lo)
+
+    def no_newton(*args):
+        raise AssertionError("fold() ran a Newton step")
+
+    monkeypatch.setattr(system, "_fold_newton", no_newton)
+    with pytest.raises(ValidationError, match=r"lattice route \(factor_kernel\)"):
+        system.fold()
 
 
 # -- coefficients --------------------------------------------------------------
@@ -441,11 +495,14 @@ def test_gamma_table_makes_no_solve_once_folded(f2_spec, monkeypatch):
 @pytest.mark.parametrize(
     "change, condition",
     [
+        # v is the fold's own; a perturbed value moves only the left solve
         (lambda fp: {"values": {**fp.values, 1: 5 * fp.values[1]}},
+         "no positive left null vector"),
+        (lambda fp: {"null_vector": [1, *[-x for x in fp.null_vector[1:]]]},
          "no positive right null vector"),
         (lambda fp: {"green": None}, "no finite Green value"),
     ],
-    ids=["null-vector", "green"],
+    ids=["null-vector", "right-null-vector", "green"],
 )
 def test_gamma_table_guards_name_the_failed_condition(
     f2_spec, f2_system, monkeypatch, change, condition
