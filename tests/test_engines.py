@@ -30,6 +30,7 @@ from treewalks import (
     isotropic_walk,
     nstep,
     preset,
+    product_return_sequence,
     ratio_sequence,
     series_coefficients,
     spectral_radius,
@@ -111,6 +112,11 @@ def _law(res):
     return (res.exact, table, res.pruned)
 
 
+def _strided(values):
+    """Every 97th entry plus the last: long sequences, short pins."""
+    return list(values[::97]) + [values[-1]]
+
+
 def _sr(spec):
     sr = spectral_radius(spec)
     return (sr.value, sr.method, sr.details)
@@ -153,6 +159,20 @@ PINS = {
     "spectral_radius nn f2-lazy-uniform": lambda: _sr(preset("f2-lazy-uniform")),
     "spectral_radius lattice range-2": lambda: _sr(range2_lattice()),
     "spectral_radius fit lazy range-2 F2": lambda: _sr(lazy_range2_f2()),
+    "product_return_sequence t3xZ n=2500 strided": lambda: _strided(
+        product_return_sequence(preset("t3xZ"), 2500)
+    ),
+    "product_return_sequence t3xt3 n=1200 strided": lambda: _strided(
+        product_return_sequence(preset("t3xt3"), 1200)
+    ),
+    "factor_returns radial t3-lazy-iso n=3000 strided": lambda: _strided(
+        factor_returns(preset("t3-lazy-iso"), 3000)
+    ),
+    # drifted, rho = 0.9725: p^(4000)(e, e) ~ 1e-48 stays normal while the
+    # edges of the reachable window, (1/4)^4000 and below, underflow to 0
+    "ratio_sequence lattice range-2 n=4000 strided": lambda: _strided(
+        ratio_sequence(range2_lattice(), word(Z, [1]), word(Z, [-1, -1]), 4000).values
+    ),
     "series exact green n=30": lambda: _series(None, 30, True),
     "series exact letter n=30": lambda: _series(-2, 30, True),
     "series exact word n=30": lambda: _series(word(F2, [1, -2, 1]), 30, True),
