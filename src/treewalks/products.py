@@ -274,8 +274,11 @@ def product_return_sequence(pw: ProductWalk, n_max: int) -> np.ndarray:
     Direct products multiply termwise.  Switching products mix the
     factor sequences binomially; the mixture runs in log space since
     the summands span hundreds of orders of magnitude by n ~ 10^3.
+    Every per-k gather is a slice, forward or reversed, of an array
+    built once per call, and each row sums with _logsumexp, the 1-d
+    path of scipy.special.logsumexp without its array-API dispatch.
     """
-    from scipy.special import gammaln, logsumexp
+    from scipy.special import gammaln
 
     r1 = factor_returns(pw.left, n_max)
     r2 = factor_returns(pw.right, n_max)
@@ -288,20 +291,46 @@ def product_return_sequence(pw: ProductWalk, n_max: int) -> np.ndarray:
     out = np.zeros(n_max + 1)
     out[0] = 1.0
     lg = gammaln(np.arange(n_max + 2))
+    ks = np.arange(n_max + 1)
+    heads = ks * math.log(s)  # heads[k] = k log s
+    tails = ks * math.log(1.0 - s)  # tails[j] = j log(1 - s)
     for n in range(1, n_max + 1):
-        ks = np.arange(n + 1)
+        # the terms for k = 0..n, in the order lg[n + 1] - lg[k + 1]
+        # - lg[n - k + 1] + k log s + (n - k) log(1 - s) + l1[k] + l2[n - k]
         terms = (
             lg[n + 1]
-            - lg[ks + 1]
-            - lg[n - ks + 1]
-            + ks * math.log(s)
-            + (n - ks) * math.log(1.0 - s)
-            + l1[ks]
-            + l2[n - ks]
+            - lg[1 : n + 2]
+            - lg[n + 1 : 0 : -1]
+            + heads[: n + 1]
+            + tails[n::-1]
+            + l1[: n + 1]
+            + l2[n::-1]
         )
         finite = terms[np.isfinite(terms)]
-        out[n] = math.exp(logsumexp(finite)) if finite.size else 0.0
+        out[n] = math.exp(_logsumexp(finite)) if finite.size else 0.0
     return out
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a nonempty 1-d array of finite floats.
+
+    Step for step the algorithm of scipy.special.logsumexp (Blanchard,
+    Higham & Higham, IMA J. Numer. Anal. 41, 2021), so the result is
+    bit for bit the same: the maxima are taken out of the sum and
+    counted, the rest is shifted, exponentiated and summed, and the
+    log is log1p(sum / m) + log(m) + max.  Called once per mixture row,
+    scipy's own function spends about two thirds of the loop's time in
+    its array-API dispatch.
+    """
+    a_max = a.max()
+    at_max = a == a_max
+    shifted = np.exp(a - a_max)
+    shifted[at_max] = 0.0  # exp(-inf): scipy sets the maxima to -inf
+    m = np.float64(np.count_nonzero(at_max))
+    total = shifted.sum()
+    if total != 0:
+        total = total / m
+    return np.log1p(total) + np.log(m) + a_max
 
 
 # ---------------------------------------------------------------------------

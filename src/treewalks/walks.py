@@ -298,13 +298,18 @@ class RadialChain:
 
         Runs one sweep to n_max with vectorised banded updates; adequate
         for n ~ 1e4.  Relative rounding stays tiny because every update
-        adds nonnegative terms.
+        adds nonnegative terms.  The vector is a live buffer, only valid
+        until the next iteration.
         """
         yield from self._distributions(n_max, float, collect)
 
     def _distributions(self, n_max: int, num, collect):
         # one banded recursion for both arithmetics: num is float (float64
-        # arrays) or Fraction (object arrays, exact in any summation order)
+        # arrays) or Fraction (object arrays, exact in any summation order).
+        # Two buffers take turns; each is zero outside its window [lo, hi)
+        # of nonzero entries, so a step clears and fills only the band
+        # around that window.  The skipped terms are products with exact
+        # zeros, and adding them changes no value.
         rng = self.spec.range
         kmax = n_max * rng
         dtype = float if num is float else object
@@ -320,19 +325,32 @@ class RadialChain:
             offsets[delta] = col
         wanted = set(collect) if collect is not None else set(range(n_max + 1))
         vec = np.full(kmax + 1, zero, dtype=dtype)
+        nxt = vec.copy()
         vec[0] = num(1)
+        lo, hi = 0, 1  # window of vec
+        stale = (0, 0)  # window of nxt, left over from two steps back
         if 0 in wanted:
-            yield 0, vec.copy()
+            yield 0, vec
         for n in range(1, n_max + 1):
-            nxt = np.full(kmax + 1, zero, dtype=dtype)
-            top = (n - 1) * rng + 1  # |X_(n-1)| < top: the rest is zero
+            nxt[stale[0] : stale[1]] = zero
             for delta, col in offsets.items():
-                k0 = max(0, -delta)
-                k1 = max(k0, top)
+                k0 = max(lo, -delta)
+                k1 = max(k0, hi)
                 nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
-            vec = nxt
+            stale = (lo, hi)
+            lo, hi = _nonzero_window(nxt, max(0, lo - rng), min(kmax + 1, hi + rng))
+            vec, nxt = nxt, vec
             if n in wanted:
-                yield n, vec.copy()
+                yield n, vec
+
+
+def _nonzero_window(vec: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """Narrow [lo, hi) to the span from the first to the last nonzero entry."""
+    while lo < hi and vec[lo] == 0:
+        lo += 1
+    while hi > lo and vec[hi - 1] == 0:
+        hi -= 1
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +384,29 @@ def lattice_distributions(spec: WalkSpec, n_max: int):
     """Yields (n, origin_index, vector) for a rank-one walk, n = 0..n_max.
 
     The vector is a live buffer, only valid until the next iteration;
-    position m sits at index origin_index + m.
+    position m sits at index origin_index + m.  Two buffers take turns,
+    each zero outside its window of nonzero entries, so a step clears
+    and fills only the band the walk can reach from that window.  Once
+    the far edges of the law underflow to exact zeros the window stops
+    growing with them; the skipped products with zeros add nothing, so
+    every value is the one a full-width update gives.
     """
     steps = lattice_offsets(spec)
-    rng = max(abs(m) for m in steps)
-    half = n_max * rng
+    low, high = min(steps), max(steps)
+    half = n_max * max(-low, high)
     vec = np.zeros(2 * half + 1)
+    nxt = np.zeros_like(vec)
     vec[half] = 1.0
+    lo, hi = half, half + 1  # window of vec
+    stale = (half, half)  # window of nxt, left over from two steps back
     yield 0, half, vec
     for n in range(1, n_max + 1):
-        nxt = np.zeros_like(vec)
-        # after n - 1 steps the walk sits in [-(n-1) rng, (n-1) rng]
-        lo, hi = half - (n - 1) * rng, half + (n - 1) * rng + 1
+        nxt[stale[0] : stale[1]] = 0.0
         for m, p in steps.items():
             nxt[lo + m : hi + m] += p * vec[lo:hi]
-        vec = nxt
+        stale = (lo, hi)
+        lo, hi = _nonzero_window(nxt, lo + low, hi + high)
+        vec, nxt = nxt, vec
         yield n, half, vec
 
 
@@ -451,32 +477,41 @@ def nstep(
     # every word walk, rank-one and nearest-neighbour ones included
     for _, table, pruned in _word_laws(spec, n, exact=exact, prune=prune):
         pass
+    ab = spec.alphabet
+    table = {ReducedWord(ab, letters): mass for letters, mass in table.items()}
     return NStepResult(spec, n, exact, table=table, pruned=pruned)
 
 
 def _word_laws(spec, n_max, *, exact=False, prune=None):
     """Yields (n, table, pruned) for n = 0..n_max by convolution on words.
 
-    ``table`` maps words to p^(n)(e, word), as exact rationals or floats;
-    entries below the prune threshold (default: none when exact,
-    PRUNE_DEFAULT in floats) are dropped and their mass added to
-    ``pruned``.  The table is replaced, never mutated, between steps.
-    A step whose table passes WORD_SUPPORT_CAP words raises
-    ConvergenceError.
+    ``table`` maps the letter tuple of each reduced word to p^(n)(e, word),
+    as exact rationals or floats; the product x * g cancels letters
+    through an inverse-letter table, so no ReducedWord is built or
+    validated inside the loop.  Entries below the prune threshold
+    (default: none when exact, PRUNE_DEFAULT in floats) are dropped and
+    their mass added to ``pruned``.  The table is replaced, never
+    mutated, between steps.  A step whose table passes WORD_SUPPORT_CAP
+    words raises ConvergenceError.
     """
     num = Fraction if exact else float
     if prune is None:
         prune = 0 if exact else PRUNE_DEFAULT
     threshold = num(prune)
-    steps = [(w, num(p)) for w, p in spec.step_items()]
-    cur = {identity(spec.alphabet): num(1)}
+    inv = {a: spec.alphabet.inverse_letter(a) for a in spec.alphabet.letters}
+    steps = [(w.letters, num(p)) for w, p in spec.step_items()]
+    cur = {(): num(1)}
     pruned = num(0)
     yield 0, cur, pruned
     for n in range(1, n_max + 1):
-        nxt: dict[ReducedWord, object] = {}
+        nxt: dict[tuple[int, ...], object] = {}
         for x, mass in cur.items():
             for g, p in steps:
-                y = x * g
+                k, i = len(x), 0
+                while k and i < len(g) and x[k - 1] == inv[g[i]]:
+                    k -= 1
+                    i += 1
+                y = x[:k] + g[i:]
                 nxt[y] = nxt.get(y, 0) + mass * p
             if len(nxt) > WORD_SUPPORT_CAP:
                 raise ConvergenceError(
@@ -522,7 +557,7 @@ def _lattice_sweep(spec, n_max):
 
 def _word_sweep(spec, n_max):
     for n, table, _ in _word_laws(spec, n_max):
-        yield n, lambda w, table=table: table.get(w, 0.0)
+        yield n, lambda w, table=table: table.get(w.letters, 0.0)
 
 
 _SWEEPS = {

@@ -11,10 +11,12 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from treewalks import (
     free_group,
     identity,
     isotropic_walk,
+    load_walk_spec,
     nstep,
     preset,
     product_return_sequence,
@@ -38,8 +41,15 @@ from treewalks import (
     word,
     word_twin,
 )
+from treewalks import walks
 from treewalks.cli import main
 from treewalks.series import FirstPassageSystem, shared_system
+from treewalks.walks import (
+    PRUNE_DEFAULT,
+    RadialChain,
+    lattice_distributions,
+    lattice_offsets,
+)
 
 Z = free_group(1)
 F2 = free_group(2)
@@ -391,3 +401,265 @@ def test_float_series_against_exact_nstep(rank, weights, hold, letters):
         assert green[n] == pytest.approx(float(law.probability(identity(ab))), rel=1e-12)
         want = float(law.probability(target))
         assert to_target[n] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+# -- reference forms: the straightforward loops the engines replace -----------
+#
+# Each engine keeps buffers, windows or letter tuples to save time; the
+# loops below are the plain forms, and every value must match bit for bit.
+
+
+def reference_lattice(spec, n_max):
+    """A fresh full-width vector per step over the reachable range."""
+    steps = lattice_offsets(spec)
+    rng = max(abs(m) for m in steps)
+    half = n_max * rng
+    vec = np.zeros(2 * half + 1)
+    vec[half] = 1.0
+    out = [vec]
+    for n in range(1, n_max + 1):
+        nxt = np.zeros_like(vec)
+        lo, hi = half - (n - 1) * rng, half + (n - 1) * rng + 1
+        for m, p in steps.items():
+            nxt[lo + m : hi + m] += p * vec[lo:hi]
+        vec = nxt
+        out.append(vec)
+    return half, out
+
+
+def reference_radial(spec, n_max, num):
+    """A fresh full-width vector per step over the reachable band."""
+    chain = RadialChain(spec)
+    rng = spec.range
+    kmax = n_max * rng
+    dtype = float if num is float else object
+    zero = num(0)
+    coeffs = [(d, num(a)) for d, a in spec.coefficients if a > 0]
+    rows = [chain._row(k, coeffs) for k in range(kmax + 1)]
+    offsets = {}
+    for delta in range(-rng, rng + 1):
+        col = np.full(kmax + 1, zero, dtype=dtype)
+        for k, row in enumerate(rows):
+            if k + delta <= kmax:
+                col[k] = row.get(k + delta, zero)
+        offsets[delta] = col
+    vec = np.full(kmax + 1, zero, dtype=dtype)
+    vec[0] = num(1)
+    out = [vec]
+    for n in range(1, n_max + 1):
+        nxt = np.full(kmax + 1, zero, dtype=dtype)
+        top = (n - 1) * rng + 1
+        for delta, col in offsets.items():
+            k0 = max(0, -delta)
+            k1 = max(k0, top)
+            nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
+        vec = nxt
+        out.append(vec)
+    return out
+
+
+def reference_word_laws(spec, n_max, exact, prune):
+    """ReducedWord-keyed dict convolution; [(table, pruned)] for n = 0..n_max."""
+    num = Fraction if exact else float
+    if prune is None:
+        prune = 0 if exact else PRUNE_DEFAULT
+    threshold = num(prune)
+    steps = [(w, num(p)) for w, p in spec.step_items()]
+    cur = {identity(spec.alphabet): num(1)}
+    pruned = num(0)
+    out = [(cur, pruned)]
+    for n in range(1, n_max + 1):
+        nxt = {}
+        for x, mass in cur.items():
+            for g, p in steps:
+                y = x * g
+                nxt[y] = nxt.get(y, 0) + mass * p
+            if len(nxt) > walks.WORD_SUPPORT_CAP:
+                raise ConvergenceError(
+                    f"word convolution support passes {walks.WORD_SUPPORT_CAP} "
+                    f"words (WORD_SUPPORT_CAP) at n = {n}"
+                )
+        if threshold:
+            kept = {}
+            for y, mass in nxt.items():
+                if mass < threshold:
+                    pruned += mass
+                else:
+                    kept[y] = mass
+            nxt = kept
+        cur = nxt
+        out.append((cur, pruned))
+    return out
+
+
+def reference_underflow(returns):
+    """The guard's message for the first subnormal return, if any."""
+    for n, ret in enumerate(returns):
+        if 0.0 < ret < sys.float_info.min:
+            return (
+                f"return probability p^(n)(e, e) = {ret!r} underflows "
+                f"below sys.float_info.min at n = {n}"
+            )
+    return None
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    rng=st.integers(1, 3),
+    weights=st.lists(st.integers(0, 9), min_size=7, max_size=7),
+    hold=st.integers(1, 9),
+    n_max=st.integers(1, 400),
+)
+def test_lattice_distributions_match_full_width_steps(rng, weights, hold, n_max):
+    # weights[j] is the mass on displacement j - 3; the walk has range
+    # rng, steps +-1 and +-rng, and usually drifts
+    steps = {m: weights[m + 3] for m in range(-rng, rng + 1) if m}
+    for m in {1, rng}:
+        steps[-m] = steps[-m] or 1
+        steps[m] = steps[m] or 1
+    steps[0] = hold
+    total = sum(steps.values())
+    spec = lattice_walk({m: Fraction(k, total) for m, k in steps.items() if k})
+    half, want = reference_lattice(spec, n_max)
+    for n, origin, vec in lattice_distributions(spec, n_max):
+        assert origin == half
+        assert np.array_equal(vec, want[n])
+    e = identity(Z)
+    y = word(Z, [1] * rng)
+    returns = [v[half] for v in want]
+    seq = ratio_sequence(spec, e, y, n_max)
+    assert seq.values == [v[half + rng] / v[half] for v in want if v[half] > 0]
+    assert list(factor_returns(spec, n_max)) == returns
+
+
+def test_lattice_windows_underflow_at_the_edges():
+    # the pinned range-2 walk at n = 1000: both far edges of the reachable
+    # range are exact zeros, so the window has stopped tracking them
+    spec = range2_lattice()
+    half, want = reference_lattice(spec, 1000)
+    last = want[-1]
+    nonzero = np.flatnonzero(last)
+    assert nonzero[0] > half - 2000 and nonzero[-1] < half + 1000
+    for n, _, vec in lattice_distributions(spec, 1000):
+        assert np.array_equal(vec, want[n])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    q=st.integers(2, 4),
+    weights=st.lists(st.integers(0, 9), min_size=3, max_size=3),
+    hold=st.integers(0, 9),
+    n_max=st.integers(0, 300),
+)
+def test_radial_distributions_match_full_width_steps(q, weights, hold, n_max):
+    # radial weights a_0 = hold and a_d = weights[d - 1], with a_1 > 0;
+    # without holding a_2 > 0 keeps the walk aperiodic, and p^(1)(e, e) = 0
+    # moves the window off the root
+    raw = {0: hold, 1: weights[0] or 1, 2: weights[1], 3: weights[2]}
+    if not hold:
+        raw[2] = raw[2] or 1
+    total = sum(raw.values())
+    spec = isotropic_walk(q, {d: Fraction(k, total) for d, k in raw.items() if k})
+    want = reference_radial(spec, n_max, float)
+    got = [(n, vec.copy()) for n, vec in RadialChain(spec).distributions_float(n_max)]
+    assert [n for n, _ in got] == list(range(n_max + 1))
+    for n, vec in got:
+        assert np.array_equal(vec, want[n])
+    picked = [n_max // 3, n_max]
+    collected = RadialChain(spec).distributions_float(n_max, collect=picked)
+    assert [(n, list(vec)) for n, vec in collected] == [
+        (n, list(want[n])) for n in sorted(set(picked))
+    ]
+    assert nstep(spec, n_max, exact=False).radial == list(want[n_max])
+    e = identity(spec.alphabet)
+    assert list(factor_returns(spec, n_max)) == [v[0] for v in want]
+    seq = ratio_sequence(spec, e, e, n_max)
+    assert seq.ns == [n for n, v in enumerate(want) if v[0] > 0]
+    assert seq.values == [1.0] * len(seq.ns)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    q=st.integers(2, 4),
+    weights=st.lists(st.integers(0, 4), min_size=2, max_size=2),
+    n=st.integers(0, 12),
+)
+def test_radial_exact_law_matches_full_width_steps(q, weights, n):
+    raw = {0: 1, 1: weights[0] or 1, 2: weights[1]}
+    total = sum(raw.values())
+    spec = isotropic_walk(q, {d: Fraction(k, total) for d, k in raw.items() if k})
+    want = reference_radial(spec, n, Fraction)[n]
+    assert RadialChain(spec).distribution_exact(n) == list(want)
+
+
+def random_word_walk(ab, weights, long_words):
+    """Hold, every letter and a few two-letter words, weights from the list."""
+    supp = [identity(ab)] + [word(ab, [c]) for c in ab.letters]
+    letters = ab.letters
+    for i, j in long_words:
+        w = word(ab, [letters[i % len(letters)], letters[j % len(letters)]])
+        if len(w) == 2 and w not in supp:
+            supp.append(w)
+    ks = [1 + weights[i % len(weights)] for i in range(len(supp))]
+    return finite_walk(ab, {w: Fraction(k, sum(ks)) for w, k in zip(supp, ks)})
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    ab=st.sampled_from([F2, T3]),
+    weights=st.lists(st.integers(0, 6), min_size=3, max_size=7),
+    long_words=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=2),
+    exact=st.booleans(),
+    prune=st.sampled_from([None, 0, "1/5000"]),
+    n_max=st.integers(0, 4),
+)
+def test_word_laws_match_reduced_word_convolution(
+    ab, weights, long_words, exact, prune, n_max
+):
+    spec = random_word_walk(ab, weights, long_words)
+    if prune is not None:
+        prune = Fraction(prune) if exact else float(Fraction(prune))
+    want = reference_word_laws(spec, n_max, exact, prune)
+    for n in range(n_max + 1):
+        res = nstep(spec, n, exact=exact, prune=prune)
+        table, pruned = want[n]
+        assert list(res.table.items()) == list(table.items())
+        assert res.pruned == pruned
+        assert type(res.pruned) is type(pruned)
+    if exact or prune is not None:
+        return
+    # the float sweep reads the same tables through its letter-tuple keys
+    e = identity(ab)
+    y = spec.step_items()[-1][0]
+    seq = ratio_sequence(spec, e, y, n_max)
+    assert seq.values == [t.get(y, 0.0) / t[e] for t, _ in want]
+
+
+def test_word_support_cap_message_matches_the_reference(monkeypatch):
+    monkeypatch.setattr(walks, "WORD_SUPPORT_CAP", 60)
+    for exact in (True, False):
+        with pytest.raises(ConvergenceError) as want:
+            reference_word_laws(range2_f2(), 6, exact, None)
+        with pytest.raises(ConvergenceError) as got:
+            nstep(range2_f2(), 6, exact=exact)
+        assert str(got.value) == str(want.value)
+        assert "passes 60 words" in str(got.value)
+
+
+def test_underflow_messages_match_the_reference(tmp_path):
+    lattice = load_walk_spec(STEEP_SPEC)
+    half, want = reference_lattice(lattice, 6700)
+    message = reference_underflow([float(v[half]) for v in want])
+    assert message.endswith("at n = 6641")
+    e = identity(Z)
+    with pytest.raises(ConvergenceError) as got:
+        ratio_sequence(lattice, e, e, 6700)
+    assert str(got.value) == message
+
+    radial = isotropic_walk(50, {0: Fraction(1, 10), 1: Fraction(9, 10)})
+    returns = [float(v[0]) for v in reference_radial(radial, 1000, float)]
+    message = reference_underflow(returns)
+    assert message is not None
+    with pytest.raises(ConvergenceError) as got:
+        factor_returns(radial, 1000)
+    assert str(got.value) == message

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewalks import (
     EndPrefix,
@@ -29,7 +31,9 @@ from treewalks import (
     free_group,
     identify_equivalent_boundary,
     identity,
+    isotropic_walk,
     nstep,
+    preset,
     product_nstep_pair,
     product_ratio_kernel,
     product_report,
@@ -39,6 +43,7 @@ from treewalks import (
     word,
     word_twin,
 )
+from treewalks.products import _logsumexp
 
 T3 = tree_alphabet(2)
 Z1 = free_group(1)
@@ -472,3 +477,113 @@ def test_report_embeds_classes(t3xz):
     rep = product_report(t3xz, classes=classes)
     assert rep["classes"] == [[0, 1]]
     assert rep["class_tol"] == classes.tol
+
+
+# -- the mixture against its straightforward form ------------------------------
+
+
+def reference_mixture(pw, n_max):
+    """Per-n fancy-index gathers summed by scipy.special.logsumexp."""
+    from scipy.special import gammaln, logsumexp
+
+    r1 = factor_returns(pw.left, n_max)
+    r2 = factor_returns(pw.right, n_max)
+    s = float(pw.weight)
+    with np.errstate(divide="ignore"):
+        l1 = np.log(r1)
+        l2 = np.log(r2)
+    out = np.zeros(n_max + 1)
+    out[0] = 1.0
+    lg = gammaln(np.arange(n_max + 2))
+    for n in range(1, n_max + 1):
+        ks = np.arange(n + 1)
+        terms = (
+            lg[n + 1]
+            - lg[ks + 1]
+            - lg[n - ks + 1]
+            + ks * math.log(s)
+            + (n - ks) * math.log(1.0 - s)
+            + l1[ks]
+            + l2[n - ks]
+        )
+        finite = terms[np.isfinite(terms)]
+        out[n] = math.exp(logsumexp(finite)) if finite.size else 0.0
+    return out
+
+
+def no_hold_tree_walk():
+    # p^(1)(e, e) = 0: the mixture meets log(0) = -inf terms
+    return isotropic_walk(2, {1: Fraction(1, 2), 2: Fraction(1, 2)})
+
+
+FACTORS = {
+    "t3-lazy-iso": lambda: preset("t3-lazy-iso"),
+    "z-lazy": lambda: preset("z-lazy"),
+    "biased line": biased_line,
+    "f2-lazy-uniform": lambda: preset("f2-lazy-uniform"),
+    "no-hold tree": no_hold_tree_walk,
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    left=st.sampled_from(sorted(FACTORS)),
+    right=st.sampled_from(sorted(FACTORS)),
+    weight=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]),
+    n_max=st.integers(1, 400),
+)
+def test_switching_mixture_matches_the_scipy_form(left, right, weight, n_max):
+    pw = cartesian_product(FACTORS[left](), FACTORS[right](), weight)
+    assert np.array_equal(product_return_sequence(pw, n_max), reference_mixture(pw, n_max))
+
+
+def test_mixture_drops_log_zero_terms():
+    # at n = 1 every term holds a log(0); without the finite filter the
+    # row would read nan, and at n = 2 the k = 1 term is dropped
+    nohold = no_hold_tree_walk()
+    pw = cartesian_product(nohold, nohold)
+    seq = product_return_sequence(pw, 40)
+    assert seq[1] == 0.0
+    assert np.isfinite(seq).all()
+    assert np.array_equal(seq, reference_mixture(pw, 40))
+    want = product_nstep_pair(pw, 2, identity(T3), identity(T3))
+    assert seq[2] == pytest.approx(float(want), rel=1e-14)
+
+
+# -- the module-local log-sum-exp ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-3.5],
+        [-2.0] * 7,
+        [0.5, -1.0, 0.5, -30.0, 0.5],
+        list(np.linspace(-700 * math.log(10), 0.0, 1001)),
+        list(np.linspace(0.0, -700 * math.log(10), 1001)) + [0.0, -1e-3],
+    ],
+    ids=["one", "all-equal", "ties", "700-decades", "700-decades-tied"],
+)
+def test_logsumexp_replica_is_scipy_bit_for_bit(values):
+    from scipy.special import logsumexp
+
+    a = np.array(values)
+    got, want = _logsumexp(a), logsumexp(a)
+    assert math.isfinite(got)
+    assert float(got).hex() == float(want).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.floats(-1700.0, 50.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=300,
+    ),
+    st.integers(0, 4),
+)
+def test_logsumexp_replica_on_random_rows(values, ties):
+    from scipy.special import logsumexp
+
+    a = np.array(values + [max(values)] * ties)
+    assert float(_logsumexp(a)).hex() == float(logsumexp(a)).hex()
