@@ -27,6 +27,7 @@ from .kernels import (
 from .series import series_coefficients, shared_system
 from .walks import (
     WalkSpec,
+    _check_return,
     _return_probabilities,
     _signed_length,
     nstep,
@@ -150,12 +151,20 @@ _GRIDS = {
     "words": _unrouted,
 }
 
+def _series_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
+    # float Green series coefficients, under the sweeps' underflow guard
+    values = series_coefficients(
+        shared_system(spec), None, n_max, exact=False
+    ).floats()
+    for n, ret in enumerate(values.tolist()):
+        _check_return(n, ret)
+    return values
+
+
 _RETURNS = {
     "radial": _return_probabilities,
     "lattice": _return_probabilities,
-    "nn": lambda spec, n_max: series_coefficients(
-        shared_system(spec), None, n_max, exact=False
-    ).floats(),
+    "nn": _series_returns,
     "words": _unrouted,
 }
 

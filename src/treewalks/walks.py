@@ -571,20 +571,28 @@ _SWEEPS = {
 def _sweep(spec: WalkSpec, n_max: int):
     """Yields (n, p) for n = 0..n_max, where p(word) = float p^(n)(e, word).
 
-    A target out of reach reads 0.  The engines do not rescale, so a
-    return probability that drops below the smallest normal double
-    raises ConvergenceError naming n; exact zeros forced by the walk's
-    structure, like p^(1)(e, e) without holding, pass through.
+    A target out of reach reads 0.  Every return probability passes
+    _check_return.
     """
     e = identity(spec.alphabet)
     for n, p in _SWEEPS[spec.walk_class](spec, n_max):
-        ret = p(e)
-        if 0.0 < ret < sys.float_info.min:
-            raise ConvergenceError(
-                f"return probability p^(n)(e, e) = {ret!r} underflows "
-                f"below sys.float_info.min at n = {n}"
-            )
+        _check_return(n, p(e))
         yield n, p
+
+
+def _check_return(n: int, ret: float) -> None:
+    """Stop a float return sequence whose p^(n)(e, e) = ret underflowed.
+
+    Neither the sweeps nor the float Green series rescale, so a return
+    probability below the smallest normal double raises ConvergenceError
+    naming n; exact zeros forced by the walk's structure, like
+    p^(1)(e, e) without holding, pass through.
+    """
+    if 0.0 < ret < sys.float_info.min:
+        raise ConvergenceError(
+            f"return probability p^(n)(e, e) = {ret!r} underflows "
+            f"below sys.float_info.min at n = {n}"
+        )
 
 
 def _return_probabilities(spec: WalkSpec, n_max: int) -> np.ndarray:

@@ -224,6 +224,17 @@ def test_llt_fit_recovers_line_exponent(capsys):
     assert kv["window_lo"] == "200"
 
 
+def test_llt_fit_stops_when_the_green_series_underflows(capsys):
+    # p^(n)(e, e) of f2-lazy-uniform is subnormal from n = 6145 on and
+    # reads 0.0 by n = 8000; a fit over that window would look fine
+    rc, out, err = run_cli(
+        capsys, "llt-fit", "--preset", "f2-lazy-uniform", "--window", "500:8000"
+    )
+    assert rc == 3
+    assert out == ""
+    assert "underflows" in err and "n = 6145" in err
+
+
 # -- martin-matrix ---------------------------------------------------------------
 
 

@@ -663,3 +663,17 @@ def test_underflow_messages_match_the_reference(tmp_path):
     with pytest.raises(ConvergenceError) as got:
         factor_returns(radial, 1000)
     assert str(got.value) == message
+
+
+def test_nn_return_route_checks_underflow_too():
+    # the float Green series of f2-lazy-uniform leaves the normal doubles
+    # at n = 6145; before that the route returns the series unchanged
+    spec = preset("f2-lazy-uniform")
+    system = shared_system(spec)
+    series = series_coefficients(system, None, 6200, exact=False).floats()
+    message = reference_underflow(series.tolist())
+    assert message.endswith("at n = 6145")
+    with pytest.raises(ConvergenceError) as got:
+        factor_returns(spec, 6200)
+    assert str(got.value) == message
+    assert np.array_equal(factor_returns(spec, 6144), series[:6145])
