@@ -151,6 +151,7 @@ _GRIDS = {
     "words": _unrouted,
 }
 
+
 def _series_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
     # float Green series coefficients, under the sweeps' underflow guard
     values = series_coefficients(

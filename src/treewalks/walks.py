@@ -304,12 +304,17 @@ class RadialChain:
         yield from self._distributions(n_max, float, collect)
 
     def _distributions(self, n_max: int, num, collect):
-        # one banded recursion for both arithmetics: num is float (float64
-        # arrays) or Fraction (object arrays, exact in any summation order).
-        # Two buffers take turns; each is zero outside its window [lo, hi)
-        # of nonzero entries, so a step clears and fills only the band
-        # around that window.  The skipped terms are products with exact
-        # zeros, and adding them changes no value.
+        """One banded recursion for both arithmetics, yielding live buffers.
+
+        ``num`` is float (float64 arrays) or Fraction (object arrays,
+        exact in any summation order).  Two buffers take turns; each is
+        zero outside its window [lo, hi) of nonzero entries, so a step
+        clears the stale window and fills only the band of width
+        ``range`` around the current one.  Once the far spheres underflow
+        to exact zeros the window stops following them.  The skipped
+        terms are products with exact zeros, and adding them changes no
+        value, so each vector is the one a full-width update gives.
+        """
         rng = self.spec.range
         kmax = n_max * rng
         dtype = float if num is float else object
@@ -338,7 +343,7 @@ class RadialChain:
                 k1 = max(k0, hi)
                 nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
             stale = (lo, hi)
-            lo, hi = _nonzero_window(nxt, max(0, lo - rng), min(kmax + 1, hi + rng))
+            lo, hi = _nonzero_window(nxt, max(0, lo - rng), hi + rng)
             vec, nxt = nxt, vec
             if n in wanted:
                 yield n, vec

@@ -534,7 +534,8 @@ FACTORS = {
 )
 def test_switching_mixture_matches_the_scipy_form(left, right, weight, n_max):
     pw = cartesian_product(FACTORS[left](), FACTORS[right](), weight)
-    assert np.array_equal(product_return_sequence(pw, n_max), reference_mixture(pw, n_max))
+    want = reference_mixture(pw, n_max)
+    assert np.array_equal(product_return_sequence(pw, n_max), want)
 
 
 def test_mixture_drops_log_zero_terms():
