@@ -4,7 +4,9 @@ The pins in ``golden_library_pins.json`` hold the exact ``repr`` of
 library results on every walk class (radial, lattice, nearest-neighbour,
 general words), so a refactor of the sweep, series or dispatch code has
 to reproduce them bit for bit.  The hypothesis tests check independent
-engines against each other on random small walks.
+engines against each other on random small walks, and each engine
+against the plain loop that its buffers, windows or letter-tuple keys
+replaced.
 """
 
 import csv
@@ -178,7 +180,7 @@ PINS = {
     "factor_returns radial t3-lazy-iso n=3000 strided": lambda: _strided(
         factor_returns(preset("t3-lazy-iso"), 3000)
     ),
-    # drifted, rho = 0.9725: p^(4000)(e, e) ~ 1e-48 stays normal while the
+    # drifted, rho = 0.9725: p^(4000)(e, e) = 2.0e-51 stays normal while the
     # edges of the reachable window, (1/4)^4000 and below, underflow to 0
     "ratio_sequence lattice range-2 n=4000 strided": lambda: _strided(
         ratio_sequence(range2_lattice(), word(Z, [1]), word(Z, [-1, -1]), 4000).values
