@@ -8,8 +8,6 @@ Exit codes: 0 success, 2 invalid input, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from fractions import Fraction
 
@@ -18,6 +16,7 @@ from .geometry import EndPrefix, identity, parse_word, tree_alphabet
 from .kernels import (
     KernelTable,
     KernelValue,
+    _csv_text,
     _json_text,
     ancona_harnack_check,
     martin_kernel_nn,
@@ -28,6 +27,7 @@ from .matrix_boundary import martin_kernel_matrix
 from .presets import preset
 from .products import (
     ProductWalk,
+    factor_kernel,
     factor_returns,
     product_report,
     product_return_sequence,
@@ -67,6 +67,11 @@ def _load_walk(args) -> WalkSpec | ProductWalk:
     return preset(args.preset)
 
 
+def _preset_label(args) -> str | None:
+    """The preset a report names: none when the walk came from --spec-file."""
+    return None if args.spec_file else args.preset
+
+
 def _require_word_walk(walk) -> WalkSpec:
     if isinstance(walk, ProductWalk):
         raise ValidationError("this subcommand needs a single-factor walk")
@@ -92,13 +97,7 @@ def _emit(args, text: str) -> None:
 def _kv_report(args, payload: dict) -> str:
     if args.format == "json":
         return _json_text({"schema": 1, **payload})
-    lines = ["key,value"]
-    for key in sorted(payload):
-        val = payload[key]
-        if isinstance(val, float):
-            val = repr(val)
-        lines.append(f"{key},{val}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(("key", "value"), sorted(payload.items()))
 
 
 def _flat(obj, prefix: str = "") -> dict:
@@ -137,19 +136,20 @@ def _cmd_tree_kernel(args) -> None:
 
 def _cmd_free_kernel(args) -> None:
     spec = _require_word_walk(_load_walk(args))
-    system = shared_system(spec, _check_precision(args.precision))
+    prec = _check_precision(args.precision)
     x = parse_word(spec.alphabet, args.x)
-    rows: list[KernelValue] = []
     if args.y is not None:
         target = parse_word(spec.alphabet, args.y)
-        rows.append(ratio_kernel_nn(system, x, target))
     else:
-        xi = _end(args.pattern, spec.alphabet, args.depth)
-        if args.t is not None:
-            rows.append(martin_kernel_nn(system, x, xi, args.t))
-        else:
-            rows.append(ratio_kernel_nn(system, x, xi))
-    _emit_table(args, "free-kernel", rows, {"preset": args.preset, "depth": args.depth})
+        target = _end(args.pattern, spec.alphabet, args.depth)
+    if args.y is None and args.t is not None:
+        row = martin_kernel_nn(shared_system(spec, prec), x, target, args.t)
+    elif spec.walk_class == "lattice":
+        row = factor_kernel(spec, x, target)
+    else:
+        row = ratio_kernel_nn(shared_system(spec, prec), x, target)
+    meta = {"preset": _preset_label(args), "depth": args.depth}
+    _emit_table(args, "free-kernel", [row], meta)
 
 
 def _cmd_ratio_converge(args) -> None:
@@ -180,7 +180,11 @@ def _cmd_ratio_converge(args) -> None:
                 stabilized=gap <= args.tol,
             )
         )
-    meta = {"preset": args.preset, "n_max": args.n_max, "tail_spread": seq.tail_spread}
+    meta = {
+        "preset": _preset_label(args),
+        "n_max": args.n_max,
+        "tail_spread": seq.tail_spread,
+    }
     _emit_table(args, "ratio-converge", rows, meta)
 
 
@@ -194,7 +198,7 @@ def _cmd_llt_fit(args) -> None:
         values = factor_returns(walk, n_max)
     fit = fit_local_limit(values, (lo, hi))
     payload = {
-        "preset": args.preset,
+        "preset": _preset_label(args),
         "window_lo": lo,
         "window_hi": hi,
         "rho_hat": fit.rho,
@@ -212,7 +216,7 @@ def _cmd_martin_matrix(args) -> None:
     x = parse_word(spec.alphabet, args.x)
     xi = _end(args.pattern, spec.alphabet, args.depth)
     row = martin_kernel_matrix(spec, x, xi)
-    meta = {"preset": args.preset, "depth": args.depth}
+    meta = {"preset": _preset_label(args), "depth": args.depth}
     _emit_table(args, "martin-matrix", [row], meta)
 
 
@@ -246,14 +250,12 @@ def _cmd_reduced(args) -> None:
         _emit(args, report.to_json())
         return
     members = set(report.member_indices)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "deviation", "member"])
-    for i, label in enumerate(report.labels):
-        writer.writerow(
-            [label, repr(report.deviations[i]), "true" if i in members else "false"]
-        )
-    _emit(args, buf.getvalue() + f"# {report.certificate}\n")
+    rows = [
+        (label, report.deviations[i], i in members)
+        for i, label in enumerate(report.labels)
+    ]
+    table = _csv_text(("label", "deviation", "member"), rows)
+    _emit(args, table + f"# {report.certificate}\n")
 
 
 def _cmd_ancona_check(args) -> None:
@@ -263,7 +265,7 @@ def _cmd_ancona_check(args) -> None:
         system, n_pairs=args.pairs, seed=args.seed
     )
     payload = {
-        "preset": args.preset,
+        "preset": _preset_label(args),
         "samples": report.samples,
         "triple_min": report.triple_min,
         "triple_max": report.triple_max,
@@ -299,7 +301,7 @@ def _cmd_phi_claim(args) -> None:
                 stabilized=top.stabilized and bot.stabilized,
             )
         )
-    meta = {"preset": args.preset, "z": z, "z_offset": args.z_offset}
+    meta = {"preset": _preset_label(args), "z": z, "z_offset": args.z_offset}
     _emit_table(args, "phi-claim", rows, meta)
 
 

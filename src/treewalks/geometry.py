@@ -88,10 +88,13 @@ class ReducedWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # one check per letter: the previous letter passed its check, so its
+        # inverse is taken without inverse_letter's second one
+        free = self.alphabet.kind == "free"
         prev = None
         for a in self.letters:
             self.alphabet.check_letter(a)
-            if prev is not None and a == self.alphabet.inverse_letter(prev):
+            if prev is not None and a == (-prev if free else prev):
                 raise ValidationError(f"word {self.letters} is not reduced")
             prev = a
 

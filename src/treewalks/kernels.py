@@ -17,7 +17,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .geometry import (
     _common_prefix_length,
     ball,
     confluent,
-    distance,
     format_word,
     word,
 )
@@ -110,38 +109,14 @@ class KernelTable:
     COLUMNS = ("x", "y_or_prefix", "depth", "value", "error", "stabilized")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.x,
-                    row.y_or_prefix,
-                    "" if row.depth is None else str(row.depth),
-                    repr(row.value),
-                    repr(row.error),
-                    "true" if row.stabilized else "false",
-                ]
-            )
-        return buf.getvalue()
+        return _csv_text(self.COLUMNS, (astuple(row) for row in self.rows))
 
     def to_json(self) -> str:
         payload = {
             "schema": 1,
             "kind": self.kind,
             "meta": self.meta,
-            "rows": [
-                {
-                    "x": row.x,
-                    "y_or_prefix": row.y_or_prefix,
-                    "depth": row.depth,
-                    "value": row.value,
-                    "error": row.error,
-                    "stabilized": row.stabilized,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
         return _json_text(payload)
 
@@ -151,8 +126,32 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return "" if value is None else value
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV layout of every report: a header line, then one line per
+    row; floats print as repr, booleans as true/false, None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def _prefix_label(xi: EndPrefix) -> str:
     return format_word(xi.word) + "..."
+
+
+def _vertex_row(x: ReducedWord, y: ReducedWord, value) -> KernelValue:
+    """Row of a vertex target.  A grid entry is stored as a Python float, so
+    its repr in a report is the bare number."""
+    return KernelValue(format_word(x), format_word(y), None, float(value), 0.0, True)
 
 
 def _end_row(x: ReducedWord, xi: EndPrefix, limit, finite: float) -> KernelValue:
@@ -193,36 +192,32 @@ def meet_length(x: ReducedWord, xi: EndPrefix) -> int:
 def ratio_kernel_isotropic(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
     """Ratio-limit kernel of an isotropic tree walk.
 
-    Finite target: ratio of radial eigenfunction values at the relevant
-    distances.  EndPrefix target: the boundary limit, exponential in the
-    horocycle index; the finite reading at the prefix word supplies the
-    error column, and truncating the prefix by four letters must leave
-    the limit unchanged for the stabilized flag.
+    Finite target: the 1x1 ratio_grid_isotropic entry.  EndPrefix target:
+    the boundary limit, exponential in the horocycle index; the grid entry
+    at the prefix word supplies the error column, and truncating the
+    prefix by four letters must leave the limit unchanged for the
+    stabilized flag.
     """
-    if spec.mode != "isotropic":
-        raise ValidationError("radial projection requires isotropy")
-    q = spec.q
     if isinstance(target, EndPrefix):
-        finite = spherical(q, distance(x, target.word)) / spherical(
-            q, len(target.word)
-        )
+        finite = float(ratio_grid_isotropic(spec, [x], [target.word])[0, 0])
+        q = spec.q
 
         def limit(m):  # exponential in the horocycle index len(x) - 2m
             return float(q) ** (-(len(x) - 2 * m) / 2.0)
 
         return _end_row(x, target, limit, finite)
-    d = distance(x, target)
-    value = spherical(q, d) / spherical(q, len(target))
-    return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
+    return _vertex_row(x, target, ratio_grid_isotropic(spec, [x], [target])[0, 0])
 
 
 def ratio_grid_isotropic(spec: WalkSpec, probes, targets) -> np.ndarray:
-    """ratio_kernel_isotropic(spec, x, y).value for every probe row x and
-    vertex column y.
+    """Finite-target ratio kernel of an isotropic tree walk, for every probe
+    row x and vertex column y: the radial eigenfunction ratio
+    phi(d(x, y)) / phi(|y|).
 
     Both eigenfunction values come from one table indexed by distance,
-    d(x, y) = |x| + |y| - 2k with k the cancelled letters, so every entry
-    is the scalar route's division of the same two floats.
+    d(x, y) = |x| + |y| - 2k with k the cancelled letters.  This is the
+    only implementation of the finite value; ratio_kernel_isotropic reads
+    a 1x1 grid.
     """
     if spec.mode != "isotropic":
         raise ValidationError("radial projection requires isotropy")
@@ -265,14 +260,8 @@ def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
 def _end_quotient(values: dict, x: ReducedWord, prefix: ReducedWord, m: int) -> float:
     """Boundary quotient for a confluent of length m: the passage product
     from x down to the confluent over the one from e out to it."""
-    inv = prefix.alphabet.inverse_letter
-    num = 1.0
-    for c in x.letters[m:][::-1]:
-        num *= values[inv(c)]
-    den = 1.0
-    for c in prefix.letters[:m]:
-        den *= values[c]
-    return num / den
+    down = x.inverse().prefix(len(x) - m)
+    return _passage_product(values, down) / _passage_product(values, prefix.prefix(m))
 
 
 def martin_kernel_nn(
@@ -294,45 +283,38 @@ def martin_kernel_nn(
         return _end_row(
             x, target, lambda m: _end_quotient(values, x, wy, m), finite(wy)
         )
-    value = finite(target)
-    return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
+    return _vertex_row(x, target, finite(target))
 
 
 def ratio_kernel_nn(system: FirstPassageSystem, x: ReducedWord, target) -> KernelValue:
     """Ratio-limit kernel of a nearest-neighbour word walk.
 
-    Finite target: quotient of square-root coefficients of the Green
-    functions, assembled from fold values and the closed-form gamma table
-    (FirstPassageSystem.gamma_table, from the fold's null vectors).
-    EndPrefix target: the boundary limit, which matches the Martin kernel
-    at the decay rate; the finite reading at the prefix word fills the
-    error column.
+    Finite target: the 1x1 ratio_grid_nn entry.  EndPrefix target: the
+    boundary limit, which matches the Martin kernel at the decay rate;
+    the grid entry at the prefix word fills the error column.
     """
-    fp = system.fold()
-    rho = 1.0 / float(fp.r)
-    gammas = system.gamma_table()
-
-    def finite(w: ReducedWord) -> float:
-        k = martin_kernel_nn(system, x, w, rho).value
-        return k * _gamma_sum(gammas, x.inverse() * w) / _gamma_sum(gammas, w)
-
     if isinstance(target, EndPrefix):
-        base = martin_kernel_nn(system, x, target, rho)
-        return replace(base, error=abs(finite(target.word) - base.value))
-    value = finite(target)
-    return KernelValue(format_word(x), format_word(target), None, value, 0.0, True)
+        finite = float(ratio_grid_nn(system, [x], [target.word])[0, 0])
+        base = martin_kernel_nn(system, x, target, 1.0 / float(system.fold().r))
+        return replace(base, error=abs(finite - base.value))
+    return _vertex_row(x, target, ratio_grid_nn(system, [x], [target])[0, 0])
 
 
 def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
-    """ratio_kernel_nn(system, x, y).value for every probe row x and vertex
-    column y, with the fold values and gamma table read once.
+    """Finite-target ratio kernel of a nearest-neighbour word walk, for every
+    probe row x and vertex column y, with the fold values and gamma table
+    read once.
 
-    The word x^-1 y is the first |x| - k letters of x^-1 followed by
-    y[k:], k the cancelled letters.  Each row keeps the running passage
-    products (from 1.0) and gamma sums (from the Green gamma) over x^-1,
-    and each entry continues them through y[k:] letter by letter, so it
-    multiplies and adds the same floats in the same order as the scalar
-    route before forming (P(x^-1 y) / P(y)) * G(x^-1 y) / G(y).
+    An entry is the quotient of square-root coefficients of the Green
+    functions, (P(x^-1 y) / P(y)) * G(x^-1 y) / G(y): P multiplies the
+    letters' first-passage values at the fold, and G adds the letters'
+    gammas to the Green gamma of the closed-form gamma table
+    (FirstPassageSystem.gamma_table, from the fold's null vectors).  The
+    word x^-1 y is the first |x| - k letters of x^-1 followed by y[k:], k
+    the cancelled letters.  Each row keeps the running passage products
+    (from 1.0) and gamma sums over x^-1, and each entry continues them
+    through y[k:] letter by letter.  This is the only implementation of
+    the finite value; ratio_kernel_nn reads a 1x1 grid.
     """
     fp = system.fold()
     values = _nn_values_at(system, 1.0 / float(fp.r))

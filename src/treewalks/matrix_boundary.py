@@ -27,7 +27,7 @@ from .geometry import (
     multiply,
     word,
 )
-from .kernels import KernelValue, _json_text, meet_length
+from .kernels import KernelValue, _json_text, _prefix_label, meet_length
 from .series import shared_system
 from .walks import WalkSpec
 
@@ -582,7 +582,7 @@ def martin_kernel_matrix(
         stab = False
     return KernelValue(
         x=format_word(x),
-        y_or_prefix=format_word(xi.word) + "...",
+        y_or_prefix=_prefix_label(xi),
         depth=xi.depth,
         value=value,
         error=err,

@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .geometry import EndPrefix, ReducedWord, format_word
 from .kernels import (
     KernelValue,
+    _prefix_label,
     ratio_grid_isotropic,
     ratio_grid_nn,
     ratio_kernel_isotropic,
@@ -101,23 +102,17 @@ class ProductBoundaryPoint:
 
 
 def _lattice_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
-    # ratio limit of a one-generator word walk: the n-step law tilts by
-    # the exponential that minimises the step transform, and the target
-    # drops out entirely
-    sr = spectral_radius(spec)
-    c = sr.details["c"]
-    value = math.exp(c * _signed_length(x))
     label = (
-        format_word(target.word) + "..."
-        if isinstance(target, EndPrefix)
-        else format_word(target)
+        _prefix_label(target) if isinstance(target, EndPrefix) else format_word(target)
     )
+    value = float(_lattice_grid(spec, [x], [target])[0, 0])
     return KernelValue(format_word(x), label, None, value, 0.0, True)
 
 
 def _lattice_grid(spec: WalkSpec, probes, targets) -> np.ndarray:
-    # the kernel does not depend on the target, so one spectral radius
-    # gives every row
+    # ratio limit of a one-generator word walk: the n-step law tilts by
+    # the exponential that minimises the step transform, and the target
+    # drops out entirely, so one spectral radius gives every row
     c = spectral_radius(spec).details["c"]
     column = np.array([math.exp(c * _signed_length(x)) for x in probes])
     return np.repeat(column[:, None], len(targets), axis=1)
@@ -176,8 +171,9 @@ def factor_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
 
 
 def factor_kernel_grid(spec: WalkSpec, probes, targets) -> np.ndarray:
-    """factor_kernel(spec, x, y).value for every probe x (rows) and vertex
-    target y (columns), bit for bit, with the per-walk data read once."""
+    """Ratio-limit kernel of one factor for every probe x (rows) and vertex
+    target y (columns), with the per-walk data read once; factor_kernel
+    reads a 1x1 grid."""
     return _GRIDS[spec.walk_class](spec, probes, targets)
 
 
@@ -236,7 +232,7 @@ def product_kernel_grid(pw: ProductWalk, probes, targets) -> np.ndarray:
     and vertex pair y (columns).
 
     Each factor grid covers the distinct words of its coordinate; an entry
-    is the one multiply of the scalar route, g1[x1, y1] * g2[x2, y2].
+    is the one multiply of product_ratio_kernel, g1[x1, y1] * g2[x2, y2].
     """
 
     def gathered(spec: WalkSpec, side: int) -> np.ndarray:

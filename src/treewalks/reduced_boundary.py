@@ -114,14 +114,10 @@ def detect_R_mu(
 
     H is read from a kernel grid, one float64 array H[probe, candidate]
     per factor built once from the walk's invariants (a product gathers
-    its two factor grids and multiplies them).  Each entry repeats the
-    scalar kernel's float operations in the same order: a radial entry
-    divides two eigenfunction values looked up by distance, a lattice
-    entry is exp(c * signed length of x) with c from one spectral
-    radius, and a nearest-neighbour entry continues running passage
-    products and gamma sums over x^-1 through the letters of y that do
-    not cancel.  So the grid equals factor_kernel(walk, x, y).value (or
-    product_ratio_kernel) bit for bit, and so does every report.
+    its two factor grids and multiplies them).  The grids are the only
+    implementation of a finite-target kernel value: factor_kernel and
+    product_ratio_kernel read 1x1 grids, so a report and a kernel table
+    carry the same floats.
     """
     if isinstance(walk, ProductWalk):
         grid, labels, inverses = _product_grid(walk, candidate_radius, probe_radius)

@@ -320,13 +320,17 @@ class RadialChain:
         dtype = float if num is float else object
         zero = num(0)
         coeffs = [(d, num(a)) for d, a in self._coeffs]
-        rows = [self._row(k, coeffs) for k in range(kmax + 1)]
+        # from distance rng on, a row is row rng shifted: the spheres about
+        # a vertex at distance k >= d meet the spheres about the root by
+        # kp - k alone, so the column tails repeat row rng's entries
+        rows = [self._row(k, coeffs) for k in range(min(rng, kmax) + 1)]
         offsets: dict[int, np.ndarray] = {}
         for delta in range(-rng, rng + 1):
             col = np.full(kmax + 1, zero, dtype=dtype)
             for k, row in enumerate(rows):
                 if k + delta <= kmax:
                     col[k] = row.get(k + delta, zero)
+            col[len(rows) : kmax + 1 - max(delta, 0)] = rows[-1].get(rng + delta, zero)
             offsets[delta] = col
         wanted = set(collect) if collect is not None else set(range(n_max + 1))
         vec = np.full(kmax + 1, zero, dtype=dtype)

@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ import treewalks
 from treewalks import (
     EndPrefix,
     dump_walk_spec,
+    factor_kernel,
+    finite_walk,
     free_group,
     identity,
     martin_kernel_matrix,
@@ -366,11 +369,48 @@ def test_ancona_check_needs_two_axes(capsys):
 
 
 def test_one_generator_free_kernel_names_the_lattice_route(capsys):
+    # vertex and end targets print the lattice kernel of factor_kernel
+    header = "x,y_or_prefix,depth,value,error,stabilized\n"
+    for extra, row in (
+        (["--y", "1,1"], '1,"1,1",,1.0,0.0,true\n'),
+        (["--pattern", "1", "--depth", "6"], '1,"1,1,1,1,1,1...",,1.0,0.0,true\n'),
+    ):
+        rc, out, err = run_cli(
+            capsys, "free-kernel", "--preset", "z-lazy", "--x", "1", *extra
+        )
+        assert rc == 0 and err == ""
+        assert out == header + row
+    # the Martin kernel at the decay rate needs the fold, which one
+    # generator does not have; the error names the route that does apply
     rc, out, err = run_cli(
-        capsys, "free-kernel", "--preset", "z-lazy", "--x", "1", "--y", "1,1"
+        capsys, "free-kernel", "--preset", "z-lazy", "--x", "1",
+        "--pattern", "1", "--t", "1.0",
     )
     assert rc == 2 and out == ""
     assert "lattice route (factor_kernel)" in err
+
+
+def test_one_generator_free_kernel_tilts_a_drifted_walk(capsys, tmp_path):
+    z1 = free_group(1)
+    spec = finite_walk(
+        z1,
+        {
+            identity(z1): Fraction(1, 4),
+            word(z1, [1]): Fraction(9, 16),
+            word(z1, [-1]): Fraction(3, 16),
+        },
+    )
+    spec_path = tmp_path / "drift.spec"
+    spec_path.write_text(dump_walk_spec(spec))
+    rc, out, err = run_cli(
+        capsys, "free-kernel", "--spec-file", str(spec_path), "--x", "1", "--y", "-1"
+    )
+    assert rc == 0 and err == ""
+    _, (row,) = parse_csv(out)
+    x, y = word(z1, [1]), word(z1, [-1])
+    assert float(row[3]) == factor_kernel(spec, x, y).value
+    # the tilt exp(c), c = ln(mu(-1) / mu(1)) / 2, is 1 / sqrt(3)
+    assert math.isclose(float(row[3]), 1 / math.sqrt(3), rel_tol=1e-14)
 
 
 # stdout of the commands that read only radius() and solve() on z-lazy
@@ -481,6 +521,56 @@ def test_spec_file_round_trip(capsys, tmp_path, f2_spec):
     rc2, from_preset, _ = run_cli(capsys, "free-kernel", "--y", "2")
     assert rc2 == 0
     assert from_file == from_preset
+
+
+def test_spec_file_runs_name_no_preset(capsys, tmp_path):
+    # the walk comes from the file, so the unused --preset default is not
+    # reported: null in JSON, an empty cell in CSV
+    spec_path = tmp_path / "z.spec"
+    spec_path.write_text(dump_walk_spec(preset("z-lazy")))
+    args = ["llt-fit", "--spec-file", str(spec_path), "--window", "100:400"]
+    rc, out, _ = run_cli(capsys, *args)
+    assert rc == 0
+    header, rows = parse_csv(out)
+    assert header == ["key", "value"]
+    assert ["preset", ""] in rows
+    rc, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["preset"] is None
+    rc, out, _ = run_cli(
+        capsys, "free-kernel", "--spec-file", str(spec_path), "--y", "1",
+        "--format", "json",
+    )
+    assert rc == 0
+    assert json.loads(out)["meta"]["preset"] is None
+    rc, out, _ = run_cli(capsys, "llt-fit", "--preset", "z-lazy", "--window", "100:400")
+    assert ["preset", "z-lazy"] in parse_csv(out)[1]
+
+
+# one cheap invocation of every subcommand, in its CSV format
+CSV_COMMANDS = {
+    "tree-kernel": ["--depth", "8", "--x", "1,2"],
+    "free-kernel": ["--x", "1,2", "--y", "2,-1"],
+    "ratio-converge": ["--preset", "z-lazy", "--n-max", "16"],
+    "llt-fit": ["--preset", "z-lazy", "--window", "20:60"],
+    "martin-matrix": ["--x", "1", "--pattern", "2,-1", "--depth", "44"],
+    "product": ["--preset", "t3xZ", "--n-max", "60"],
+    "reduced": ["--preset", "t3xZ", "--candidate-radius", "2", "--probe-radius", "1"],
+    "ancona-check": ["--pairs", "2"],
+    "phi-claim": ["--depth", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_every_csv_row_has_the_header_width(capsys, command):
+    rc, out, err = run_cli(capsys, command, *CSV_COMMANDS[command])
+    assert rc == 0 and err == ""
+    if command == "reduced":
+        out, certificate = out.rstrip("\n").rsplit("\n", 1)
+        assert certificate.startswith("# ")
+    header, rows = parse_csv(out)
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -429,6 +429,24 @@ def reference_lattice(spec, n_max):
     return half, out
 
 
+@pytest.mark.parametrize(
+    "q, coefficients",
+    [
+        (2, {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+        (3, {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}),
+        (2, {0: Fraction(1, 5), 2: Fraction(3, 5), 3: Fraction(1, 5)}),
+    ],
+)
+def test_radial_rows_past_the_range_are_shifts(q, coefficients):
+    # the banded recursion builds rows 0..range and repeats row range
+    # down the column tails
+    spec = isotropic_walk(q, coefficients)
+    chain, rng = RadialChain(spec), spec.range
+    base = chain.row(rng)
+    for k in range(rng, 40):
+        assert chain.row(k) == {kp + k - rng: p for kp, p in base.items()}
+
+
 def reference_radial(spec, n_max, num):
     """A fresh full-width vector per step over the reachable band."""
     chain = RadialChain(spec)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from treewalks import (
     EndPrefix,
     GeodesicSegment,
+    ReducedWord,
+    ValidationError,
     ball,
     confluent,
     distance,
@@ -75,6 +77,30 @@ def test_length_subadditive(a, b):
 def test_involutive_letters_are_self_inverse(a):
     x = word(T3, a)
     assert (x * x.inverse()).is_identity
+
+
+@pytest.mark.parametrize("alphabet", [F2, T3], ids=["free", "involutive"])
+def test_reduced_word_checks_each_letter_once(monkeypatch, alphabet):
+    calls = []
+    real = type(alphabet).check_letter
+
+    def counted(self, letter):
+        calls.append(letter)
+        return real(self, letter)
+
+    monkeypatch.setattr(type(alphabet), "check_letter", counted)
+    letters = (1, 2, 1, 2, 1, 2, 1)
+    ReducedWord(alphabet, letters)
+    assert calls == list(letters)
+
+
+def test_reduced_word_rejects_bad_and_unreduced_letters():
+    with pytest.raises(ValidationError, match="outside alphabet"):
+        ReducedWord(F2, (1, 3))
+    with pytest.raises(ValidationError, match="not reduced"):
+        ReducedWord(F2, (2, 1, -1))
+    with pytest.raises(ValidationError, match="not reduced"):
+        ReducedWord(T3, (1, 3, 3))
 
 
 # -- distance --------------------------------------------------------------

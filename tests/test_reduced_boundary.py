@@ -7,6 +7,7 @@ certificates say exactly what was computed.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,20 +24,25 @@ from treewalks import (
     cartesian_product,
     detect_R_mu,
     direct_product,
+    distance,
     factor_kernel,
     factor_kernel_grid,
     finite_walk,
     free_group,
     identity,
     isotropic_walk,
+    martin_kernel_nn,
     preset,
     product_kernel_grid,
     product_ratio_kernel,
     reduced_kernel_table,
+    spectral_radius,
+    spherical,
     tree_alphabet,
     word,
 )
 from treewalks import kernels, products
+from treewalks.series import shared_system
 
 T3 = tree_alphabet(2)
 
@@ -121,12 +127,38 @@ def test_class_lookup_rejects_unknown_label(t3xz):
 
 # -- kernel grids ----------------------------------------------------------------
 #
-# detect_R_mu reads H from one array per factor; every entry must be the
-# scalar kernel's float, compared with ==, so reports stay bit-identical.
+# The grids are the one implementation of a finite-target kernel value:
+# detect_R_mu reads them whole and the scalar kernels read 1x1 grids.  Each
+# entry is compared with ==, so reports stay bit-identical, against the
+# kernel's formula written out below from the walk's invariants.
 
 
-def scalar_grid(kernel, probes, targets):
-    return np.array([[kernel(x, y).value for y in targets] for x in probes])
+def reference_kernel(spec, x, y):
+    """H(x, y) for a vertex y, from the closed form of its walk class."""
+    if spec.walk_class == "radial":
+        return spherical(spec.q, distance(x, y)) / spherical(spec.q, len(y))
+    if spec.walk_class == "lattice":
+        c = spectral_radius(spec).details["c"]
+        signed = -len(x) if x.letters and x.letters[0] < 0 else len(x)
+        return math.exp(c * signed)
+    # Martin kernel at the decay rate times the square-root coefficients'
+    # quotient G(x^-1 y) / G(y), each G the Green gamma plus its letters'
+    system = shared_system(spec)
+    rho = 1.0 / float(system.fold().r)
+    gammas = system.gamma_table()
+
+    def green_gamma(w):
+        out = gammas["green"]
+        for c in w.letters:
+            out += gammas[c]
+        return out
+
+    k = martin_kernel_nn(system, x, y, rho).value
+    return k * green_gamma(x.inverse() * y) / green_gamma(y)
+
+
+def reference_grid(kernel, probes, targets):
+    return np.array([[kernel(x, y) for y in targets] for x in probes])
 
 
 def nn_walk(rank, weights, hold):
@@ -158,8 +190,9 @@ def test_nn_grid_equals_the_scalar_kernel_bitwise(rank, weights, hold):
     probes, targets = ball(spec.alphabet, 2), ball(spec.alphabet, 2)
     grid = factor_kernel_grid(spec, probes, targets)
     assert grid.dtype == np.float64
-    want = scalar_grid(lambda x, y: factor_kernel(spec, x, y), probes, targets)
+    want = reference_grid(lambda x, y: reference_kernel(spec, x, y), probes, targets)
     assert (grid == want).all()
+    assert factor_kernel(spec, probes[-1], targets[-1]).value == grid[-1, -1]
 
 
 @pytest.mark.parametrize(
@@ -175,8 +208,9 @@ def test_nn_grid_equals_the_scalar_kernel_bitwise(rank, weights, hold):
 def test_radial_and_lattice_grids_equal_the_scalar_kernel_bitwise(spec):
     probes, targets = ball(spec.alphabet, 3), ball(spec.alphabet, 4)
     grid = factor_kernel_grid(spec, probes, targets)
-    want = scalar_grid(lambda x, y: factor_kernel(spec, x, y), probes, targets)
+    want = reference_grid(lambda x, y: reference_kernel(spec, x, y), probes, targets)
     assert (grid == want).all()
+    assert factor_kernel(spec, probes[-1], targets[-1]).value == grid[-1, -1]
 
 
 @pytest.mark.parametrize(
@@ -198,8 +232,18 @@ def test_product_grid_equals_the_product_kernel_bitwise(pw):
 
     probes, targets = pairs(2), pairs(3)
     grid = product_kernel_grid(pw, probes, targets)
-    want = scalar_grid(lambda x, y: product_ratio_kernel(pw, x, y), probes, targets)
+
+    def product_reference(x, y):
+        # the factor kernels multiplied, as product_ratio_kernel does
+        return reference_kernel(pw.left, x[0], y[0]) * reference_kernel(
+            pw.right, x[1], y[1]
+        )
+
+    want = reference_grid(product_reference, probes, targets)
     assert (grid == want).all()
+    # the scalar product kernel reads the same entries
+    x, y = probes[-1], targets[-1]
+    assert product_ratio_kernel(pw, x, y).value == grid[-1, -1]
 
 
 def test_words_walk_scan_raises_the_scalar_error():
