@@ -320,9 +320,9 @@ class RadialChain:
         dtype = float if num is float else object
         zero = num(0)
         coeffs = [(d, num(a)) for d, a in self._coeffs]
-        # from distance rng on, a row is row rng shifted: the spheres about
-        # a vertex at distance k >= d meet the spheres about the root by
-        # kp - k alone, so the column tails repeat row rng's entries
+        # from distance rng on, a row is row rng shifted: for k >= max(d, 1)
+        # the d-sphere about a vertex at distance k meets the root's spheres
+        # by kp - k alone, so each column tail repeats one entry of row rng
         rows = [self._row(k, coeffs) for k in range(min(rng, kmax) + 1)]
         offsets: dict[int, np.ndarray] = {}
         for delta in range(-rng, rng + 1):
