@@ -26,9 +26,11 @@ from hypothesis import strategies as st
 from treewalks import (
     ConvergenceError,
     ValidationError,
+    ancona_harnack_check,
     factor_kernel,
     factor_returns,
     finite_walk,
+    first_passage_to_ball,
     free_group,
     identity,
     isotropic_walk,
@@ -55,6 +57,7 @@ from treewalks.walks import (
 
 Z = free_group(1)
 F2 = free_group(2)
+F3 = free_group(3)
 T3 = tree_alphabet(2)
 
 
@@ -112,6 +115,35 @@ def skewed_f2():
             word(F2, [-2]): Fraction(1, 8),
         },
     )
+
+
+def skewed_f3():
+    mu = {identity(F3): Fraction(1, 4)}
+    for c, k in {1: 3, -1: 1, 2: 2, -2: 2, 3: 1, -3: 3}.items():
+        mu[word(F3, [c])] = Fraction(k, 16)
+    return finite_walk(F3, mu)
+
+
+def skewed_t3():
+    mu = {identity(T3): Fraction(1, 4), word(T3, [1]): Fraction(1, 4)}
+    mu[word(T3, [2])] = Fraction(1, 3)
+    mu[word(T3, [3])] = Fraction(1, 6)
+    return finite_walk(T3, mu)
+
+
+def _ancona(spec, seed):
+    # letter values differ on these walks, so the report sees every sample
+    return ancona_harnack_check(
+        shared_system(spec), n_pairs=6, distances=(4, 7), seed=seed
+    )
+
+
+def _sparse(spec, y_letters, z, state_radius):
+    pv = first_passage_to_ball(
+        spec, identity(F2), word(F2, y_letters), z,
+        state_radius=state_radius, method="dp",
+    )
+    return (pv.values.tolist(), pv.escaped, pv.steps)
 
 
 def _series(target, n, exact):
@@ -191,6 +223,15 @@ PINS = {
     "series float green n=300": lambda: _series(None, 300, False),
     "series float letter n=300": lambda: _series(-2, 300, False),
     "series float word n=300": lambda: _series(word(F2, [1, -2, 1]), 300, False),
+    "ancona_harnack_check nn skewed F2": lambda: _ancona(skewed_f2(), 3),
+    "ancona_harnack_check nn skewed F3": lambda: _ancona(skewed_f3(), 5),
+    "ancona_harnack_check nn involutive T3": lambda: _ancona(skewed_t3(), 11),
+    "first_passage_to_ball dp skewed F2 state radius 6": lambda: _sparse(
+        skewed_f2(), [2, -1, 2], 0.9, 6
+    ),
+    "first_passage_to_ball dp range-2 F2 state radius 7": lambda: _sparse(
+        range2_f2(), [1, 2, 1], 0.8, 7
+    ),
 }
 
 GOLDEN_PINS = json.loads(
