@@ -142,7 +142,7 @@ def _cmd_free_kernel(args) -> None:
         target = parse_word(spec.alphabet, args.y)
     else:
         target = _end(args.pattern, spec.alphabet, args.depth)
-    if args.y is None and args.t is not None:
+    if args.t is not None:
         row = martin_kernel_nn(shared_system(spec, prec), x, target, args.t)
     elif spec.walk_class == "lattice":
         row = factor_kernel(spec, x, target)

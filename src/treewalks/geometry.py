@@ -141,17 +141,28 @@ def word(alphabet: Alphabet, letters: Iterable[int]) -> ReducedWord:
     return ReducedWord(alphabet, tuple(out))
 
 
+def _reduced_product(
+    alphabet: Alphabet, xs: tuple[int, ...], ys: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Letters of the product of two reduced words given as letter tuples.
+
+    The letters are taken as valid: callers pass the letters of words that
+    were checked when they were built.  Only the cancellation where xs
+    meets ys happens here.
+    """
+    free = alphabet.kind == "free"
+    k = len(xs)
+    i = 0
+    n = min(k, len(ys))
+    while i < n and xs[k - 1 - i] == (-ys[i] if free else ys[i]):
+        i += 1
+    return xs[: k - i] + ys[i:]
+
+
 def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
     if x.alphabet != y.alphabet:
         raise ValidationError("words over different alphabets")
-    inv = x.alphabet.inverse_letter
-    left = list(x.letters)
-    i = 0
-    ys = y.letters
-    while left and i < len(ys) and left[-1] == inv(ys[i]):
-        left.pop()
-        i += 1
-    return ReducedWord(x.alphabet, tuple(left) + ys[i:])
+    return ReducedWord(x.alphabet, _reduced_product(x.alphabet, x.letters, y.letters))
 
 
 def distance(x: ReducedWord, y: ReducedWord) -> int:

@@ -237,9 +237,9 @@ def ratio_grid_isotropic(spec: WalkSpec, probes, targets) -> np.ndarray:
 # Nearest-neighbour word-walk kernels
 
 
-def _passage_product(values: dict, w: ReducedWord) -> float:
+def _passage_product(values: dict, letters: Iterable[int]) -> float:
     out = 1.0
-    for c in w.letters:
+    for c in letters:
         out *= values[c]
     return out
 
@@ -260,8 +260,8 @@ def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
 def _end_quotient(values: dict, x: ReducedWord, prefix: ReducedWord, m: int) -> float:
     """Boundary quotient for a confluent of length m: the passage product
     from x down to the confluent over the one from e out to it."""
-    down = x.inverse().prefix(len(x) - m)
-    return _passage_product(values, down) / _passage_product(values, prefix.prefix(m))
+    down = x.inverse().letters[: len(x) - m]
+    return _passage_product(values, down) / _passage_product(values, prefix.letters[:m])
 
 
 def martin_kernel_nn(
@@ -276,7 +276,9 @@ def martin_kernel_nn(
     values = _nn_values_at(system, t)
 
     def finite(w: ReducedWord) -> float:
-        return _passage_product(values, x.inverse() * w) / _passage_product(values, w)
+        return _passage_product(values, (x.inverse() * w).letters) / _passage_product(
+            values, w.letters
+        )
 
     if isinstance(target, EndPrefix):
         wy = target.word
@@ -320,7 +322,7 @@ def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
     values = _nn_values_at(system, 1.0 / float(fp.r))
     gammas = system.gamma_table()
     columns = [
-        (y, _passage_product(values, y), _gamma_sum(gammas, y))
+        (y, _passage_product(values, y.letters), _gamma_sum(gammas, y))
         for y in targets
     ]
     grid = np.empty((len(probes), len(targets)))
@@ -559,14 +561,16 @@ def ancona_harnack_check(
     if z_values is None:
         z_values = (1.0, 0.5 * (1.0 + cert.lo), cert.lo)
 
-    def random_word(n: int) -> ReducedWord:
-        out: list[int] = []
-        for _ in range(n):
-            choices = [
-                c for c in letters if not out or c != ab.inverse_letter(out[-1])
-            ]
-            out.append(rng.choice(choices))
-        return word(ab, out)
+    # samples are letter tuples; follow[c] lists the letters that may come
+    # after c and side[c] those off c's axis, both in the order of letters
+    follow = {c: [d for d in letters if d != ab.inverse_letter(c)] for c in letters}
+    side = {c: [d for d in follow[c] if d != c] for c in letters}
+
+    def random_word(n: int) -> tuple[int, ...]:
+        out = [rng.choice(letters)]
+        for _ in range(n - 1):
+            out.append(rng.choice(follow[out[-1]]))
+        return tuple(out)
 
     triple_min = math.inf
     triple_max = -math.inf
@@ -584,29 +588,27 @@ def ancona_harnack_check(
             for _ in range(n_pairs):
                 y = random_word(n)
                 m = rng.randrange(1, n)
-                wmid = y.prefix(m)
+                # w = y[:m] lies on the geodesic, so w^-1 y = y[m:]
                 g_ey = _passage_product(vals, y) * G
-                g_ew = _passage_product(vals, wmid) * G
-                g_wy = _passage_product(vals, wmid.inverse() * y) * G
+                g_ew = _passage_product(vals, y[:m]) * G
+                g_wy = _passage_product(vals, y[m:]) * G
                 triple = g_ey / (g_ew * g_wy)
                 lo_n, hi_n = min(lo_n, triple), max(hi_n, triple)
                 green_gap = max(green_gap, abs(triple * G - 1.0))
                 # distance-one growth toward / away from y
-                xp = y.prefix(1)
-                g_xpy = _passage_product(vals, xp.inverse() * y) * G
+                g_xpy = _passage_product(vals, y[1:]) * G
                 ratio = max(g_xpy / g_ey, g_ey / g_xpy)
                 harnack_max = max(harnack_max, ratio)
-                # cross-ratio of boundary-separated pairs
-                first = y.letters[0]
-                side = [
-                    c for c in letters if c != first and c != ab.inverse_letter(first)
-                ]
-                xq = word(ab, [rng.choice(side)])
+                # cross-ratio of boundary-separated pairs: xq is neither y's
+                # first letter nor its inverse, so xq^-1 y and xq^-1 yq are
+                # reduced as they stand
+                first = y[0]
+                xq_inv = ab.inverse_letter(rng.choice(side[first]))
                 yq = random_word(n)
-                while yq.letters[0] != first:
+                while yq[0] != first:
                     yq = random_word(n)
-                g_xy = _passage_product(vals, xq.inverse() * y) * G
-                g_xyq = _passage_product(vals, xq.inverse() * yq) * G
+                g_xy = _passage_product(vals, (xq_inv,) + y) * G
+                g_xyq = _passage_product(vals, (xq_inv,) + yq) * G
                 g_eyq = _passage_product(vals, yq) * G
                 quad = abs(g_ey * g_xyq / (g_eyq * g_xy) - 1.0)
                 quad_max = max(quad_max, quad)

@@ -20,6 +20,8 @@ from .geometry import (
     Alphabet,
     EndPrefix,
     ReducedWord,
+    _common_prefix_length,
+    _reduced_product,
     ball,
     distance,
     format_word,
@@ -266,15 +268,24 @@ def _sparse_passage(
     import scipy.sparse
     from scipy.sparse.linalg import spsolve
 
-    steps = _step_pairs(spec)
-    absorb = {multiply(y, u): i for i, u in enumerate(index.words)}
-    states: dict[ReducedWord, int] = {x: 0}
-    queue = [x]
+    # states and ball points are keyed by letter tuples; a vertex s lies
+    # in the state ball when d(s, y) = |s| + |y| - 2 |s ^ y| <= state_radius
+    ab = spec.alphabet
+    steps = [(g.letters, p) for g, p in _step_pairs(spec)]
+    ys = y.letters
+    absorb = {_reduced_product(ab, ys, u.letters): i for i, u in enumerate(index.words)}
+    states: dict[tuple[int, ...], int] = {x.letters: 0}
+    queue = [x.letters]
     while queue:
         cur = queue.pop()
         for g, _ in steps:
-            nxt = multiply(cur, g)
-            if nxt in states or nxt in absorb or distance(nxt, y) > state_radius:
+            nxt = _reduced_product(ab, cur, g)
+            if (
+                nxt in states
+                or nxt in absorb
+                or len(nxt) + len(ys) - 2 * _common_prefix_length(nxt, ys)
+                > state_radius
+            ):
                 continue
             if len(states) >= STATE_CAP:
                 raise ConvergenceError(
@@ -289,7 +300,7 @@ def _sparse_passage(
     leak = np.zeros(n)
     for s, i in states.items():
         for g, p in steps:
-            t = multiply(s, g)
+            t = _reduced_product(ab, s, g)
             j = absorb.get(t)
             if j is not None:
                 arow.append(i)

@@ -20,6 +20,7 @@ from .geometry import EndPrefix, ReducedWord, format_word
 from .kernels import (
     KernelValue,
     _prefix_label,
+    _vertex_row,
     ratio_grid_isotropic,
     ratio_grid_nn,
     ratio_kernel_isotropic,
@@ -102,11 +103,13 @@ class ProductBoundaryPoint:
 
 
 def _lattice_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
-    label = (
-        _prefix_label(target) if isinstance(target, EndPrefix) else format_word(target)
-    )
     value = float(_lattice_grid(spec, [x], [target])[0, 0])
-    return KernelValue(format_word(x), label, None, value, 0.0, True)
+    if isinstance(target, EndPrefix):
+        # the target drops out, so an end row is exact at any depth
+        return KernelValue(
+            format_word(x), _prefix_label(target), target.depth, value, 0.0, True
+        )
+    return _vertex_row(x, target, value)
 
 
 def _lattice_grid(spec: WalkSpec, probes, targets) -> np.ndarray:

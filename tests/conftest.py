@@ -7,7 +7,7 @@ every kernel test downstream reuses them through the solve cache.
 
 import pytest
 
-from treewalks import FirstPassageSystem, preset
+from treewalks import FirstPassageSystem, geometry, preset
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +45,25 @@ def f2_system(f2_spec):
 @pytest.fixture(scope="session")
 def z_system(z_spec):
     return FirstPassageSystem(z_spec)
+
+
+@pytest.fixture
+def count_reduced_words(monkeypatch):
+    """Call a function and return how many ReducedWords it built."""
+    count = 0
+    check = geometry.ReducedWord.__post_init__
+
+    def counted(self):
+        nonlocal count
+        count += 1
+        check(self)
+
+    monkeypatch.setattr(geometry.ReducedWord, "__post_init__", counted)
+
+    def run(call) -> int:
+        nonlocal count
+        count = 0
+        call()
+        return count
+
+    return run

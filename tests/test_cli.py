@@ -30,6 +30,7 @@ from treewalks import (
     free_group,
     identity,
     martin_kernel_matrix,
+    martin_kernel_nn,
     preset,
     ratio_kernel_isotropic,
     ratio_kernel_nn,
@@ -184,6 +185,21 @@ def test_free_kernel_vertex_target(capsys, f2_spec):
     )
     assert float(rows[0][3]) == api.value
     assert rows[0][1] == "1"
+
+
+def test_free_kernel_vertex_target_with_t_is_the_martin_kernel(capsys, f2_spec):
+    # --t reads the Martin kernel at 1/t for vertex targets as for ends
+    rc, out, _ = run_cli(capsys, "free-kernel", "--x", "1", "--y", "2", "--t", "1.5")
+    assert rc == 0
+    _, rows = parse_csv(out)
+    ab = f2_spec.alphabet
+    api = martin_kernel_nn(
+        shared_system(f2_spec, 96), word(ab, [1]), word(ab, [2]), 1.5
+    )
+    assert float(rows[0][3]) == api.value
+    assert api.value != ratio_kernel_nn(
+        shared_system(f2_spec, 96), word(ab, [1]), word(ab, [2])
+    ).value
 
 
 # -- ratio-converge ------------------------------------------------------------
@@ -373,7 +389,7 @@ def test_one_generator_free_kernel_names_the_lattice_route(capsys):
     header = "x,y_or_prefix,depth,value,error,stabilized\n"
     for extra, row in (
         (["--y", "1,1"], '1,"1,1",,1.0,0.0,true\n'),
-        (["--pattern", "1", "--depth", "6"], '1,"1,1,1,1,1,1...",,1.0,0.0,true\n'),
+        (["--pattern", "1", "--depth", "6"], '1,"1,1,1,1,1,1...",6,1.0,0.0,true\n'),
     ):
         rc, out, err = run_cli(
             capsys, "free-kernel", "--preset", "z-lazy", "--x", "1", *extra

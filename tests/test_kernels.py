@@ -278,6 +278,15 @@ def test_ancona_is_seed_deterministic(f2_system):
     assert a == b
 
 
+def test_ancona_samples_build_no_words(f2_system, count_reduced_words):
+    # samples are letter tuples: the words built do not grow with the pairs
+    few, many = (
+        count_reduced_words(lambda: ancona_harnack_check(f2_system, n_pairs=k))
+        for k in (4, 40)
+    )
+    assert few == many
+
+
 # -- tables -------------------------------------------------------------------
 
 

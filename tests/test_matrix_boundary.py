@@ -272,6 +272,22 @@ def test_sparse_solve_past_the_singularity_is_reported(f2_spec):
         )
 
 
+def test_sparse_state_ball_builds_no_words(count_reduced_words):
+    # states are letter tuples: the words built do not grow with the ball
+    spec = nn_f2_walk(2, [3, 1, 2, 2])
+    idx = ball_index(spec)
+    x, y = identity(F2), word(F2, [1, 2, 1])
+    built = [
+        count_reduced_words(
+            lambda: first_passage_to_ball(
+                spec, x, y, 0.8, index=idx, state_radius=r, method="dp"
+            )
+        )
+        for r in (4, 7)
+    ]
+    assert built[0] == built[1]
+
+
 def test_sparse_state_cap_is_reported(f2_spec, monkeypatch):
     monkeypatch.setattr(matrix_boundary, "STATE_CAP", 10)
     x = word(F2, [1, 1, 1, 1, 1, 1])

@@ -242,6 +242,12 @@ def test_symmetric_line_kernel_is_flat(z_spec):
         assert k.stabilized
 
 
+def test_lattice_end_row_carries_the_prefix_depth(z_spec):
+    up = EndPrefix.from_pattern(Z1, [1], 6)
+    assert factor_kernel(z_spec, word(Z1, [1]), up).depth == 6
+    assert factor_kernel(z_spec, word(Z1, [1]), word(Z1, [1, 1])).depth is None
+
+
 def test_biased_line_kernel_is_the_exponential_tilt():
     # mu = (1/2, 3/8, 1/8): the minimising tilt is exp(c) = 3^(-1/2),
     # so starting two steps into the drift the ratio limit is 1/3
