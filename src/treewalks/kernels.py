@@ -276,9 +276,8 @@ def martin_kernel_nn(
     values = _nn_values_at(system, t)
 
     def finite(w: ReducedWord) -> float:
-        return _passage_product(values, (x.inverse() * w).letters) / _passage_product(
-            values, w.letters
-        )
+        path = (x.inverse() * w).letters
+        return _passage_product(values, path) / _passage_product(values, w.letters)
 
     if isinstance(target, EndPrefix):
         wy = target.word
