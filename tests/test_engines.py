@@ -78,6 +78,11 @@ def range2_lattice():
     return lattice_walk({0: "1/2", 1: "1/4", -2: "1/4"})
 
 
+def range3_iso():
+    # no holding: p^(1)(e, e) = 0, so the window leaves the root
+    return isotropic_walk(3, {1: "1/2", 2: "1/3", 3: "1/6"})
+
+
 def range2_f2():
     e = identity(F2)
     return finite_walk(
@@ -197,6 +202,12 @@ PINS = {
     ),
     "nstep float radial t3-lazy-iso n=80": lambda: nstep(
         preset("t3-lazy-iso"), 80
+    ).radial,
+    "nstep exact radial t3-lazy-iso n=12": lambda: nstep(
+        preset("t3-lazy-iso"), 12, exact=True
+    ).radial,
+    "nstep exact radial range-3 no holding n=9": lambda: nstep(
+        range3_iso(), 9, exact=True
     ).radial,
     "spectral_radius radial t3-lazy-iso": lambda: _sr(preset("t3-lazy-iso")),
     "spectral_radius lattice biased": lambda: _sr(biased_lattice()),
