@@ -153,10 +153,13 @@ def _reduced_product(
     free = alphabet.kind == "free"
     k = len(xs)
     i = 0
-    n = min(k, len(ys))
-    while i < n and xs[k - 1 - i] == (-ys[i] if free else ys[i]):
-        i += 1
-    return xs[: k - i] + ys[i:]
+    for b in ys:
+        if k and xs[k - 1] == (-b if free else b):
+            k -= 1
+            i += 1
+        else:
+            return xs[:k] + ys[i:]
+    return xs[:k]
 
 
 def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:

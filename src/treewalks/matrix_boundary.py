@@ -275,43 +275,42 @@ def _sparse_passage(
     ys = y.letters
     absorb = {_reduced_product(ab, ys, u.letters): i for i, u in enumerate(index.words)}
     states: dict[tuple[int, ...], int] = {x.letters: 0}
+    rows, cols, vals = [], [], []
+    arow, acol, aval = [], [], []
+    leak = [0.0]
+    # the flood writes each popped state's row as it goes, one product per
+    # step; rows come out in pop order, each in step order
     queue = [x.letters]
     while queue:
         cur = queue.pop()
-        for g, _ in steps:
-            nxt = _reduced_product(ab, cur, g)
-            if (
-                nxt in states
-                or nxt in absorb
-                or len(nxt) + len(ys) - 2 * _common_prefix_length(nxt, ys)
-                > state_radius
-            ):
-                continue
-            if len(states) >= STATE_CAP:
-                raise ConvergenceError(
-                    f"state ball of radius {state_radius} around "
-                    f"{format_word(y)} exceeds {STATE_CAP} vertices"
-                )
-            states[nxt] = len(states)
-            queue.append(nxt)
-    n = len(states)
-    rows, cols, vals = [], [], []
-    arow, acol, aval = [], [], []
-    leak = np.zeros(n)
-    for s, i in states.items():
+        i = states[cur]
         for g, p in steps:
-            t = _reduced_product(ab, s, g)
-            j = absorb.get(t)
+            nxt = _reduced_product(ab, cur, g)
+            j = absorb.get(nxt)
             if j is not None:
                 arow.append(i)
                 acol.append(j)
                 aval.append(p)
-            elif t in states:
-                rows.append(i)
-                cols.append(states[t])
-                vals.append(p)
-            else:
-                leak[i] += p
+                continue
+            if nxt not in states:
+                if (
+                    len(nxt) + len(ys) - 2 * _common_prefix_length(nxt, ys)
+                    > state_radius
+                ):
+                    leak[i] += p
+                    continue
+                if len(states) >= STATE_CAP:
+                    raise ConvergenceError(
+                        f"state ball of radius {state_radius} around "
+                        f"{format_word(y)} exceeds {STATE_CAP} vertices"
+                    )
+                states[nxt] = len(states)
+                leak.append(0.0)
+                queue.append(nxt)
+            rows.append(i)
+            cols.append(states[nxt])
+            vals.append(p)
+    n = len(states)
     Q = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A = scipy.sparse.csr_matrix((aval, (arow, acol)), shape=(n, index.size))
     # g[s] is the z-weight of paths from x to s that stay in the state
@@ -325,7 +324,7 @@ def _sparse_passage(
             "Green row: z lies past the singularity of the walk killed "
             f"outside the state ball of radius {state_radius}"
         )
-    escaped = z * float(leak @ g)
+    escaped = z * float(np.array(leak) @ g)
     return PassageVector(index, x, y, z, z * (A.T @ g), "sparse-dp", 1, escaped)
 
 

@@ -26,6 +26,7 @@ from .errors import ConvergenceError, ValidationError
 from .geometry import (
     Alphabet,
     ReducedWord,
+    _reduced_product,
     distance,
     free_group,
     identity,
@@ -113,15 +114,14 @@ class WalkSpec:
         # it does once every generator is reachable by iterated steps.
         targets = {(a,) for a in self.group.letters}
         reached: set[tuple[int, ...]] = {()}
-        frontier = {w.letters for w, p in self.mu if p > 0}
+        support = {w.letters for w, p in self.mu if p > 0}
+        frontier = support
         for _ in range(2 * self.range + 2):
             reached |= frontier
             if targets <= reached:
                 return
             frontier = {
-                (word(self.group, u) * word(self.group, s)).letters
-                for u in frontier
-                for s in ({w.letters for w, p in self.mu if p > 0})
+                _reduced_product(self.group, u, s) for u in frontier for s in support
             }
         raise ValidationError("support does not generate the group")
 
@@ -290,30 +290,25 @@ class RadialChain:
 
     def distribution_exact(self, n: int) -> list[Fraction]:
         """Distribution of |X_n| started at the root, as exact rationals."""
-        for _, vec in self._distributions(n, Fraction, [n]):
-            return vec.tolist()
+        for _, vec in self._distributions(n, Fraction):
+            pass
+        return vec.tolist()
 
-    def distributions_float(self, n_max: int, collect: Sequence[int] | None = None):
-        """Float distributions of |X_n|; yields (n, vector) at requested n.
+    def distributions_float(self, n_max: int):
+        """Float distributions of |X_n|; yields (n, vector) for n = 0..n_max.
 
-        Runs one sweep to n_max with vectorised banded updates; adequate
-        for n ~ 1e4.  Relative rounding stays tiny because every update
-        adds nonnegative terms.  The vector is a live buffer, only valid
-        until the next iteration.
+        The banded sweep of _banded_sweep, adequate for n ~ 1e4; relative
+        rounding stays tiny because every update adds nonnegative terms.
+        The vector is a live buffer, only valid until the next iteration.
         """
-        yield from self._distributions(n_max, float, collect)
+        yield from self._distributions(n_max, float)
 
-    def _distributions(self, n_max: int, num, collect):
-        """One banded recursion for both arithmetics, yielding live buffers.
+    def _distributions(self, n_max: int, num):
+        """_banded_sweep over the columns of the radial chain.
 
         ``num`` is float (float64 arrays) or Fraction (object arrays,
-        exact in any summation order).  Two buffers take turns; each is
-        zero outside its window [lo, hi) of nonzero entries, so a step
-        clears the stale window and fills only the band of width
-        ``range`` around the current one.  Once the far spheres underflow
-        to exact zeros the window stops following them.  The skipped
-        terms are products with exact zeros, and adding them changes no
-        value, so each vector is the one a full-width update gives.
+        exact in any summation order); column delta holds the transition
+        probability from k to k + delta at index k.
         """
         rng = self.spec.range
         kmax = n_max * rng
@@ -324,33 +319,51 @@ class RadialChain:
         # the d-sphere about a vertex at distance k meets the root's spheres
         # by kp - k alone, so each column tail repeats one entry of row rng
         rows = [self._row(k, coeffs) for k in range(min(rng, kmax) + 1)]
-        offsets: dict[int, np.ndarray] = {}
+        columns = []
         for delta in range(-rng, rng + 1):
             col = np.full(kmax + 1, zero, dtype=dtype)
             for k, row in enumerate(rows):
                 if k + delta <= kmax:
                     col[k] = row.get(k + delta, zero)
             col[len(rows) : kmax + 1 - max(delta, 0)] = rows[-1].get(rng + delta, zero)
-            offsets[delta] = col
-        wanted = set(collect) if collect is not None else set(range(n_max + 1))
+            columns.append((delta, col))
         vec = np.full(kmax + 1, zero, dtype=dtype)
-        nxt = vec.copy()
         vec[0] = num(1)
-        lo, hi = 0, 1  # window of vec
-        stale = (0, 0)  # window of nxt, left over from two steps back
-        if 0 in wanted:
-            yield 0, vec
-        for n in range(1, n_max + 1):
-            nxt[stale[0] : stale[1]] = zero
-            for delta, col in offsets.items():
-                k0 = max(lo, -delta)
-                k1 = max(k0, hi)
-                nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
-            stale = (lo, hi)
-            lo, hi = _nonzero_window(nxt, max(0, lo - rng), hi + rng)
-            vec, nxt = nxt, vec
-            if n in wanted:
-                yield n, vec
+        yield from _banded_sweep(columns, vec, n_max, zero)
+
+
+def _banded_sweep(columns, vec, n_max: int, zero):
+    """Yields (n, vector) for n = 0..n_max of a banded linear recursion.
+
+    Step n adds col[k] * vec[k] to entry k + delta of the next vector for
+    each (delta, col) in ``columns``, in that order; ``vec`` is the start
+    vector and ``zero`` the zero of its arithmetic.  Two buffers take
+    turns, and the one yielded is live, only valid until the next
+    iteration.  Each buffer is zero outside its window [lo, hi) of
+    nonzero entries, so a step clears the stale window left from two
+    steps back and fills only the band the columns reach from the
+    current one.  Once far entries underflow to exact zeros the window
+    stops following them.  The skipped terms are products with exact
+    zeros, and adding them changes no value, so each vector is the one a
+    full-width update gives.
+    """
+    low = min(delta for delta, _ in columns)
+    high = max(delta for delta, _ in columns)
+    nxt = np.full_like(vec, zero)
+    nonzero = np.flatnonzero(vec)
+    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1  # window of vec
+    stale = (lo, lo)  # window of nxt
+    yield 0, vec
+    for n in range(1, n_max + 1):
+        nxt[stale[0] : stale[1]] = zero
+        for delta, col in columns:
+            k0 = max(lo, -delta)
+            k1 = max(k0, hi)
+            nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
+        stale = (lo, hi)
+        lo, hi = _nonzero_window(nxt, max(0, lo + low), hi + high)
+        vec, nxt = nxt, vec
+        yield n, vec
 
 
 def _nonzero_window(vec: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
@@ -392,30 +405,16 @@ def lattice_offsets(spec: WalkSpec) -> dict[int, float]:
 def lattice_distributions(spec: WalkSpec, n_max: int):
     """Yields (n, origin_index, vector) for a rank-one walk, n = 0..n_max.
 
-    The vector is a live buffer, only valid until the next iteration;
-    position m sits at index origin_index + m.  Two buffers take turns,
-    each zero outside its window of nonzero entries, so a step clears
-    and fills only the band the walk can reach from that window.  Once
-    the far edges of the law underflow to exact zeros the window stops
-    growing with them; the skipped products with zeros add nothing, so
-    every value is the one a full-width update gives.
+    The banded sweep of _banded_sweep, each displacement weight a
+    constant column; position m sits at index origin_index + m, and the
+    vector is a live buffer, only valid until the next iteration.
     """
     steps = lattice_offsets(spec)
-    low, high = min(steps), max(steps)
-    half = n_max * max(-low, high)
-    vec = np.zeros(2 * half + 1)
-    nxt = np.zeros_like(vec)
-    vec[half] = 1.0
-    lo, hi = half, half + 1  # window of vec
-    stale = (half, half)  # window of nxt, left over from two steps back
-    yield 0, half, vec
-    for n in range(1, n_max + 1):
-        nxt[stale[0] : stale[1]] = 0.0
-        for m, p in steps.items():
-            nxt[lo + m : hi + m] += p * vec[lo:hi]
-        stale = (lo, hi)
-        lo, hi = _nonzero_window(nxt, lo + low, hi + high)
-        vec, nxt = nxt, vec
+    half = n_max * max(-min(steps), max(steps))
+    start = np.zeros(2 * half + 1)
+    start[half] = 1.0
+    columns = [(m, np.broadcast_to(p, start.shape)) for m, p in steps.items()]
+    for n, vec in _banded_sweep(columns, start, n_max, 0.0):
         yield n, half, vec
 
 
@@ -481,8 +480,9 @@ def nstep(
         chain = RadialChain(spec)
         if exact:
             return NStepResult(spec, n, True, radial=chain.distribution_exact(n))
-        for _, vec in chain.distributions_float(n, collect=[n]):
-            return NStepResult(spec, n, False, radial=list(vec))
+        for _, vec in chain.distributions_float(n):
+            pass
+        return NStepResult(spec, n, False, radial=list(vec))
     # every word walk, rank-one and nearest-neighbour ones included
     for _, table, pruned in _word_laws(spec, n, exact=exact, prune=prune):
         pass
@@ -495,9 +495,8 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
     """Yields (n, table, pruned) for n = 0..n_max by convolution on words.
 
     ``table`` maps the letter tuple of each reduced word to p^(n)(e, word),
-    as exact rationals or floats; the product x * g cancels letters
-    through an inverse-letter table, so no ReducedWord is built or
-    validated inside the loop.  Entries below the prune threshold
+    as exact rationals or floats; the product x * g is taken on letter
+    tuples, so no ReducedWord is built or validated inside the loop.  Entries below the prune threshold
     (default: none when exact, PRUNE_DEFAULT in floats) are dropped and
     their mass added to ``pruned``.  The table is replaced, never
     mutated, between steps.  A step whose table passes WORD_SUPPORT_CAP
@@ -507,7 +506,7 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
     if prune is None:
         prune = 0 if exact else PRUNE_DEFAULT
     threshold = num(prune)
-    inv = {a: spec.alphabet.inverse_letter(a) for a in spec.alphabet.letters}
+    ab = spec.alphabet
     steps = [(w.letters, num(p)) for w, p in spec.step_items()]
     cur = {(): num(1)}
     pruned = num(0)
@@ -516,11 +515,7 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
         nxt: dict[tuple[int, ...], object] = {}
         for x, mass in cur.items():
             for g, p in steps:
-                k, i = len(x), 0
-                while k and i < len(g) and x[k - 1] == inv[g[i]]:
-                    k -= 1
-                    i += 1
-                y = x[:k] + g[i:]
+                y = _reduced_product(ab, x, g)
                 nxt[y] = nxt.get(y, 0) + mass * p
             if len(nxt) > WORD_SUPPORT_CAP:
                 raise ConvergenceError(

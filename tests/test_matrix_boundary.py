@@ -288,6 +288,39 @@ def test_sparse_state_ball_builds_no_words(count_reduced_words):
     assert built[0] == built[1]
 
 
+def test_sparse_state_ball_takes_each_step_product_once(monkeypatch):
+    # one product per ball point for the absorbing keys, then one per
+    # state and step while the flood writes the killed chain
+    import scipy.sparse.linalg
+
+    spec = nn_f2_walk(2, [3, 1, 2, 2])
+    idx = ball_index(spec)
+    calls = 0
+    product = matrix_boundary._reduced_product
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return product(*args)
+
+    shapes = []
+    solve = scipy.sparse.linalg.spsolve
+
+    def recorded(matrix, rhs):
+        shapes.append(matrix.shape)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(matrix_boundary, "_reduced_product", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", recorded)
+    first_passage_to_ball(
+        spec, identity(F2), word(F2, [1, 2, 1]), 0.8,
+        index=idx, state_radius=6, method="dp",
+    )
+    [(n, _)] = shapes
+    assert n > 100
+    assert calls == idx.size + len(spec.step_items()) * n
+
+
 def test_sparse_state_cap_is_reported(f2_spec, monkeypatch):
     monkeypatch.setattr(matrix_boundary, "STATE_CAP", 10)
     x = word(F2, [1, 1, 1, 1, 1, 1])
