@@ -152,13 +152,11 @@ def _reduced_product(
     """
     free = alphabet.kind == "free"
     k = len(xs)
-    i = 0
     for b in ys:
         if k and xs[k - 1] == (-b if free else b):
             k -= 1
-            i += 1
         else:
-            return xs[:k] + ys[i:]
+            return xs[:k] + ys[len(xs) - k :]
     return xs[:k]
 
 

@@ -279,7 +279,8 @@ def _sparse_passage(
     arow, acol, aval = [], [], []
     leak = [0.0]
     # the flood writes each popped state's row as it goes, one product per
-    # step; rows come out in pop order, each in step order
+    # step; rows come out in pop order, each in step order, and the CSR
+    # build keeps the order within a row
     queue = [x.letters]
     while queue:
         cur = queue.pop()

@@ -114,8 +114,7 @@ class WalkSpec:
         # it does once every generator is reachable by iterated steps.
         targets = {(a,) for a in self.group.letters}
         reached: set[tuple[int, ...]] = {()}
-        support = {w.letters for w, p in self.mu if p > 0}
-        frontier = support
+        frontier = support = {w.letters for w, p in self.mu if p > 0}
         for _ in range(2 * self.range + 2):
             reached |= frontier
             if targets <= reached:
