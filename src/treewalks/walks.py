@@ -356,8 +356,10 @@ def _banded_sweep(columns, vec, n_max: int, zero):
     for n in range(1, n_max + 1):
         nxt[stale[0] : stale[1]] = zero
         for delta, col in columns:
-            k0 = max(lo, -delta)
-            k1 = max(k0, hi)
+            # conditional expressions: max() calls cost more than the
+            # short slices they bound
+            k0 = lo if lo > -delta else -delta
+            k1 = hi if hi > k0 else k0
             nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
         stale = (lo, hi)
         lo, hi = _nonzero_window(nxt, max(0, lo + low), hi + high)
