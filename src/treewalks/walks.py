@@ -336,7 +336,8 @@ def _banded_sweep(columns, vec, n_max: int, zero):
 
     Step n adds col[k] * vec[k] to entry k + delta of the next vector for
     each (delta, col) in ``columns``, in that order; ``vec`` is the start
-    vector and ``zero`` the zero of its arithmetic.  Two buffers take
+    vector, long enough that n_max steps stay inside it, and ``zero`` the
+    zero of its arithmetic.  Two buffers take
     turns, and the one yielded is live, only valid until the next
     iteration.  Each buffer is zero outside its window [lo, hi) of
     nonzero entries, so a step clears the stale window left from two
@@ -356,8 +357,7 @@ def _banded_sweep(columns, vec, n_max: int, zero):
     for n in range(1, n_max + 1):
         nxt[stale[0] : stale[1]] = zero
         for delta, col in columns:
-            # conditional expressions: max() calls cost more than the
-            # short slices they bound
+            # conditional expressions, not max(): once per column and step
             k0 = lo if lo > -delta else -delta
             k1 = hi if hi > k0 else k0
             nxt[k0 + delta : k1 + delta] += col[k0:k1] * vec[k0:k1]
