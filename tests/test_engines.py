@@ -28,6 +28,7 @@ from treewalks import (
     ValidationError,
     ancona_harnack_check,
     factor_kernel,
+    factor_kernel_grid,
     factor_returns,
     finite_walk,
     first_passage_to_ball,
@@ -268,6 +269,10 @@ def test_walk_class_of_each_preset_and_range():
     assert range2_lattice().walk_class == "lattice"
     assert preset("f2-lazy-uniform").walk_class == "nn"
     assert range2_f2().walk_class == "words"
+    assert spectral_radius(preset("t3-lazy-iso")).method == "spherical-transform"
+    assert spectral_radius(preset("z-lazy")).method == "lattice-exponential"
+    assert spectral_radius(range2_lattice()).method == "lattice-exponential"
+    assert spectral_radius(preset("f2-lazy-uniform")).method == "singularity-radius"
     assert spectral_radius(lazy_range2_f2()).method == "fit"
 
 
@@ -276,6 +281,8 @@ def test_words_class_has_no_factor_route():
         factor_returns(range2_f2(), 4)
     with pytest.raises(ValidationError, match="no ratio kernel or return-sequence"):
         factor_kernel(range2_f2(), identity(F2), word(F2, [1]))
+    with pytest.raises(ValidationError, match="no ratio kernel or return-sequence"):
+        factor_kernel_grid(range2_f2(), [identity(F2)], [word(F2, [1])])
 
 
 # -- lattice route: targets out of reach, walks of range two -------------------

@@ -291,6 +291,24 @@ def test_nn_scan_makes_no_scalar_kernel_call(monkeypatch, f2_spec):
     assert routed == direct == []
 
 
+def test_factor_routes_look_kernels_up_at_call_time(monkeypatch, t3_spec, f2_spec):
+    # a wrapper installed on products after import sees each routed call,
+    # as perfbench's tracer needs; a route holding the function objects
+    # themselves would bypass it
+    names = (
+        "ratio_kernel_isotropic",
+        "ratio_grid_isotropic",
+        "ratio_kernel_nn",
+        "ratio_grid_nn",
+    )
+    calls = {name: counting(monkeypatch, products, name) for name in names}
+    for spec in (t3_spec, f2_spec):
+        x, y = word(spec.alphabet, [1]), word(spec.alphabet, [2])
+        factor_kernel(spec, x, y)
+        factor_kernel_grid(spec, [x], [y])
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
+
+
 def reference_classes(vectors, tol):
     # the one-representative-at-a-time loop the array version replaces
     classes, reps = [], []

@@ -172,8 +172,10 @@ def test_isotropic_nstep_accepts_distances():
 # -- lattice helpers ---------------------------------------------------------
 
 
-def test_lattice_offsets_of_lazy_walk(z_spec):
+def test_lattice_offsets_of_lazy_walk(z_spec, f2_spec):
     assert lattice_offsets(z_spec) == {0: 0.5, 1: 0.25, -1: 0.25}
+    with pytest.raises(ValidationError, match="rank-one word walk"):
+        lattice_offsets(f2_spec)
 
 
 def test_lattice_returns_match_binomial_closed_form(z_spec):
