@@ -72,10 +72,14 @@ def _preset_label(args) -> str | None:
     return None if args.spec_file else args.preset
 
 
-def _require_word_walk(walk) -> WalkSpec:
+def _require_factor(walk) -> WalkSpec:
     if isinstance(walk, ProductWalk):
         raise ValidationError("this subcommand needs a single-factor walk")
-    if walk.mode != "finitely-supported":
+    return walk
+
+
+def _require_word_walk(walk) -> WalkSpec:
+    if _require_factor(walk).mode != "finitely-supported":
         raise ValidationError("this subcommand needs a word walk preset")
     return walk
 
@@ -153,7 +157,7 @@ def _cmd_free_kernel(args) -> None:
 
 
 def _cmd_ratio_converge(args) -> None:
-    spec = _require_word_walk(_load_walk(args))
+    spec = _require_factor(_load_walk(args))
     x = parse_word(spec.alphabet, args.x)
     y = parse_word(spec.alphabet, args.y)
     seq = ratio_sequence(spec, x, y, args.n_max)

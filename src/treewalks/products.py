@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
+from . import walks
 from .errors import ValidationError
 from .geometry import EndPrefix, ReducedWord, format_word
 from .kernels import (
@@ -27,14 +29,7 @@ from .kernels import (
     ratio_kernel_nn,
 )
 from .series import series_coefficients, shared_system
-from .walks import (
-    WalkSpec,
-    _check_return,
-    _return_probabilities,
-    _signed_length,
-    nstep,
-    spectral_radius,
-)
+from .walks import WalkSpec, _check_return, _signed_length, nstep, spectral_radius
 
 __all__ = [
     "ProductWalk",
@@ -128,28 +123,6 @@ def _unrouted(spec: WalkSpec, *args):
     )
 
 
-# the routes look public names up at call time, so a wrapper installed on
-# this module (a tracer, a test double) sees every call
-_KERNELS = {
-    "radial": lambda spec, x, target: ratio_kernel_isotropic(spec, x, target),
-    "lattice": _lattice_kernel,
-    "nn": lambda spec, x, target: ratio_kernel_nn(shared_system(spec), x, target),
-    "words": _unrouted,
-}
-
-# one float64 array per factor: probes are rows, vertex targets columns
-_GRIDS = {
-    "radial": lambda spec, probes, targets: ratio_grid_isotropic(
-        spec, probes, targets
-    ),
-    "lattice": _lattice_grid,
-    "nn": lambda spec, probes, targets: ratio_grid_nn(
-        shared_system(spec), probes, targets
-    ),
-    "words": _unrouted,
-}
-
-
 def _series_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
     # float Green series coefficients, under the sweeps' underflow guard
     values = series_coefficients(
@@ -160,29 +133,73 @@ def _series_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
     return values
 
 
-_RETURNS = {
-    "radial": _return_probabilities,
-    "lattice": _return_probabilities,
-    "nn": _series_returns,
-    "words": _unrouted,
+@dataclass(frozen=True)
+class Route:
+    """The engines of one walk class; each field takes the arguments of the
+    entry point that calls it, named beside the field."""
+
+    sweep: Callable  # walks._sweep
+    radius: Callable  # walks.spectral_radius
+    returns: Callable  # factor_returns
+    kernel: Callable  # factor_kernel
+    grid: Callable  # factor_kernel_grid
+
+
+# the kernels and grids look public names up at call time, so a wrapper
+# installed on this module (a tracer, a test double) sees every call
+_ROUTES = {
+    "radial": Route(
+        walks._radial_sweep,
+        walks._spherical_spectral_radius,
+        walks._return_probabilities,
+        lambda spec, x, y: ratio_kernel_isotropic(spec, x, y),
+        lambda spec, xs, ys: ratio_grid_isotropic(spec, xs, ys),
+    ),
+    "lattice": Route(
+        walks._lattice_sweep,
+        walks._lattice_spectral_radius,
+        walks._return_probabilities,
+        _lattice_kernel,
+        _lattice_grid,
+    ),
+    "nn": Route(
+        walks._word_sweep,
+        walks._singularity_spectral_radius,
+        _series_returns,
+        lambda spec, x, y: ratio_kernel_nn(shared_system(spec), x, y),
+        lambda spec, xs, ys: ratio_grid_nn(shared_system(spec), xs, ys),
+    ),
+    "words": Route(
+        walks._word_sweep,
+        walks._fitted_spectral_radius,
+        _unrouted,
+        _unrouted,
+        _unrouted,
+    ),
 }
+
+
+def route(spec: WalkSpec) -> Route:
+    """The engines of spec's walk class: the one place where walk_class
+    picks an engine."""
+    return _ROUTES[spec.walk_class]
 
 
 def factor_kernel(spec: WalkSpec, x: ReducedWord, target) -> KernelValue:
     """Ratio-limit kernel of one factor, routed by walk class."""
-    return _KERNELS[spec.walk_class](spec, x, target)
+    return route(spec).kernel(spec, x, target)
 
 
 def factor_kernel_grid(spec: WalkSpec, probes, targets) -> np.ndarray:
     """Ratio-limit kernel of one factor for every probe x (rows) and vertex
     target y (columns), with the per-walk data read once; factor_kernel
     reads a 1x1 grid."""
-    return _GRIDS[spec.walk_class](spec, probes, targets)
+    return route(spec).grid(spec, probes, targets)
 
 
 def factor_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
     """Return probabilities p^(n)(e,e), n = 0..n_max, for one factor."""
-    return _RETURNS[spec.walk_class](spec, n_max)
+    return route(spec).returns(spec, n_max)
 
 
 def factor_alpha(spec: WalkSpec) -> float:

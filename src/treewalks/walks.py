@@ -8,8 +8,8 @@ a Markov chain on distances; that radial chain is the workhorse for
 large n.  Finitely supported walks convolve on words, exactly in
 rationals for small n and in floating point with mass pruning beyond;
 float sweeps of walks over one generator run on the integer line as
-dense vectors instead.  WalkSpec.walk_class names the engine each walk
-takes.
+dense vectors instead.  WalkSpec.walk_class names the class of each
+walk, and products.route gives that class's record of engines.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class WalkSpec:
         Isotropic walks project to the radial chain; rank-one word walks
         of any range live on the integer line; other nearest-neighbour
         word walks have a first-passage system; the rest convolve on
-        words.  Every per-class routine dispatches on this value alone.
+        words.  products.route maps this value to the class's engines.
         """
         if self.mode == "isotropic":
             return "radial"
@@ -387,14 +387,10 @@ def _signed_length(w: ReducedWord) -> int:
     return -len(w) if w.letters and w.letters[0] < 0 else len(w)
 
 
-def _require_lattice(spec: WalkSpec) -> None:
-    if spec.walk_class != "lattice":
-        raise ValidationError("lattice view requires a rank-one word walk")
-
-
 def lattice_offsets(spec: WalkSpec) -> dict[int, float]:
     """Step law of a rank-one word walk as signed displacements."""
-    _require_lattice(spec)
+    if spec.walk_class != "lattice":
+        raise ValidationError("lattice view requires a rank-one word walk")
     out: dict[int, float] = {}
     for w, p in spec.mu:
         if p > 0:
@@ -417,11 +413,6 @@ def lattice_distributions(spec: WalkSpec, n_max: int):
     columns = [(m, np.broadcast_to(p, start.shape)) for m, p in steps.items()]
     for n, vec in _banded_sweep(columns, start, n_max, 0.0):
         yield n, half, vec
-
-
-def lattice_return_sequence(spec: WalkSpec, n_max: int) -> np.ndarray:
-    _require_lattice(spec)
-    return _return_probabilities(spec, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +468,7 @@ def nstep(
         raise ValidationError("n must be >= 0")
     if exact is None:
         exact = n <= EXACT_STEP_LIMIT
-    if spec.walk_class == "radial":
+    if spec.mode == "isotropic":
         chain = RadialChain(spec)
         if exact:
             return NStepResult(spec, n, True, radial=chain.distribution_exact(n))
@@ -565,22 +556,16 @@ def _word_sweep(spec, n_max):
         yield n, lambda w, table=table: table.get(w.letters, 0.0)
 
 
-_SWEEPS = {
-    "radial": _radial_sweep,
-    "lattice": _lattice_sweep,
-    "nn": _word_sweep,
-    "words": _word_sweep,
-}
-
-
 def _sweep(spec: WalkSpec, n_max: int):
     """Yields (n, p) for n = 0..n_max, where p(word) = float p^(n)(e, word).
 
     A target out of reach reads 0.  Every return probability passes
     _check_return.
     """
+    from .products import route
+
     e = identity(spec.alphabet)
-    for n, p in _SWEEPS[spec.walk_class](spec, n_max):
+    for n, p in route(spec).sweep(spec, n_max):
         _check_return(n, p(e))
         yield n, p
 
@@ -733,7 +718,9 @@ def spectral_radius(spec: WalkSpec) -> SpectralRadius:
     remaining word walks fall back on a local limit fit over 120 steps
     of pruned word convolution.
     """
-    return _RADII[spec.walk_class](spec)
+    from .products import route
+
+    return route(spec).radius(spec)
 
 
 def _spherical_spectral_radius(spec: WalkSpec) -> SpectralRadius:
@@ -776,14 +763,6 @@ def _fitted_spectral_radius(spec: WalkSpec) -> SpectralRadius:
     n_max = 120
     fit = fit_local_limit(_return_probabilities(spec, n_max), (n_max // 4, n_max + 1))
     return SpectralRadius(fit.rho, "fit", {"alpha": fit.alpha})
-
-
-_RADII = {
-    "radial": _spherical_spectral_radius,
-    "lattice": _lattice_spectral_radius,
-    "nn": _singularity_spectral_radius,
-    "words": _fitted_spectral_radius,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from treewalks import (
     preset,
     ratio_kernel_isotropic,
     ratio_kernel_nn,
+    ratio_sequence,
     tree_alphabet,
     word,
 )
@@ -217,6 +218,20 @@ def test_ratio_converge_doubling_rows(capsys):
     assert float(final[4]) == 0.0
     assert final[5] == "true"
     assert abs(float(final[3]) - 1.0) < 0.05
+
+
+def test_ratio_converge_runs_isotropic_walks_on_the_radial_sweep(capsys):
+    rc, out, _ = run_cli(
+        capsys, "ratio-converge", "--preset", "t3-lazy-iso",
+        "--x", "1", "--y", "e", "--n-max", "64",
+    )
+    assert rc == 0
+    seq = ratio_sequence(preset("t3-lazy-iso"), word(T3, [1]), identity(T3), 64)
+    assert seq.ns == list(range(65))
+    _, rows = parse_csv(out)
+    assert [int(r[2]) for r in rows] == [1, 2, 4, 8, 16, 32, 64]
+    for r in rows:
+        assert r[3] == repr(seq.values[int(r[2])])
 
 
 # -- llt-fit ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ against the plain loop that its buffers, windows or letter-tuple keys
 replaced.
 """
 
+import ast
 import csv
 import io
 import json
@@ -283,6 +284,35 @@ def test_words_class_has_no_factor_route():
         factor_kernel(range2_f2(), identity(F2), word(F2, [1]))
     with pytest.raises(ValidationError, match="no ratio kernel or return-sequence"):
         factor_kernel_grid(range2_f2(), [identity(F2)], [word(F2, [1])])
+
+
+def walk_class_readers():
+    """Qualified name of each function in the package that reads .walk_class."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "walk_class":
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(Path(walks.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return readers
+
+
+def test_walk_class_picks_engines_in_route_alone():
+    # products.route is the one dispatch; the other readers are input
+    # guards and the free-kernel branch that honours --precision
+    assert walk_class_readers() == {
+        "products.route",
+        "walks.lattice_offsets",
+        "series.FirstPassageSystem.fold",
+        "cli._cmd_free_kernel",
+    }
 
 
 # -- lattice route: targets out of reach, walks of range two -------------------

@@ -14,13 +14,13 @@ from treewalks import (
     ball,
     distance,
     dump_walk_spec,
+    factor_returns,
     finite_walk,
     fit_local_limit,
     free_group,
     identity,
     isotropic_walk,
     lattice_offsets,
-    lattice_return_sequence,
     load_walk_spec,
     nstep,
     ratio_bound,
@@ -181,7 +181,7 @@ def test_lattice_offsets_of_lazy_walk(z_spec, f2_spec):
 def test_lattice_returns_match_binomial_closed_form(z_spec):
     # one lazy step is a difference of two fair coins, so the n-step
     # law is C(2n, n+m)/4^n on the nose
-    seq = lattice_return_sequence(z_spec, 40)
+    seq = factor_returns(z_spec, 40)
     for n in range(41):
         expect = math.comb(2 * n, n) / 4.0**n
         assert abs(seq[n] - expect) < 1e-13 * max(expect, 1e-300)
