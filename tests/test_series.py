@@ -1,5 +1,6 @@
 """First-passage generating functions: solves, singularity, expansions."""
 
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -166,6 +167,53 @@ def test_radius_certificate_is_pinned(f2_system, name):
         cert = FirstPassageSystem(spec).radius()
     assert (cert.lo, cert.hi, cert.r) == RADIUS_PINS[name]
     assert cert.evaluations == 46
+
+
+def mpf_bits(x) -> str:
+    """Canonical text of a result: every mpf as its _mpf_ tuple, bit for bit."""
+    if isinstance(x, mp.mpf):
+        return repr(tuple(int(part) for part in x._mpf_))
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(mpf_bits(item) for item in x) + "]"
+    if isinstance(x, dict):
+        items = sorted(x.items(), key=lambda kv: repr(kv[0]))
+        return "{" + ",".join(f"{k!r}:{mpf_bits(v)}" for k, v in items) + "}"
+    return repr(x)
+
+
+def system_digest(spec, prec: int) -> str:
+    """sha256 over the radius certificate, two solves, the fold and the gammas."""
+    system = FirstPassageSystem(spec, prec)
+    cert = system.radius()
+    parts = [mpf_bits(vars(cert))]
+    for z in (1, cert.lo):
+        sol = system.solve(z)
+        parts.append(
+            mpf_bits([sol.z, sol.values, sol.green, sol.iterations, sol.residual])
+        )
+    fp = system.fold()
+    parts.append(mpf_bits(
+        [fp.r, fp.values, fp.null_vector, fp.green, fp.residual, fp.iterations, fp.prec]
+    ))
+    parts.append(mpf_bits(system.gamma_table()))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+# Full-precision digests: the float pins above cannot see a last-bit move in
+# a 96-bit solve, fold point or null vector; these can.
+DIGEST_PINS = {
+    ("f2-lazy-uniform", 96): "635c97c710f804b5d06c22ecce6b35a82bc16e7a6c83850b86d06e484007697a",
+    ("f2-lazy-uniform", 160): "4039f9dc5342cd514a12892bbbeb93aa7ac52da0611de7f92360305e1ea7441f",
+    ("skewed-f2", 96): "0718a5c1e5e0d80858ccaa41d903768fadbbfe955655a00d3d4db072d6dccb21",
+    ("skewed-f2", 160): "3612ab86f2af7a325a7f09d04775469544e85e8d80209136e4de3b8568e2fd6c",
+    ("f3", 96): "2e99a06c2d38a5e4a38ce19872912f0a006813aa69adfdb7f562d95c69dceb23",
+    ("f3", 160): "203393226c68d7f5562b1a1d68849d6f54434a61462b25ecf74893564823b772",
+}
+
+
+@pytest.mark.parametrize("name, prec", sorted(DIGEST_PINS))
+def test_full_precision_digest_is_pinned(f2_spec, name, prec):
+    assert system_digest(pinned_walk(name, f2_spec), prec) == DIGEST_PINS[name, prec]
 
 
 CERTIFIED = re.compile(
