@@ -33,7 +33,7 @@ from .products import (
     product_return_sequence,
 )
 from .reduced_boundary import detect_R_mu
-from .series import green_second_order, shared_system
+from .series import MIN_PREC, green_second_order, shared_system
 from .walks import (
     WalkSpec,
     fit_local_limit,
@@ -85,8 +85,8 @@ def _require_word_walk(walk) -> WalkSpec:
 
 
 def _check_precision(bits: int) -> int:
-    if bits < 64:
-        raise ValidationError("precision must be at least 64 bits")
+    if bits < MIN_PREC:
+        raise ValidationError(f"precision must be at least {MIN_PREC} bits")
     return bits
 
 

@@ -74,6 +74,7 @@ __all__ = [
     "derivative_identity",
 ]
 
+MIN_PREC = 80  # below it Newton's tolerance cannot tell z just past the fold
 KLEENE_WARMUP = 25
 NEWTON_CAP = 400
 FOLD_CAP = 80  # bordered Newton steps of the fold refinement
@@ -213,8 +214,8 @@ class FirstPassageSystem:
                 "first-passage factorization needs a nearest-neighbour step "
                 "law; longer-range walks go through the ball matrices"
             )
-        if prec < 64:
-            raise ValidationError("need at least 64 bits of precision")
+        if prec < MIN_PREC:
+            raise ValidationError(f"need at least {MIN_PREC} bits of precision")
         self.spec = spec
         self.prec = int(prec)
         ab = spec.alphabet
@@ -261,16 +262,18 @@ class FirstPassageSystem:
         s = mp.mpf(0)
         for k in range(L):
             s += mu[k] * f[self.inv_index[k]]
-        J = mp.matrix(L, L)
+        J = []
         for i in range(L):
             ii = self.inv_index[i]
+            row = []
             for k in range(L):
                 v = f[i] * mu[self.inv_index[k]]
                 if k == i:
                     v += mu0 + s - mu[i] * f[ii]
                 if k == ii:
                     v -= mu[i] * f[i]
-                J[i, k] = z * v
+                row.append(z * v)
+            J.append(row)
         return J
 
     # -- pointwise solve -------------------------------------------------
@@ -330,14 +333,13 @@ class FirstPassageSystem:
                     f"certified by a negative residual phi(f) - f at Newton "
                     f"step {step}",
                 )
-            A = mp.eye(L) - self._jacobian(f, zz, mu, mu0)
+            A = _eye_minus(self._jacobian(f, zz, mu, mu0))
             try:
-                delta = mp.lu_solve(A, mp.matrix(g))
-            except (ZeroDivisionError, ValueError):
+                delta = _lu_solve(A, g)
+            except ZeroDivisionError:
                 raise self._diverged(
                     zz, f"singular Newton matrix at Newton step {step}"
                 ) from None
-            delta = [delta[k] for k in range(L)]
             if min(delta) < -tol * (1 + max(abs(v) for v in delta)):
                 raise self._diverged(
                     zz,
@@ -561,19 +563,20 @@ class FirstPassageSystem:
             for iterations in range(FOLD_CAP):
                 phi, _ = self._phi(f, zz, mu, mu0)
                 J = self._jacobian(f, zz, mu, mu0)
-                Jv = J * mp.matrix(v)
+                Jv = [mp.fdot(row, v) for row in J]
                 g = [phi[k] - f[k] for k in range(L)]
                 g += [Jv[k] - v[k] for k in range(L)]
                 residual = max(abs(x) for x in g)
                 if residual <= tol:
                     break
-                JI = (J - mp.eye(L)).tolist()
-                H = self._jacobian(v, zz, mu, 0).tolist()
+                JI = [[x - 1 if i == k else x for k, x in enumerate(row)]
+                      for i, row in enumerate(J)]
+                H = self._jacobian(v, zz, mu, 0)
                 A = [JI[i] + [0] * (L - 1) + [phi[i] / zz] for i in range(L)]
                 A += [H[i] + JI[i][1:] + [Jv[i] / zz] for i in range(L)]
                 try:
-                    delta = mp.lu_solve(mp.matrix(A), mp.matrix(g))
-                except (ZeroDivisionError, ValueError):
+                    delta = _lu_solve(A, g)
+                except ZeroDivisionError:
                     raise ConvergenceError(
                         f"fold refinement hit a singular correction step at "
                         f"step {iterations}"
@@ -701,9 +704,10 @@ class FirstPassageSystem:
             mu, mu0 = self._weights()
             f = [fp.values[c] for c in self.letters]
             v = fp.null_vector
-            At = (mp.eye(L) - self._jacobian(f, r, mu, mu0)).T
-            try:  # first entry 1, the rest from the minor At[1:, 1:]
-                w = [1, *mp.lu_solve(At[1:, 1:], -At[1:, 0])]
+            A = _eye_minus(self._jacobian(f, r, mu, mu0))
+            minor_t = [[A[k][i] for k in range(1, L)] for i in range(1, L)]
+            try:  # first entry 1, the rest from the transposed minor A[1:, 1:]^T
+                w = [1, *_lu_solve(minor_t, [-A[0][i] for i in range(1, L)])]
             except ZeroDivisionError:  # a singular minor: A is reducible
                 w = [0]
             for side, vec in (("right", v), ("left", w)):
@@ -721,6 +725,58 @@ class FirstPassageSystem:
                 table[letter] = float(c * v[k] / f[k])
         self._gammas = table
         return dict(table)
+
+
+def _eye_minus(J) -> list:
+    """I - J as lists: 1 - J[i][i] on the diagonal, -J[i][k] off it."""
+    return [[1 - x if i == k else -x for k, x in enumerate(row)]
+            for i, row in enumerate(J)]
+
+
+def _lu_solve(A, b) -> list:
+    """x with A x = b for a square A, from lists: mp.lu_solve, bit for bit.
+
+    mpmath 1.3.0's lu_solve -> LU_decomp -> L_solve -> U_solve, step for
+    step, without its matrix class: entries through mp.convert, prec + 10
+    working bits, the pivot tolerance |1-norm of A * eps|, scaled partial
+    pivoting on (1 / sum_l |A[k][l]|) |A[k][j]| with a strict >, the same
+    three ZeroDivisionError tests.  The substitutions run in mpmath's loop
+    order, so every entry of x is the mpf mp.lu_solve returns.
+    """
+    n = len(A)
+    with mp.workprec(mp.prec + 10):
+        A = [[mp.convert(a) for a in row] for row in A]
+        x = [mp.convert(c) for c in b]
+        norm = max(mp.fsum((row[j] for row in A), absolute=True) for j in range(n))
+        tol = abs(norm * mp.eps)  # each pivot has to be bigger
+        for j in range(n - 1):
+            biggest, p = 0, None
+            for k in range(j, n):
+                s = mp.fsum([abs(a) for a in A[k][j:]])
+                if abs(s) <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                current = 1 / s * abs(A[k][j])
+                if current > biggest:
+                    biggest, p = current, k
+            A[j], A[p] = A[p], A[j]
+            x[j], x[p] = x[p], x[j]
+            pivot = A[j]
+            if abs(pivot[j]) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            for row in A[j + 1:]:
+                row[j] = m = row[j] / pivot[j]
+                for k in range(j + 1, n):
+                    row[k] -= m * pivot[k]
+        if abs(A[n - 1][n - 1]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for i in range(1, n):
+            for j in range(i):
+                x[i] -= A[i][j] * x[j]
+        for i in range(n - 1, -1, -1):
+            for j in range(i + 1, n):
+                x[i] -= A[i][j] * x[j]
+            x[i] /= A[i][i]
+    return x
 
 
 def _gamma_sum(gammas: dict, w: ReducedWord) -> float:

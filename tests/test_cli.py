@@ -142,6 +142,29 @@ def test_low_precision_exits_2(capsys):
     assert "precision" in err
 
 
+def test_precision_floor_is_80_bits(capsys, tmp_path):
+    # the uniform F3 walk holding 3/8: at 64 bits its radius bracket lay
+    # above the fold and the query exited 3 from the fold refinement
+    f3 = free_group(3)
+    mu = {identity(f3): Fraction(3, 8)}
+    mu.update({word(f3, [c]): Fraction(5, 48) for c in f3.letters})
+    spec_path = tmp_path / "f3.spec"
+    spec_path.write_text(dump_walk_spec(finite_walk(f3, mu)))
+    query = ["free-kernel", "--spec-file", str(spec_path), "--x", "1", "--y", "2"]
+    rc, _, err = run_cli(capsys, *query, "--precision", "64")
+    assert rc == 2
+    assert "precision must be at least 80 bits" in err
+    rc, out, _ = run_cli(capsys, *query, "--precision", "80")
+    assert rc == 0
+    rc96, out96, _ = run_cli(capsys, *query)
+    assert rc96 == 0
+    header, rows = parse_csv(out)
+    value = header.index("value")
+    assert float(rows[0][value]) == pytest.approx(
+        float(parse_csv(out96)[1][0][value]), rel=1e-12
+    )
+
+
 def test_single_factor_subcommand_rejects_products(capsys):
     rc, _, err = run_cli(capsys, "ratio-converge", "--preset", "t3xZ")
     assert rc == 2

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -243,7 +244,8 @@ def test_singular_newton_matrix_is_named(f2_spec, monkeypatch):
     system = FirstPassageSystem(f2_spec)
     L = len(system.letters)
     # I - J = 0: the Newton correction has no solution
-    monkeypatch.setattr(system, "_jacobian", lambda *args: mp.eye(L))
+    eye = [[mp.mpf(i == k) for k in range(L)] for i in range(L)]
+    monkeypatch.setattr(system, "_jacobian", lambda *args: eye)
     with pytest.raises(ConvergenceError, match="singular Newton matrix at Newton step 0"):
         system.solve(1.0)
 
@@ -262,7 +264,8 @@ def test_singular_fold_correction_is_named(f2_spec, monkeypatch):
     L = len(system.letters)
     # J = 0 makes H and J v zero too, and v[0] = 1 is fixed, so the row of
     # the equation (J v - v)[0] = 0 in the bordered Jacobian is zero
-    monkeypatch.setattr(system, "_jacobian", lambda *args: mp.zeros(L))
+    zeros = [[mp.mpf(0)] * L for _ in range(L)]
+    monkeypatch.setattr(system, "_jacobian", lambda *args: zeros)
     with pytest.raises(ConvergenceError, match="singular correction step at step 0"):
         system.fold()
 
@@ -362,12 +365,143 @@ def test_fold_null_vector_is_the_minor_solve(spec):
     with mp.workprec(fp.prec):
         mu, mu0 = system._weights()
         f = [fp.values[c] for c in system.letters]
-        A = mp.eye(L) - system._jacobian(f, fp.r, mu, mu0)
+        A = mp.eye(L) - mp.matrix(system._jacobian(f, fp.r, mu, mu0))
         residual = max(abs(x) for x in A * mp.matrix(v))
         assert residual <= mp.mpf(2) ** (48 - fp.prec)
         # the right null vector from the minor A[1:, 1:] with v[0] = 1
         minor = [1, *mp.lu_solve(A[1:, 1:], -A[1:, 0])]
         assert max(abs(a - b) for a, b in zip(v, minor)) <= 1e-40
+
+
+# -- the precision floor -------------------------------------------------------
+
+
+def lazy_uniform_f3_walk():
+    # every letter 5/48, holding 3/8: at 64 bits Newton's acceptance
+    # tolerance 2^-48 took z about 1e-14 past the fold for solvable, and
+    # the radius bracket lay above the fold
+    mu = {identity(F3): Fraction(3, 8)}
+    for c in F3.letters:
+        mu[word(F3, [c])] = Fraction(5, 48)
+    return finite_walk(F3, mu)
+
+
+@pytest.mark.parametrize("prec", [64, 79])
+def test_precision_below_the_floor_is_refused(prec):
+    assert series.MIN_PREC == 80
+    with pytest.raises(ValidationError, match="at least 80 bits"):
+        FirstPassageSystem(lazy_uniform_f3_walk(), prec)
+
+
+@settings(max_examples=16, deadline=None)
+@given(spec=radius_walks())
+@example(spec=lazy_uniform_f3_walk())
+def test_radius_brackets_the_fold_at_the_floor(spec):
+    system = FirstPassageSystem(spec, series.MIN_PREC)
+    cert = system.radius()
+    r = float(system.fold().r)
+    assert cert.lo * (1 - 1e-15) <= r <= cert.hi * (1 + 1e-15)
+
+
+# -- the LU solve on lists -----------------------------------------------------
+
+
+def random_system(rng, n, prec, extra=16):
+    """Entries in [-1, 1) with prec + extra bits, which the prec + 10
+    arithmetic rounds, each row scaled by 2^-12 .. 2^12, so that the
+    scaled pivoting has choices to make."""
+    bits = prec + extra
+
+    def entry(scale=0):
+        return mp.ldexp(rng.randrange(-(2**bits), 2**bits), scale - bits)
+
+    A = []
+    for _ in range(n):
+        scale = rng.randint(-12, 12)
+        A.append([entry(scale) for _ in range(n)])
+    return A, [entry() for _ in range(n)]
+
+
+def hadamard(n):
+    """Sylvester's +-1 matrix: every pivot search is a tie."""
+    H = [[mp.mpf(1)]]
+    while len(H) < n:
+        H = [row + row for row in H] + [row + [-x for x in row] for row in H]
+    return H
+
+
+def lu_solves_alike(A, b) -> bool:
+    """_lu_solve(A, b) is mp.lu_solve's answer mpf for mpf, or both raise
+    ZeroDivisionError; True when there was a solution to compare."""
+    try:
+        expect = mp.lu_solve(mp.matrix(A), mp.matrix(b))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="numerically singular"):
+            series._lu_solve(A, b)
+        return False
+    got = series._lu_solve(A, b)
+    assert [x._mpf_ for x in got] == [expect[i]._mpf_ for i in range(len(b))]
+    return True
+
+
+@pytest.mark.parametrize("prec", [64, 96, 202])
+def test_lu_solve_is_mpmath_bit_for_bit(prec):
+    rng = random.Random(prec)
+    with mp.workprec(prec):
+        for n in range(1, 13):
+            for _ in range(3):
+                assert lu_solves_alike(*random_system(rng, n, prec))
+            # a zero first pivot forces a row swap at the first column
+            A, b = random_system(rng, n, prec)
+            A[0][0] = mp.mpf(0)
+            assert lu_solves_alike(A, b) or n == 1
+            # rows 0 and 1 tie for the first pivot, and the strict > keeps row 0
+            if n >= 3:
+                A, b = random_system(rng, n, prec)
+                A[0][0] = 16 * mp.fsum(A[0][1:], absolute=True)
+                A[1] = [A[0][0], *reversed(A[0][1:])]
+                assert lu_solves_alike(A, b)
+            # Python-int zeros, as in the bordered fold matrix, and an int b
+            A, _ = random_system(rng, n, prec)
+            for row in A[: n // 2]:
+                row[n // 2 :] = [0] * (n - n // 2)
+            assert lu_solves_alike(A, [1] * n)
+        for n in (1, 2, 4, 8):
+            assert lu_solves_alike(hadamard(n), [mp.mpf(k + 1) for k in range(n)])
+
+
+@pytest.mark.parametrize("prec", [64, 96, 202])
+def test_lu_solve_refuses_singular_matrices_as_mpmath_does(prec):
+    rng = random.Random(-prec)
+    with mp.workprec(prec):
+        for n in range(1, 13):
+            A, b = random_system(rng, n, prec, extra=0)  # so 2 A[0] is exact
+            zero_row = [row[:] for row in A]
+            zero_row[n // 2] = [mp.mpf(0)] * n
+            doubled = [row[:] for row in A]
+            doubled[-1] = [2 * x for x in A[0]]
+            zero = [[mp.mpf(0)] * n for _ in range(n)]
+            for singular in (zero_row, zero) + ((doubled,) if n > 1 else ()):
+                assert not lu_solves_alike(singular, b)
+    # a last pivot of 2^-(prec + 9) is within the tolerance 2^-(prec + 8),
+    # one of 2^-(prec + 7) is not; the entries carry more bits than prec
+    with mp.workprec(prec + 20):
+        near = [[[1, 1], [1, 1 + mp.ldexp(1, -prec - k)]] for k in (9, 7)]
+    with mp.workprec(prec):
+        assert not lu_solves_alike(near[0], [1, 2])
+        assert lu_solves_alike(near[1], [1, 2])
+
+
+def test_first_passage_system_builds_no_mpmath_matrix(f2_spec, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath matrix was built")
+
+    monkeypatch.setattr(mp, "matrix", refuse)
+    monkeypatch.setattr(mp, "lu_solve", refuse)
+    system = FirstPassageSystem(f2_spec)
+    system.radius()
+    system.fold()
+    assert set(system.gamma_table()) == {"green", *system.letters}
 
 
 # one-generator walks: the lazy line walk and a drifted one
