@@ -734,14 +734,14 @@ def _eye_minus(J) -> list:
 
 
 def _lu_solve(A, b) -> list:
-    """x with A x = b for a square A, from lists: mp.lu_solve, bit for bit.
+    """x with A x = b for a square A, from lists: mpmath's lu_solve, bit for bit.
 
     mpmath 1.3.0's lu_solve -> LU_decomp -> L_solve -> U_solve, step for
     step, without its matrix class: entries through mp.convert, prec + 10
     working bits, the pivot tolerance |1-norm of A * eps|, scaled partial
     pivoting on (1 / sum_l |A[k][l]|) |A[k][j]| with a strict >, the same
     three ZeroDivisionError tests.  The substitutions run in mpmath's loop
-    order, so every entry of x is the mpf mp.lu_solve returns.
+    order, so every entry of x is the mpf that mpmath's lu_solve returns.
     """
     n = len(A)
     with mp.workprec(mp.prec + 10):

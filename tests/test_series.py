@@ -451,10 +451,10 @@ def test_lu_solve_is_mpmath_bit_for_bit(prec):
         for n in range(1, 13):
             for _ in range(3):
                 assert lu_solves_alike(*random_system(rng, n, prec))
-            # a zero first pivot forces a row swap at the first column
-            A, b = random_system(rng, n, prec)
-            A[0][0] = mp.mpf(0)
-            assert lu_solves_alike(A, b) or n == 1
+            if n > 1:  # a zero first pivot forces a row swap at the first column
+                A, b = random_system(rng, n, prec)
+                A[0][0] = mp.mpf(0)
+                assert lu_solves_alike(A, b)
             # rows 0 and 1 tie for the first pivot, and the strict > keeps row 0
             if n >= 3:
                 A, b = random_system(rng, n, prec)
