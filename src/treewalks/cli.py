@@ -21,7 +21,6 @@ from .kernels import (
     ancona_harnack_check,
     martin_kernel_nn,
     ratio_kernel_isotropic,
-    ratio_kernel_nn,
 )
 from .matrix_boundary import martin_kernel_matrix
 from .presets import preset
@@ -33,7 +32,7 @@ from .products import (
     product_return_sequence,
 )
 from .reduced_boundary import detect_R_mu
-from .series import MIN_PREC, green_second_order, shared_system
+from .series import green_second_order, shared_system
 from .walks import (
     WalkSpec,
     fit_local_limit,
@@ -55,9 +54,12 @@ def _parse_window(text: str) -> tuple[int, int]:
     if not sep:
         raise ValidationError("window must look like lo:hi")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ValidationError("window bounds must be integers")
+    if min(lo, hi) < 0:
+        raise ValidationError("window bounds must be nonnegative")
+    return lo, hi
 
 
 def _load_walk(args) -> WalkSpec | ProductWalk:
@@ -82,12 +84,6 @@ def _require_word_walk(walk) -> WalkSpec:
     if _require_factor(walk).mode != "finitely-supported":
         raise ValidationError("this subcommand needs a word walk preset")
     return walk
-
-
-def _check_precision(bits: int) -> int:
-    if bits < MIN_PREC:
-        raise ValidationError(f"precision must be at least {MIN_PREC} bits")
-    return bits
 
 
 def _emit(args, text: str) -> None:
@@ -140,18 +136,15 @@ def _cmd_tree_kernel(args) -> None:
 
 def _cmd_free_kernel(args) -> None:
     spec = _require_word_walk(_load_walk(args))
-    prec = _check_precision(args.precision)
     x = parse_word(spec.alphabet, args.x)
     if args.y is not None:
         target = parse_word(spec.alphabet, args.y)
     else:
         target = _end(args.pattern, spec.alphabet, args.depth)
     if args.t is not None:
-        row = martin_kernel_nn(shared_system(spec, prec), x, target, args.t)
-    elif spec.walk_class == "lattice":
-        row = factor_kernel(spec, x, target)
+        row = martin_kernel_nn(shared_system(spec), x, target, args.t)
     else:
-        row = ratio_kernel_nn(shared_system(spec, prec), x, target)
+        row = factor_kernel(spec, x, target)
     meta = {"preset": _preset_label(args), "depth": args.depth}
     _emit_table(args, "free-kernel", [row], meta)
 
@@ -195,11 +188,10 @@ def _cmd_ratio_converge(args) -> None:
 def _cmd_llt_fit(args) -> None:
     walk = _load_walk(args)
     lo, hi = _parse_window(args.window)
-    n_max = max(args.n_max or 0, hi)
     if isinstance(walk, ProductWalk):
-        values = product_return_sequence(walk, n_max)
+        values = product_return_sequence(walk, hi)
     else:
-        values = factor_returns(walk, n_max)
+        values = factor_returns(walk, hi)
     fit = fit_local_limit(values, (lo, hi))
     payload = {
         "preset": _preset_label(args),
@@ -264,7 +256,7 @@ def _cmd_reduced(args) -> None:
 
 def _cmd_ancona_check(args) -> None:
     spec = _require_word_walk(_load_walk(args))
-    system = shared_system(spec, _check_precision(args.precision))
+    system = shared_system(spec)
     report = ancona_harnack_check(
         system, n_pairs=args.pairs, seed=args.seed
     )
@@ -284,7 +276,7 @@ def _cmd_ancona_check(args) -> None:
 
 def _cmd_phi_claim(args) -> None:
     spec = _require_word_walk(_load_walk(args))
-    system = shared_system(spec, _check_precision(args.precision))
+    system = shared_system(spec)
     r = float(system.radius().r)
     z = r * (1.0 - args.z_offset)
     x = parse_word(spec.alphabet, args.x)
@@ -320,14 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset_default=None, with_precision=False, with_tol=None):
+    def common(p, preset_default=None, with_tol=None):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
         if preset_default is not None:
             p.add_argument("--preset", default=preset_default)
             p.add_argument("--spec-file", default=None)
-        if with_precision:
-            p.add_argument("--precision", type=int, default=96)
         if with_tol is not None:
             p.add_argument("--tol", type=float, default=with_tol)
 
@@ -344,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="1,2")
     p.add_argument("--depth", type=int, default=24)
     p.add_argument("--t", type=float, default=None)
-    common(p, preset_default="f2-lazy-uniform", with_precision=True)
+    common(p, preset_default="f2-lazy-uniform")
     p.set_defaults(func=_cmd_free_kernel)
 
     p = sub.add_parser("ratio-converge", help="n-step ratio sweep")
@@ -356,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("llt-fit", help="local limit fit of return probabilities")
     p.add_argument("--window", default="500:2000")
-    p.add_argument("--n-max", type=int, default=None)
     common(p, preset_default="f2-lazy-uniform")
     p.set_defaults(func=_cmd_llt_fit)
 
@@ -381,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ancona-check", help="Green comparison constants")
     p.add_argument("--pairs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    common(p, preset_default="f2-lazy-uniform", with_precision=True)
+    common(p, preset_default="f2-lazy-uniform")
     p.set_defaults(func=_cmd_ancona_check)
 
     p = sub.add_parser("phi-claim", help="second-order Green ratio along a ray")
@@ -389,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="2,-1")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--z-offset", type=float, default=1e-6)
-    common(p, preset_default="f2-lazy-uniform", with_precision=True)
+    common(p, preset_default="f2-lazy-uniform")
     p.add_argument(
         "--tol", type=float, default=1e-10,
         help="relative accuracy asked of each second-order sum; a row is "

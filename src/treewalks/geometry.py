@@ -120,9 +120,6 @@ class ReducedWord:
             raise ValidationError("prefix length out of range")
         return ReducedWord(self.alphabet, self.letters[:length])
 
-    def append(self, letter: int) -> "ReducedWord":
-        return multiply(self, ReducedWord(self.alphabet, (letter,)))
-
 
 def identity(alphabet: Alphabet) -> ReducedWord:
     return ReducedWord(alphabet)
@@ -193,15 +190,6 @@ class EndPrefix:
 
     def truncate(self, depth: int) -> "EndPrefix":
         return EndPrefix(self.word.prefix(depth))
-
-    def extend(self, letters: Iterable[int]) -> "EndPrefix":
-        w = self.word
-        for a in letters:
-            nxt = w.append(a)
-            if len(nxt) <= len(w):
-                raise ValidationError("extension must move away from the root")
-            w = nxt
-        return EndPrefix(w)
 
     def translate(self, g: ReducedWord) -> "EndPrefix":
         """Prefix of the end g.xi; depth shrinks by at most |g|."""

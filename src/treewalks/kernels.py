@@ -270,8 +270,10 @@ def martin_kernel_nn(
     """Martin kernel of a nearest-neighbour word walk at time-scale t.
 
     Quotient of first-passage products evaluated at 1/t.  On a tree the
-    quotient telescopes, so the boundary value is exact as soon as the
-    prefix resolves the confluent; the error column is exactly zero then.
+    quotient telescopes, so the boundary value is reached as soon as the
+    prefix resolves the confluent.  The error column of an end row is the
+    float gap between the quotient read at the prefix word and the limit:
+    rounding only, and no bound on the value's error.
     """
     values = _nn_values_at(system, t)
 

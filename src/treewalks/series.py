@@ -740,8 +740,11 @@ def _lu_solve(A, b) -> list:
     step, without its matrix class: entries through mp.convert, prec + 10
     working bits, the pivot tolerance |1-norm of A * eps|, scaled partial
     pivoting on (1 / sum_l |A[k][l]|) |A[k][j]| with a strict >, the same
-    three ZeroDivisionError tests.  The substitutions run in mpmath's loop
-    order, so every entry of x is the mpf that mpmath's lu_solve returns.
+    three ZeroDivisionError tests.  A column that is zero from the diagonal
+    down leaves no pivot; mpmath then raises TypeError, and this solve
+    ZeroDivisionError like the other singular cases.  The substitutions run
+    in mpmath's loop order, so every entry of x is the mpf that mpmath's
+    lu_solve returns.
     """
     n = len(A)
     with mp.workprec(mp.prec + 10):
@@ -758,6 +761,8 @@ def _lu_solve(A, b) -> list:
                 current = 1 / s * abs(A[k][j])
                 if current > biggest:
                     biggest, p = current, k
+            if p is None:
+                raise ZeroDivisionError("matrix is numerically singular")
             A[j], A[p] = A[p], A[j]
             x[j], x[p] = x[p], x[j]
             pivot = A[j]
@@ -791,15 +796,19 @@ def _gamma_sum(gammas: dict, w: ReducedWord) -> float:
 # Taylor coefficients
 
 
-@lru_cache(maxsize=None)
 def shared_system(spec: WalkSpec, prec: int = 96) -> FirstPassageSystem:
     """Process-wide solver bundle per (walk, precision).
 
     Solves, the singularity bracket and the fold all cache inside the
     system, so sharing one instance amortizes them across kernels,
-    ball matrices and reports.
+    ball matrices and reports.  The cache keys on (spec, prec) however
+    the call spells them; shared_system.cache_clear() empties it.
     """
-    return FirstPassageSystem(spec, prec)
+    return _system(spec, prec)
+
+
+_system = lru_cache(maxsize=None)(FirstPassageSystem)
+shared_system.cache_clear = _system.cache_clear
 
 
 def series_coefficients(

@@ -130,39 +130,40 @@ def test_bad_word_argument_exits_2(capsys, arg, message):
 
 
 def test_malformed_window_exits_2(capsys):
-    for window in ("oops", "10", "a:b"):
-        rc, _, err = run_cli(capsys, "llt-fit", "--window", window)
+    for window in ("oops", "10", "a:b", "10:-5", "-3:100"):
+        rc, _, err = run_cli(capsys, "llt-fit", f"--window={window}")
         assert rc == 2
         assert "window" in err
 
 
-def test_low_precision_exits_2(capsys):
-    rc, _, err = run_cli(capsys, "free-kernel", "--precision", "32")
-    assert rc == 2
-    assert "precision" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-kernel", "--precision", "96"],
+        ["ancona-check", "--precision", "96"],
+        ["phi-claim", "--precision", "96"],
+        ["llt-fit", "--n-max", "10"],
+    ],
+)
+def test_removed_options_are_unknown(argv, capsys):
+    # every query runs at the shared system's 96 bits, and llt-fit reads
+    # the returns up to the window's end and no further
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_precision_floor_is_80_bits(capsys, tmp_path):
-    # the uniform F3 walk holding 3/8: at 64 bits its radius bracket lay
-    # above the fold and the query exited 3 from the fold refinement
-    f3 = free_group(3)
-    mu = {identity(f3): Fraction(3, 8)}
-    mu.update({word(f3, [c]): Fraction(5, 48) for c in f3.letters})
-    spec_path = tmp_path / "f3.spec"
-    spec_path.write_text(dump_walk_spec(finite_walk(f3, mu)))
-    query = ["free-kernel", "--spec-file", str(spec_path), "--x", "1", "--y", "2"]
-    rc, _, err = run_cli(capsys, *query, "--precision", "64")
-    assert rc == 2
-    assert "precision must be at least 80 bits" in err
-    rc, out, _ = run_cli(capsys, *query, "--precision", "80")
-    assert rc == 0
-    rc96, out96, _ = run_cli(capsys, *query)
-    assert rc96 == 0
-    header, rows = parse_csv(out)
-    value = header.index("value")
-    assert float(rows[0][value]) == pytest.approx(
-        float(parse_csv(out96)[1][0][value]), rel=1e-12
-    )
+def test_free_kernel_on_a_longer_range_walk_names_the_missing_route(capsys, tmp_path):
+    f2 = free_group(2)
+    mu = {identity(f2): Fraction(1, 4), word(f2, [1]): Fraction(1, 4)}
+    for letters in ([-1], [2], [-2], [1, 2]):
+        mu[word(f2, letters)] = Fraction(1, 8)
+    spec_path = tmp_path / "range2.spec"
+    spec_path.write_text(dump_walk_spec(finite_walk(f2, mu)))
+    rc, out, err = run_cli(capsys, "free-kernel", "--spec-file", str(spec_path))
+    assert rc == 2 and out == ""
+    assert "no ratio kernel or return-sequence route" in err
 
 
 def test_single_factor_subcommand_rejects_products(capsys):

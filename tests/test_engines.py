@@ -305,13 +305,11 @@ def walk_class_readers():
 
 
 def test_walk_class_picks_engines_in_route_alone():
-    # products.route is the one dispatch; the other readers are input
-    # guards and the free-kernel branch that honours --precision
+    # products.route is the one dispatch; the other readers are input guards
     assert walk_class_readers() == {
         "products.route",
         "walks.lattice_offsets",
         "series.FirstPassageSystem.fold",
-        "cli._cmd_free_kernel",
     }
 
 

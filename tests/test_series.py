@@ -250,6 +250,31 @@ def test_singular_newton_matrix_is_named(f2_spec, monkeypatch):
         system.solve(1.0)
 
 
+def test_zero_column_newton_matrix_is_named(f2_spec, monkeypatch):
+    system = FirstPassageSystem(f2_spec)
+    L = len(system.letters)
+    # I - J has no zero row, but its first column is zero: no pivot exists
+    J = [[mp.mpf(0)] * L for _ in range(L)]
+    J[0][0], J[0][1] = mp.mpf(1), mp.mpf(-1)
+    monkeypatch.setattr(system, "_jacobian", lambda *args: J)
+    with pytest.raises(ConvergenceError, match="singular Newton matrix at Newton step 0"):
+        system.solve(1.0)
+
+
+def test_negative_residual_is_certified_at_the_first_step(f2_spec):
+    # at z = 1 the letter equation of f2-lazy-uniform has the roots 1/3
+    # and 1; from 0.9, between them, phi(f) - f is negative in every letter
+    system = FirstPassageSystem(f2_spec)
+    with mp.workprec(system.prec):
+        mu, mu0 = system._weights()
+        start = [mp.mpf("0.9")] * len(system.letters)
+        with pytest.raises(ConvergenceError) as info:
+            system._newton(mp.mpf(1), start, mu, mu0)
+    assert "certified by a negative residual phi(f) - f at Newton step 0" in str(
+        info.value
+    )
+
+
 def test_fold_budget_names_its_cap(f2_spec, monkeypatch):
     system = FirstPassageSystem(f2_spec)
     system.radius()
@@ -490,6 +515,22 @@ def test_lu_solve_refuses_singular_matrices_as_mpmath_does(prec):
     with mp.workprec(prec):
         assert not lu_solves_alike(near[0], [1, 2])
         assert lu_solves_alike(near[1], [1, 2])
+
+
+def test_lu_solve_refuses_a_zero_column_below_the_diagonal():
+    # no row offers a pivot for the first column; mpmath's own LU then
+    # swaps with a missing row index and raises TypeError
+    with pytest.raises(ZeroDivisionError, match="numerically singular"):
+        series._lu_solve([[0, 1], [0, 2]], [1, 1])
+
+
+def test_shared_system_is_one_per_walk_and_precision(f2_spec):
+    system = series.shared_system(f2_spec)
+    assert system is series.shared_system(f2_spec, 96)
+    assert system is series.shared_system(f2_spec, prec=96)
+    assert series.shared_system(f2_spec, 160) is not system
+    series.shared_system.cache_clear()
+    assert series.shared_system(f2_spec) is not system
 
 
 def test_first_passage_system_builds_no_mpmath_matrix(f2_spec, monkeypatch):
