@@ -29,7 +29,7 @@ from .kernels import (
     ratio_kernel_nn,
 )
 from .series import series_coefficients, shared_system
-from .walks import WalkSpec, _check_return, _signed_length, nstep, spectral_radius
+from .walks import WalkSpec, _signed_length, nstep, spectral_radius
 
 __all__ = [
     "ProductWalk",
@@ -123,14 +123,12 @@ def _unrouted(spec: WalkSpec, *args):
     )
 
 
-def _series_returns(spec: WalkSpec, n_max: int) -> np.ndarray:
-    # float Green series coefficients, under the sweeps' underflow guard
-    values = series_coefficients(
-        shared_system(spec), None, n_max, exact=False
-    ).floats()
-    for n, ret in enumerate(values.tolist()):
-        _check_return(n, ret)
-    return values
+def _series_rows(spec: WalkSpec, targets, n_max: int) -> np.ndarray:
+    # p^(n)(e, w) is the n-th coefficient of the Green function to w
+    system = shared_system(spec)
+    return np.array(
+        [series_coefficients(system, w, n_max, exact=False).floats() for w in targets]
+    )
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ class Route:
     """The engines of one walk class; each field takes the arguments of the
     entry point that calls it, named beside the field."""
 
-    sweep: Callable  # walks._sweep
+    laws: Callable  # walks._laws: row i holds p^(n)(e, targets[i]), n <= n_max
     radius: Callable  # walks.spectral_radius
     returns: Callable  # factor_returns
     kernel: Callable  # factor_kernel
@@ -149,28 +147,28 @@ class Route:
 # installed on this module (a tracer, a test double) sees every call
 _ROUTES = {
     "radial": Route(
-        walks._radial_sweep,
+        walks._radial_rows,
         walks._spherical_spectral_radius,
         walks._return_probabilities,
         lambda spec, x, y: ratio_kernel_isotropic(spec, x, y),
         lambda spec, xs, ys: ratio_grid_isotropic(spec, xs, ys),
     ),
     "lattice": Route(
-        walks._lattice_sweep,
+        walks._lattice_rows,
         walks._lattice_spectral_radius,
         walks._return_probabilities,
         _lattice_kernel,
         _lattice_grid,
     ),
     "nn": Route(
-        walks._word_sweep,
+        _series_rows,
         walks._singularity_spectral_radius,
-        _series_returns,
+        walks._return_probabilities,
         lambda spec, x, y: ratio_kernel_nn(shared_system(spec), x, y),
         lambda spec, xs, ys: ratio_grid_nn(shared_system(spec), xs, ys),
     ),
     "words": Route(
-        walks._word_sweep,
+        walks._word_rows,
         walks._fitted_spectral_radius,
         _unrouted,
         _unrouted,

@@ -6,10 +6,13 @@ spheres, and finitely supported walks on a free group, given by an
 explicit probability map on reduced words.  Isotropic walks project to
 a Markov chain on distances; that radial chain is the workhorse for
 large n.  Finitely supported walks convolve on words, exactly in
-rationals for small n and in floating point with mass pruning beyond;
-float sweeps of walks over one generator run on the integer line as
-dense vectors instead.  WalkSpec.walk_class names the class of each
-walk, and products.route gives that class's record of engines.
+rationals for small n and in floating point with mass pruning beyond.
+Float laws have one engine per walk class: walks over one generator
+run on the integer line as dense vectors, other nearest-neighbour walks
+read the float Green series of their first-passage system, and word
+convolution serves only the remaining word walks.  WalkSpec.walk_class
+names the class of each walk, and products.route gives that class's
+record of engines.
 """
 
 from __future__ import annotations
@@ -527,47 +530,51 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
 
 
 # ---------------------------------------------------------------------------
-# Float sweeps: one generator per engine behind one loop
+# Float laws: one array of target rows per walk class
 
 
-def _radial_sweep(spec, n_max):
-    q = spec.q
+def _radial_rows(spec, targets, n_max):
+    lengths = [len(w) for w in targets]
+    out = np.zeros((len(targets), n_max + 1))
     for n, vec in RadialChain(spec).distributions_float(n_max):
-
-        def p(w, vec=vec):
-            k = len(w)
-            return float(vec[k] / sphere_size(q, k)) if k < len(vec) else 0.0
-
-        yield n, p
+        rows = [i for i, k in enumerate(lengths) if k < len(vec)]
+        out[rows, n] = [vec[lengths[i]] / sphere_size(spec.q, lengths[i]) for i in rows]
+    return out
 
 
-def _lattice_sweep(spec, n_max):
+def _lattice_rows(spec, targets, n_max):
+    signed = [_signed_length(w) for w in targets]
+    out = np.zeros((len(targets), n_max + 1))
     for n, half, vec in lattice_distributions(spec, n_max):
-
-        def p(w, vec=vec, half=half):
-            i = half + _signed_length(w)
-            return float(vec[i]) if 0 <= i < len(vec) else 0.0
-
-        yield n, p
+        rows = [i for i, m in enumerate(signed) if abs(m) <= half]
+        out[rows, n] = vec[[half + signed[i] for i in rows]]
+    return out
 
 
-def _word_sweep(spec, n_max):
+def _word_rows(spec, targets, n_max):
+    keys = [w.letters for w in targets]
+    out = np.zeros((len(targets), n_max + 1))
     for n, table, _ in _word_laws(spec, n_max):
-        yield n, lambda w, table=table: table.get(w.letters, 0.0)
+        out[:, n] = [table.get(key, 0.0) for key in keys]
+    return out
 
 
-def _sweep(spec: WalkSpec, n_max: int):
-    """Yields (n, p) for n = 0..n_max, where p(word) = float p^(n)(e, word).
+def _laws(spec: WalkSpec, targets, n_max: int) -> np.ndarray:
+    """Float p^(n)(e, w) for n = 0..n_max: row 0 for w = e, row i + 1 for
+    targets[i].
 
-    A target out of reach reads 0.  Every return probability passes
-    _check_return.
+    The rows come from the engine of spec's walk class in products.route;
+    a target out of reach reads 0.  Every return probability in row 0
+    passes _check_return.
     """
+    if n_max < 0:
+        raise ValidationError("need n_max >= 0")
     from .products import route
 
-    e = identity(spec.alphabet)
-    for n, p in route(spec).sweep(spec, n_max):
-        _check_return(n, p(e))
-        yield n, p
+    laws = route(spec).laws(spec, [identity(spec.alphabet), *targets], n_max)
+    for n, ret in enumerate(laws[0].tolist()):
+        _check_return(n, ret)
+    return laws
 
 
 def _check_return(n: int, ret: float) -> None:
@@ -586,8 +593,7 @@ def _check_return(n: int, ret: float) -> None:
 
 
 def _return_probabilities(spec: WalkSpec, n_max: int) -> np.ndarray:
-    e = identity(spec.alphabet)
-    return np.array([p(e) for _, p in _sweep(spec, n_max)])
+    return _laws(spec, [], n_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -615,26 +621,18 @@ def ratio_sequence(
 ) -> RatioSequence:
     """Sequence p^(n)(x,y)/p^(n)(e,e) for n <= n_max.
 
-    One float sweep for every walk class: the radial chain for isotropic
-    walks, the dense lattice vector for rank-one walks of any range, and
-    truncated word convolution (only practical for small n_max) for the
-    rest.  Zero-denominator entries are skipped and reported; a return
-    probability that underflows raises ConvergenceError naming n.
+    One array of float laws for every walk class: the radial chain for
+    isotropic walks, the dense lattice vector for rank-one walks of any
+    range, the float Green series of the first-passage system for other
+    nearest-neighbour word walks, and truncated word convolution (only
+    practical for small n_max) for the rest.  Zero-denominator entries
+    are skipped and reported; a return probability that underflows
+    raises ConvergenceError naming n.
     """
-    ns: list[int] = []
-    values: list[float] = []
-    skipped: list[int] = []
-    target = x.inverse() * y
-    e = identity(spec.alphabet)
-    for n, p in _sweep(spec, n_max):
-        ret = p(e)
-        if ret <= 0.0:
-            skipped.append(n)
-            continue
-        ns.append(n)
-        values.append(p(target) / ret)
-    if not values:
-        raise ConvergenceError("no usable ratio values")
+    ret, hit = _laws(spec, [x.inverse() * y], n_max)
+    usable = ret > 0.0  # p^(0)(e, e) = 1, so values is never empty
+    ns, skipped = np.flatnonzero(usable).tolist(), np.flatnonzero(~usable).tolist()
+    values = (hit[usable] / ret[usable]).tolist()
     tail = values[-max(2, len(values) // 10) :]
     return RatioSequence(ns, values, skipped, values[-1], max(tail) - min(tail))
 
