@@ -180,7 +180,7 @@ PINS = {
     "ratio_sequence lattice biased n=2000": lambda: ratio_sequence(
         biased_lattice(), word(Z, [1]), word(Z, [-1, -1]), 2000
     ).values,
-    "ratio_sequence words f2-lazy-uniform n=9": lambda: ratio_sequence(
+    "ratio_sequence nn f2-lazy-uniform n=9": lambda: ratio_sequence(
         preset("f2-lazy-uniform"), word(F2, [1]), word(F2, [2, -1]), 9
     ).values,
     "ratio_sequence words range-2 F2 n=6": lambda: ratio_sequence(
