@@ -548,8 +548,11 @@ def ancona_harnack_check(
     with G(e,e|z) should sit at 1 for a tree.  One-step Green ratios give
     the distance-one growth constant, and boundary-separated quadruples
     give the deviation of the cross-ratio from 1.  Those need a letter off
-    the first letter's axis, so a walk over one generator is refused.
+    the first letter's axis, so a walk over one generator is refused, as
+    are no pairs and a distance below 2 (no inner geodesic point w).
     """
+    if n_pairs < 1 or not distances or min(distances) < 2:
+        raise ValidationError("ancona check needs n_pairs >= 1 and distances >= 2")
     ab = system.spec.alphabet
     letters = system.letters
     if set(letters) <= {letters[0], ab.inverse_letter(letters[0])}:

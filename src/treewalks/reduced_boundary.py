@@ -119,6 +119,8 @@ def detect_R_mu(
     product_ratio_kernel read 1x1 grids, so a report and a kernel table
     carry the same floats.
     """
+    if min(candidate_radius, probe_radius) < 0:
+        raise ValidationError("candidate and probe radii must be >= 0")
     if isinstance(walk, ProductWalk):
         grid, labels, inverses = _product_grid(walk, candidate_radius, probe_radius)
     else:

@@ -561,11 +561,12 @@ def _word_rows(spec, targets, n_max):
 
 def _laws(spec: WalkSpec, targets, n_max: int) -> np.ndarray:
     """Float p^(n)(e, w) for n = 0..n_max: row 0 for w = e, row i + 1 for
-    targets[i].
+    targets[i], from the engine of spec's walk class in products.route.
 
-    The rows come from the engine of spec's walk class in products.route;
-    a target out of reach reads 0.  Every return probability in row 0
-    passes _check_return.
+    A target out of reach reads 0.  Neither the sweeps nor the float Green
+    series rescale, so a return probability below the smallest normal
+    double raises ConvergenceError naming n; exact zeros forced by the
+    walk's structure, like p^(1)(e, e) without holding, pass through.
     """
     if n_max < 0:
         raise ValidationError("need n_max >= 0")
@@ -573,23 +574,12 @@ def _laws(spec: WalkSpec, targets, n_max: int) -> np.ndarray:
 
     laws = route(spec).laws(spec, [identity(spec.alphabet), *targets], n_max)
     for n, ret in enumerate(laws[0].tolist()):
-        _check_return(n, ret)
+        if 0.0 < ret < sys.float_info.min:
+            raise ConvergenceError(
+                f"return probability p^(n)(e, e) = {ret!r} underflows "
+                f"below sys.float_info.min at n = {n}"
+            )
     return laws
-
-
-def _check_return(n: int, ret: float) -> None:
-    """Stop a float return sequence whose p^(n)(e, e) = ret underflowed.
-
-    Neither the sweeps nor the float Green series rescale, so a return
-    probability below the smallest normal double raises ConvergenceError
-    naming n; exact zeros forced by the walk's structure, like
-    p^(1)(e, e) without holding, pass through.
-    """
-    if 0.0 < ret < sys.float_info.min:
-        raise ConvergenceError(
-            f"return probability p^(n)(e, e) = {ret!r} underflows "
-            f"below sys.float_info.min at n = {n}"
-        )
 
 
 def _return_probabilities(spec: WalkSpec, n_max: int) -> np.ndarray:

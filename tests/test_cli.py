@@ -23,9 +23,11 @@ from mpmath import mp
 
 import treewalks
 from treewalks import (
+    ConvergenceError,
     EndPrefix,
     dump_walk_spec,
     factor_kernel,
+    factor_returns,
     finite_walk,
     free_group,
     identity,
@@ -258,6 +260,22 @@ def test_ratio_converge_runs_isotropic_walks_on_the_radial_sweep(capsys):
         assert r[3] == repr(seq.values[int(r[2])])
 
 
+def test_ratio_converge_reads_the_green_series_on_nn_walks(capsys):
+    # word convolution stopped this walk at n = 11 (WORD_SUPPORT_CAP); the
+    # float Green series runs until p^(n)(e, e) leaves the normal doubles
+    argv = ("ratio-converge", "--preset", "f2-lazy-uniform", "--n-max")
+    rc, out, err = run_cli(capsys, *argv, "6000")
+    assert rc == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert [int(r[2]) for r in rows] == [2**k for k in range(13)] + [6000]
+    with pytest.raises(ConvergenceError) as want:
+        factor_returns(preset("f2-lazy-uniform"), 10000)
+    rc, out, err = run_cli(capsys, *argv, "10000")
+    assert (rc, out) == (3, "")
+    assert err == f"error: {want.value}\n"
+    assert "at n = 6145" in err
+
+
 # -- llt-fit ---------------------------------------------------------------------
 
 
@@ -418,6 +436,28 @@ def test_ancona_check_needs_two_axes(capsys):
     rc, out, err = run_cli(capsys, "ancona-check", "--preset", "z-lazy")
     assert rc == 2 and out == ""
     assert "needs a letter off the first letter's axis" in err
+
+
+# -- sizes below their range --------------------------------------------------------
+
+
+BELOW_RANGE = {
+    "ratio-converge --n-max -5": "need n_max >= 0",
+    "product --n-max -4": "need n_max >= 0",
+    "reduced --probe-radius -1": "radii must be >= 0",
+    "reduced --candidate-radius -1": "radii must be >= 0",
+    "ancona-check --pairs 0": "n_pairs >= 1",
+    "ancona-check --pairs -3": "n_pairs >= 1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BELOW_RANGE))
+def test_sizes_below_their_range_exit_2(capsys, command):
+    # each exited 1 with a traceback or 0 with an empty report
+    message = BELOW_RANGE[command]
+    rc, out, err = run_cli(capsys, *command.split())
+    assert (rc, out) == (2, "")
+    assert message in err
 
 
 # -- one-generator walks ----------------------------------------------------------

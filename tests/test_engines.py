@@ -436,9 +436,45 @@ def test_radial_chain_against_word_twin(q, hold, letters):
         twin, n, exact=True
     ).probability(y)
     radial = ratio_sequence(spec, e, y, n)
-    words = ratio_sequence(twin, e, y, n)
-    assert radial.ns == words.ns
-    assert radial.values == pytest.approx(words.values, rel=1e-12, abs=0)
+    series = ratio_sequence(twin, e, y, n)  # the twin is nn: Green series
+    assert radial.ns == series.ns
+    assert radial.values == pytest.approx(series.values, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("y_letters", [[2], [2, -1]])
+def test_green_series_against_the_radial_chain_on_t4(y_letters):
+    # f2-lazy-uniform holds 1/5 and steps to each of the four letters with
+    # 1/5: the lazy walk on T4, whose isotropic twin projects to distances;
+    # n <= 6000 stays short of the series' underflow at n = 6145
+    n_max = 6000
+    x, y = word(F2, [1]), word(F2, y_letters)
+    series = ratio_sequence(preset("f2-lazy-uniform"), x, y, n_max)
+    t4 = tree_alphabet(3)
+    same_distance = word(t4, [1, 2, 1][: len(x.inverse() * y)])
+    radial = ratio_sequence(
+        isotropic_walk(3, {0: Fraction(1, 5), 1: Fraction(4, 5)}),
+        identity(t4), same_distance, n_max,
+    )
+    assert series.ns == radial.ns
+    assert series.values == pytest.approx(radial.values, rel=1e-13, abs=0)
+
+
+def test_nn_walks_read_no_word_tables(monkeypatch):
+    calls = []
+    word_laws = walks._word_laws
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return word_laws(*args, **kwargs)
+
+    monkeypatch.setattr(walks, "_word_laws", counted)
+    spec = preset("f2-lazy-uniform")
+    ratio_sequence(spec, word(F2, [1]), word(F2, [2, -1]), 40)
+    factor_returns(spec, 40)
+    assert calls == []
+    # the words class still convolves, through the same module name
+    ratio_sequence(range2_f2(), identity(F2), word(F2, [1, 2]), 3)
+    assert calls == [range2_f2()]
 
 
 @settings(max_examples=8, deadline=None)

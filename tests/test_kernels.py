@@ -278,6 +278,21 @@ def test_ancona_is_seed_deterministic(f2_system):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [{"n_pairs": 0}, {"n_pairs": -3}, {"distances": (1,)}, {"distances": (4, 0)},
+     {"distances": ()}],
+    ids=str,
+)
+def test_ancona_refuses_sizes_with_no_sample(f2_system, sizes):
+    # n_pairs < 1 gave samples 0 and triple_min inf; distance 1 has no
+    # inner geodesic point and raised from randrange(1, 1)
+    with pytest.raises(ValidationError, match="n_pairs >= 1 and distances >= 2"):
+        ancona_harnack_check(f2_system, **sizes)
+    report = ancona_harnack_check(f2_system, n_pairs=1, distances=(2,))
+    assert report.samples == 3 and report.triple_green_gap < 1e-9
+
+
 def test_ancona_samples_build_no_words(f2_system, count_reduced_words):
     # samples are letter tuples: the words built do not grow with the pairs
     few, many = (

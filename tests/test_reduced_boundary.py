@@ -119,6 +119,19 @@ def test_tree_times_line_classes_follow_the_tree_coordinate(t3xz):
     assert report.class_of("1|e") != 0
 
 
+@pytest.mark.parametrize("radii", [(-1, 4), (4, -1)])
+def test_negative_radius_is_refused(radii):
+    # a negative probe radius reached np.max of an empty grid; a negative
+    # candidate radius printed "-1 non-identity members in ball -1"
+    candidate_radius, probe_radius = radii
+    with pytest.raises(ValidationError, match="radii must be >= 0"):
+        detect_R_mu(
+            preset("f2-lazy-uniform"),
+            candidate_radius=candidate_radius,
+            probe_radius=probe_radius,
+        )
+
+
 def test_class_lookup_rejects_unknown_label(t3xz):
     report = detect_R_mu(t3xz, candidate_radius=1, probe_radius=1)
     with pytest.raises((ValueError, ValidationError)):
