@@ -534,20 +534,26 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
 
 
 def _radial_rows(spec, targets, n_max):
-    lengths = [len(w) for w in targets]
+    # vec[k] / |S_k| at k = |w|; a target beyond k = n_max * range reads 0
+    kmax = n_max * spec.range
+    at = np.minimum([len(w) for w in targets], kmax)
     out = np.zeros((len(targets), n_max + 1))
     for n, vec in RadialChain(spec).distributions_float(n_max):
-        rows = [i for i, k in enumerate(lengths) if k < len(vec)]
-        out[rows, n] = [vec[lengths[i]] / sphere_size(spec.q, lengths[i]) for i in rows]
+        out[:, n] = vec[at]
+    for i, w in enumerate(targets):
+        out[i] = out[i] / sphere_size(spec.q, len(w)) if len(w) <= kmax else 0.0
     return out
 
 
 def _lattice_rows(spec, targets, n_max):
-    signed = [_signed_length(w) for w in targets]
+    # position m sits at index half + m; a target beyond |m| = half reads 0
+    half = n_max * max(map(abs, lattice_offsets(spec)))
+    signed = np.array([_signed_length(w) for w in targets])
+    at = np.clip(signed, -half, half) + half
     out = np.zeros((len(targets), n_max + 1))
-    for n, half, vec in lattice_distributions(spec, n_max):
-        rows = [i for i, m in enumerate(signed) if abs(m) <= half]
-        out[rows, n] = vec[[half + signed[i] for i in rows]]
+    for n, _, vec in lattice_distributions(spec, n_max):
+        out[:, n] = vec[at]
+    out[np.abs(signed) > half] = 0.0
     return out
 
 
