@@ -261,8 +261,8 @@ def test_ratio_converge_runs_isotropic_walks_on_the_radial_sweep(capsys):
 
 
 def test_ratio_converge_reads_the_green_series_on_nn_walks(capsys):
-    # word convolution stopped this walk at n = 11 (WORD_SUPPORT_CAP); the
-    # float Green series runs until p^(n)(e, e) leaves the normal doubles
+    # nn walks read the float Green series, which runs until p^(n)(e, e)
+    # leaves the normal doubles; word convolution stops at n = 11
     argv = ("ratio-converge", "--preset", "f2-lazy-uniform", "--n-max")
     rc, out, err = run_cli(capsys, *argv, "6000")
     assert rc == 0 and err == ""
@@ -453,7 +453,7 @@ BELOW_RANGE = {
 
 @pytest.mark.parametrize("command", sorted(BELOW_RANGE))
 def test_sizes_below_their_range_exit_2(capsys, command):
-    # each exited 1 with a traceback or 0 with an empty report
+    # refused up front, not with a traceback or an empty report
     message = BELOW_RANGE[command]
     rc, out, err = run_cli(capsys, *command.split())
     assert (rc, out) == (2, "")

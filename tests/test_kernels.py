@@ -285,8 +285,8 @@ def test_ancona_is_seed_deterministic(f2_system):
     ids=str,
 )
 def test_ancona_refuses_sizes_with_no_sample(f2_system, sizes):
-    # n_pairs < 1 gave samples 0 and triple_min inf; distance 1 has no
-    # inner geodesic point and raised from randrange(1, 1)
+    # no pairs leave no sample, and a distance below 2 no inner geodesic
+    # point; both are refused before the first random draw
     with pytest.raises(ValidationError, match="n_pairs >= 1 and distances >= 2"):
         ancona_harnack_check(f2_system, **sizes)
     report = ancona_harnack_check(f2_system, n_pairs=1, distances=(2,))

@@ -121,8 +121,7 @@ def test_tree_times_line_classes_follow_the_tree_coordinate(t3xz):
 
 @pytest.mark.parametrize("radii", [(-1, 4), (4, -1)])
 def test_negative_radius_is_refused(radii):
-    # a negative probe radius reached np.max of an empty grid; a negative
-    # candidate radius printed "-1 non-identity members in ball -1"
+    # a negative radius leaves an empty probe grid or candidate ball
     candidate_radius, probe_radius = radii
     with pytest.raises(ValidationError, match="radii must be >= 0"):
         detect_R_mu(
