@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import walks
+from . import series, walks
 from .errors import ValidationError
 from .geometry import EndPrefix, ReducedWord, format_word
 from .kernels import (
@@ -28,7 +28,7 @@ from .kernels import (
     ratio_kernel_isotropic,
     ratio_kernel_nn,
 )
-from .series import series_coefficients, shared_system
+from .series import shared_system
 from .walks import WalkSpec, _signed_length, nstep, spectral_radius
 
 __all__ = [
@@ -123,14 +123,6 @@ def _unrouted(spec: WalkSpec, *args):
     )
 
 
-def _series_rows(spec: WalkSpec, targets, n_max: int) -> np.ndarray:
-    # p^(n)(e, w) is the n-th coefficient of the Green function to w
-    system = shared_system(spec)
-    return np.array(
-        [series_coefficients(system, w, n_max, exact=False).floats() for w in targets]
-    )
-
-
 @dataclass(frozen=True)
 class Route:
     """The engines of one walk class; each field takes the arguments of the
@@ -161,7 +153,10 @@ _ROUTES = {
         _lattice_grid,
     ),
     "nn": Route(
-        _series_rows,
+        # p^(n)(e, w) is the n-th coefficient of the Green function to w
+        lambda spec, targets, n_max: series._series_rows(
+            shared_system(spec), targets, n_max, False
+        ),
         walks._singularity_spectral_radius,
         walks._return_probabilities,
         lambda spec, x, y: ratio_kernel_nn(shared_system(spec), x, y),

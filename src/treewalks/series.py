@@ -823,16 +823,21 @@ def series_coefficients(
     exactly the n-step return probabilities, which makes this the fast
     route to long return sequences on free groups.
     """
-    if n_max < 0:
-        raise ValidationError("need n_max >= 0")
     if exact is None:
         exact = n_max <= EXACT_STEP_LIMIT
+    (row,) = _series_rows(system, [target], n_max, exact)
+    return PowerSeries(system._target_label(target), tuple(row.tolist()), exact)
+
+
+def _series_rows(system: FirstPassageSystem, targets, n_max: int, exact: bool):
+    """Coefficients n <= n_max of each target's function (the expansion()
+    convention), one row per target, all read off one run of the
+    recursion for f, t, s and g."""
+    if n_max < 0:
+        raise ValidationError("need n_max >= 0")
     # one recursion for both arithmetics: object arrays of Fractions are
     # exact whatever the summation order, float64 arrays use numpy's
-    if exact:
-        num, dtype = Fraction, object
-    else:
-        num, dtype = float, float
+    num, dtype = (Fraction, object) if exact else (float, float)
     zero, one = num(0), num(1)
     L = len(system.letters)
     inv = system.inv_index
@@ -858,17 +863,19 @@ def series_coefficients(
     g[0] = one
     for n in range(1, n_max + 1):
         g[n] = np.dot(u[1 : n + 1], g[n - 1 :: -1])
-    if target is None:
-        coeffs = g
-    elif isinstance(target, int):
-        coeffs = f[system.index[target]]
-    else:
-        coeffs = np.full(n_max + 1, zero, dtype=dtype)
-        coeffs[0] = one
-        for c in target.letters:
-            coeffs = np.convolve(coeffs, f[system.index[c]])[: n_max + 1]
-        coeffs = np.convolve(coeffs, g)[: n_max + 1]
-    return PowerSeries(system._target_label(target), tuple(coeffs.tolist()), exact)
+    rows = np.full((len(targets), n_max + 1), zero, dtype=dtype)
+    for k, target in enumerate(targets):
+        if target is None:
+            rows[k] = g
+        elif isinstance(target, int):
+            rows[k] = f[system.index[target]]
+        else:
+            coeffs = np.full(n_max + 1, zero, dtype=dtype)
+            coeffs[0] = one
+            for c in target.letters:
+                coeffs = np.convolve(coeffs, f[system.index[c]])[: n_max + 1]
+            rows[k] = np.convolve(coeffs, g)[: n_max + 1]
+    return rows
 
 
 # ---------------------------------------------------------------------------

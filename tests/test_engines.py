@@ -47,7 +47,7 @@ from treewalks import (
     word,
     word_twin,
 )
-from treewalks import walks
+from treewalks import series, walks
 from treewalks.cli import main
 from treewalks.series import FirstPassageSystem, shared_system
 from treewalks.walks import (
@@ -830,3 +830,49 @@ def test_nn_return_route_checks_underflow_too():
         factor_returns(spec, 6200)
     assert str(got.value) == message
     assert np.array_equal(factor_returns(spec, 6144), series[:6145])
+
+
+# -- one Green recursion per call -----------------------------------------------
+
+
+@pytest.mark.parametrize("make", [lambda: preset("f2-lazy-uniform"), skewed_f2, skewed_f3])
+@pytest.mark.parametrize("n_max, exact", [(300, False), (12, True)])
+def test_series_rows_are_the_one_target_coefficients(make, n_max, exact):
+    # one recursion for every target gives each row bit for bit, floats
+    # and Fractions alike
+    spec = make()
+    ab = spec.alphabet
+    system = FirstPassageSystem(spec)
+    targets = [None, ab.letters[-1], identity(ab), word(ab, ab.letters[:3])]
+    rows = series._series_rows(system, targets, n_max, exact)
+    assert rows.shape == (len(targets), n_max + 1)
+    for target, row in zip(targets, rows):
+        want = series_coefficients(system, target, n_max, exact=exact).coefficients
+        assert tuple(row.tolist()) == want
+        assert all(type(c) is (Fraction if exact else float) for c in want)
+
+
+class _CountedIter(list):
+    """A list that counts how often it is iterated over."""
+
+    runs = 0
+
+    def __iter__(self):
+        _CountedIter.runs += 1
+        return super().__iter__()
+
+
+def test_nn_laws_run_the_recursion_once(monkeypatch):
+    # the recursion reads the letter weights once per run, so counting
+    # passes over them counts runs
+    spec = preset("f2-lazy-uniform")
+    system = shared_system(spec)
+    monkeypatch.setattr(system, "mu_fractions", _CountedIter(system.mu_fractions))
+    e, a = identity(spec.alphabet), word(spec.alphabet, [1])
+    for call in (
+        lambda: ratio_sequence(spec, e, a, 200),
+        lambda: factor_returns(spec, 200),
+    ):
+        _CountedIter.runs = 0
+        call()
+        assert _CountedIter.runs == 1
