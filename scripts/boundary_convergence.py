@@ -16,7 +16,15 @@ import argparse
 import csv
 import sys
 
-from treewalks import EndPrefix, ball, format_word, preset, ratio_kernel_nn
+from treewalks import (
+    EndPrefix,
+    ValidationError,
+    ball,
+    format_word,
+    parse_word,
+    preset,
+    ratio_kernel_nn,
+)
 from treewalks.series import shared_system
 
 
@@ -29,9 +37,13 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = preset(args.preset)
+    try:
+        pattern = parse_word(spec.alphabet, args.pattern).letters
+        xi = EndPrefix.from_pattern(spec.alphabet, pattern, args.max_depth)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     system = shared_system(spec)
-    pattern = [int(t) for t in args.pattern.split(",")]
-    xi = EndPrefix.from_pattern(spec.alphabet, pattern, args.max_depth)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["x", "depth", "finite_reading", "boundary_value", "gap"])

@@ -246,6 +246,8 @@ def _passage_product(values: dict, letters: Iterable[int]) -> float:
 
 def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
     """Letter first-passage values at z = 1/t, fold values at t = rho."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValidationError(f"need a finite time-scale t > 0, got t = {t!r}")
     cert = system.radius()
     z = 1.0 / t
     if z > cert.hi + 1e-12:

@@ -121,6 +121,8 @@ def detect_R_mu(
     """
     if min(candidate_radius, probe_radius) < 0:
         raise ValidationError("candidate and probe radii must be >= 0")
+    if not tol >= 0:
+        raise ValidationError(f"need tolerance tol >= 0, got tol = {tol!r}")
     if isinstance(walk, ProductWalk):
         grid, labels, inverses = _product_grid(walk, candidate_radius, probe_radius)
     else:

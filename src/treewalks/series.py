@@ -835,6 +835,11 @@ def _series_rows(system: FirstPassageSystem, targets, n_max: int, exact: bool):
     recursion for f, t, s and g."""
     if n_max < 0:
         raise ValidationError("need n_max >= 0")
+    ab = system.spec.alphabet
+    for target in targets:
+        in_walk = isinstance(target, ReducedWord) and target.alphabet == ab
+        if not (target is None or in_walk or target in system.index):
+            raise ValidationError(f"target {target!r} is no letter or word of the walk")
     # one recursion for both arithmetics: object arrays of Fractions are
     # exact whatever the summation order, float64 arrays use numpy's
     num, dtype = (Fraction, object) if exact else (float, float)

@@ -570,19 +570,29 @@ def _laws(spec: WalkSpec, targets, n_max: int) -> np.ndarray:
     targets[i], from the engine of spec's walk class in products.route.
 
     A target out of reach reads 0.  Neither the sweeps nor the float Green
-    series rescale, so a return probability below the smallest normal
-    double raises ConvergenceError naming n; exact zeros forced by the
-    walk's structure, like p^(1)(e, e) without holding, pass through.
+    series rescale, so a law below the smallest normal double raises
+    ConvergenceError naming n: the return row first, then each target row
+    naming its word.  A target whose first nonzero law is itself subnormal
+    (a^-m with m >= 424 on the walk e 1/4, 1 9/16, -1 3/16) raises at once.
+    Exact zeros forced by the walk's structure, like p^(1)(e, e) without
+    holding, pass through.
     """
     if n_max < 0:
         raise ValidationError("need n_max >= 0")
     from .products import route
 
-    laws = route(spec).laws(spec, [identity(spec.alphabet), *targets], n_max)
-    for n, ret in enumerate(laws[0].tolist()):
-        if 0.0 < ret < sys.float_info.min:
+    words = [identity(spec.alphabet), *targets]
+    laws = route(spec).laws(spec, words, n_max)
+    for i, (w, row) in enumerate(zip(words, laws)):
+        small = np.flatnonzero((row > 0.0) & (row < sys.float_info.min))
+        if small.size:
+            n = int(small[0])
+            law = (
+                "return probability p^(n)(e, e)" if i == 0
+                else f"law p^(n)(e, w) of the target w = {format_word(w)}"
+            )
             raise ConvergenceError(
-                f"return probability p^(n)(e, e) = {ret!r} underflows "
+                f"{law} = {float(row[n])!r} underflows "
                 f"below sys.float_info.min at n = {n}"
             )
     return laws
@@ -622,9 +632,12 @@ def ratio_sequence(
     range, the float Green series of the first-passage system for other
     nearest-neighbour word walks, and truncated word convolution (only
     practical for small n_max) for the rest.  Zero-denominator entries
-    are skipped and reported; a return probability that underflows
-    raises ConvergenceError naming n.
+    are skipped and reported; a law that underflows, the return or the
+    target's, raises ConvergenceError naming n.  x and y must be words
+    over spec's alphabet.
     """
+    if x.alphabet != spec.alphabet or y.alphabet != spec.alphabet:
+        raise ValidationError("x and y must be words over the walk's alphabet")
     ret, hit = _laws(spec, [x.inverse() * y], n_max)
     usable = ret > 0.0  # p^(0)(e, e) = 1, so values is never empty
     ns, skipped = np.flatnonzero(usable).tolist(), np.flatnonzero(~usable).tolist()
@@ -655,6 +668,8 @@ def fit_local_limit(
     [2*lo, hi] and reports the drift of both exponents.
     """
     lo, hi = window
+    if lo < 1:
+        raise ValidationError(f"window {lo}:{hi} must start at n >= 1 (log n)")
     if hi > len(values):
         raise ValidationError("window exceeds available values")
 

@@ -131,8 +131,17 @@ def test_bad_word_argument_exits_2(capsys, arg, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("t", ["0", "nan"])
+def test_invalid_time_scale_exits_2(capsys, t):
+    # 1/t must be a finite point at or inside the singularity
+    rc, out, err = run_cli(capsys, "free-kernel", "--t", t)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "time-scale t > 0" in err
+
+
 def test_malformed_window_exits_2(capsys):
-    for window in ("oops", "10", "a:b", "10:-5", "-3:100"):
+    for window in ("oops", "10", "a:b", "10:-5", "-3:100", "0:100"):
         rc, _, err = run_cli(capsys, "llt-fit", f"--window={window}")
         assert rc == 2
         assert "window" in err

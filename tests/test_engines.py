@@ -33,6 +33,7 @@ from treewalks import (
     factor_returns,
     finite_walk,
     first_passage_to_ball,
+    format_word,
     free_group,
     identity,
     isotropic_walk,
@@ -384,6 +385,24 @@ def test_underflowed_return_probability_exits_3(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "underflows" in captured.err and "n = 6641" in captured.err
+
+
+def test_subnormal_target_law_raises_naming_the_word():
+    # at n = 6600 the return row is still normal, but p^(n)(0, -40) is
+    # 4.1e-316, a subnormal with about 8 good digits of 17
+    lattice = load_walk_spec(STEEP_SPEC)
+    e, target = identity(Z), word(Z, [-1] * 40)
+    assert factor_returns(lattice, 6600)[-1] >= sys.float_info.min
+    with pytest.raises(ConvergenceError) as got:
+        ratio_sequence(lattice, e, target, 6600)
+    message = str(got.value)
+    assert f"target w = {format_word(target)} = " in message
+    assert "underflows below sys.float_info.min at n = 6432" in message
+    assert ratio_sequence(lattice, e, target, 6431).last > 0
+    # (3/16)^m, the first nonzero law of a^-m, is subnormal from m = 424 on
+    with pytest.raises(ConvergenceError, match=r"at n = 424$"):
+        ratio_sequence(lattice, e, word(Z, [-1] * 424), 500)
+    assert ratio_sequence(lattice, e, word(Z, [-1] * 423), 500).last > 0
 
 
 def test_radial_sweep_checks_underflow_too():

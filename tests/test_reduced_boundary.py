@@ -131,6 +131,13 @@ def test_negative_radius_is_refused(radii):
         )
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_negative_or_nan_tolerance_is_refused(tol):
+    # the identity would fail its own membership test
+    with pytest.raises(ValidationError, match="tol >= 0"):
+        detect_R_mu(preset("f2-lazy-uniform"), tol=tol)
+
+
 def test_class_lookup_rejects_unknown_label(t3xz):
     report = detect_R_mu(t3xz, candidate_radius=1, probe_radius=1)
     with pytest.raises((ValueError, ValidationError)):

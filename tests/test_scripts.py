@@ -30,22 +30,37 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SCRIPTS))
-def test_script_runs_and_prints_its_summary(command):
-    name, *args = command.split()
+def run_script(name, *args):
     src_root = str(Path(treewalks.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_root, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
+
+
+@pytest.mark.parametrize("command", sorted(SCRIPTS))
+def test_script_runs_and_prints_its_summary(command):
+    proc = run_script(*command.split())
     assert proc.returncode == 0, proc.stderr
     stream, summary = SCRIPTS[command]
     lines = getattr(proc, stream).splitlines()
     assert any(line.startswith(summary) for line in lines), lines[-3:]
+
+
+@pytest.mark.parametrize(
+    "pattern, message",
+    [("1,-1", "pattern must be nonempty"), ("a", "cannot parse word")],
+)
+def test_bad_pattern_exits_2(pattern, message):
+    # the pattern reads like the CLI's --pattern: a usage error, no traceback
+    proc = run_script("boundary_convergence.py", f"--pattern={pattern}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr

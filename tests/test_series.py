@@ -603,6 +603,15 @@ def test_float_coefficients_track_exact(f2_system):
         assert abs(rough.coefficients[n] - a) <= 1e-14 * max(a, 1e-30)
 
 
+@pytest.mark.parametrize("target", [7, -3, "1", word(F3, [1]), identity(F3)])
+def test_coefficients_reject_targets_outside_the_walk(f2_system, target):
+    # an F3 word is no F2 vertex even where its letters read like one
+    with pytest.raises(ValidationError, match="no letter or word of the walk"):
+        series_coefficients(f2_system, target, n_max=4)
+    with pytest.raises(ValidationError, match="no letter or word of the walk"):
+        series._series_rows(f2_system, [None, target], 4, False)
+
+
 def test_coefficients_reject_negative_order(f2_system):
     with pytest.raises(ValidationError):
         series_coefficients(f2_system, None, n_max=-1)

@@ -231,6 +231,25 @@ def test_fit_rejects_short_window():
         fit_local_limit(values, (30, 60))
 
 
+def test_fit_rejects_window_from_zero():
+    # log n at n = 0 would put -inf into the design matrix
+    values = [0.5**n for n in range(100)]
+    with pytest.raises(ValidationError, match="window 0:100"):
+        fit_local_limit(values, (0, 100))
+
+
+def test_ratio_sequence_rejects_words_of_another_alphabet():
+    # a word over F3 is no vertex of an F2 or a Z walk, whatever its letters
+    F3 = free_group(3)
+    line = load_walk_spec("mode finitely-supported\nrank 1\ne 1/2\n1 1/4\n-1 1/4\n")
+    for spec in (f2_lazy(), line):
+        e = identity(spec.alphabet)
+        pairs = [(identity(F3), word(F3, [3])), (e, word(F3, [1])), (word(F3, [1]), e)]
+        for x, y in pairs:
+            with pytest.raises(ValidationError, match="walk's alphabet"):
+                ratio_sequence(spec, x, y, 4)
+
+
 def test_ratio_bound_dominates_observed_ratios():
     spec = f2_lazy()
     x = word(F2, [1])
