@@ -14,14 +14,7 @@ Example:
 import argparse
 import sys
 
-from treewalks import (
-    cartesian_asymptotics,
-    fit_local_limit,
-    preset,
-    product_return_sequence,
-    spectral_radius,
-)
-from treewalks.products import factor_alpha
+from treewalks import fit_local_limit, preset, product_report, product_return_sequence
 
 
 def main() -> int:
@@ -31,12 +24,9 @@ def main() -> int:
     args = ap.parse_args()
 
     pw = preset(args.preset)
-    fits = (
-        (spectral_radius(pw.left).value, factor_alpha(pw.left)),
-        (spectral_radius(pw.right).value, factor_alpha(pw.right)),
-    )
-    asym = cartesian_asymptotics(pw, fits[0], fits[1])
-    print(f"closed form: rho = {asym.rho!r}  alpha = {asym.alpha!r}")
+    combined = product_report(pw)["combined"]
+    rho, alpha = combined["rho"], combined["alpha"]
+    print(f"closed form: rho = {rho!r}  alpha = {alpha!r}")
 
     seq = product_return_sequence(pw, args.n_max)
     print(f"{'window':>14} {'rho_hat':>20} {'rho gap':>10} {'alpha_hat':>10}")
@@ -45,7 +35,7 @@ def main() -> int:
         hi = min(args.n_max, 4 * lo)
         fit = fit_local_limit(seq, (lo, hi))
         print(
-            f"{lo:>6}:{hi:<7} {fit.rho:>20.12f} {abs(fit.rho - asym.rho):>10.1e} "
+            f"{lo:>6}:{hi:<7} {fit.rho:>20.12f} {abs(fit.rho - rho):>10.1e} "
             f"{fit.alpha:>10.4f}"
         )
         lo *= 2

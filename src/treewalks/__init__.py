@@ -1,109 +1,13 @@
 """Numerical laboratory for ratio-limit boundaries of tree and free-group walks."""
 
-from .errors import ConvergenceError, ValidationError
-from .geometry import (
-    Alphabet,
-    EndPrefix,
-    GeodesicSegment,
-    ReducedWord,
-    ball,
-    confluent,
-    distance,
-    format_word,
-    free_group,
-    horocycle,
-    identity,
-    multiply,
-    parse_word,
-    sphere,
-    sphere_size,
-    tree_alphabet,
-    ultrametric,
-    word,
-)
-from .kernels import (
-    AnconaReport,
-    DoobWalk,
-    KernelTable,
-    KernelValue,
-    PlainTreeRows,
-    ancona_harnack_check,
-    doob_green_decay,
-    doob_transform,
-    martin_kernel_nn,
-    meet_length,
-    plain_tree_rho,
-    radial_fold,
-    ratio_bound,
-    ratio_kernel_isotropic,
-    ratio_kernel_nn,
-    spherical,
-    verify_t_harmonic,
-)
-from .matrix_boundary import (
-    BallIndex,
-    ContractionResult,
-    PassageMatrix,
-    PassageVector,
-    ball_index,
-    contraction_limit,
-    first_passage_to_ball,
-    lambda_z,
-    martin_kernel_matrix,
-    passage_matrix,
-    radial_passage,
-)
-from .presets import preset, preset_names
-from .products import (
-    BoundaryClasses,
-    CartesianAsymptotics,
-    ProductBoundaryPoint,
-    ProductWalk,
-    cartesian_asymptotics,
-    cartesian_product,
-    direct_product,
-    factor_alpha,
-    factor_kernel,
-    factor_kernel_grid,
-    factor_returns,
-    identify_equivalent_boundary,
-    product_kernel_grid,
-    product_nstep_pair,
-    product_ratio_kernel,
-    product_report,
-    product_return_sequence,
-)
-from .reduced_boundary import EquivalenceReport, detect_R_mu, reduced_kernel_table
-from .series import (
-    FirstPassageSystem,
-    FoldPoint,
-    PowerSeries,
-    PuiseuxData,
-    RadiusCertificate,
-    SecondOrderGreen,
-    SolveResult,
-    derivative_identity,
-    green_second_order,
-    series_coefficients,
-)
-from .walks import (
-    LocalLimitFit,
-    NStepResult,
-    RadialChain,
-    RatioSequence,
-    SpectralRadius,
-    WalkSpec,
-    dump_walk_spec,
-    finite_walk,
-    fit_local_limit,
-    isotropic_walk,
-    lattice_offsets,
-    load_walk_spec,
-    nstep,
-    ratio_sequence,
-    spectral_radius,
-    sphere_intersection,
-    word_twin,
-)
+from .errors import *
+from .geometry import *
+from .kernels import *
+from .matrix_boundary import *
+from .presets import *
+from .products import *
+from .reduced_boundary import *
+from .series import *
+from .walks import *
 
 __version__ = "0.1.0"

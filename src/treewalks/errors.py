@@ -1,5 +1,7 @@
 """Shared exception types: validation failures vs numerical non-convergence."""
 
+__all__ = ["ValidationError", "ConvergenceError"]
+
 
 class ValidationError(ValueError):
     """Bad input: malformed spec, unmet precondition, unusable parameters."""

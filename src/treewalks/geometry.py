@@ -15,6 +15,27 @@ from typing import Iterable, Iterator
 
 from .errors import ValidationError
 
+__all__ = [
+    "Alphabet",
+    "ReducedWord",
+    "EndPrefix",
+    "GeodesicSegment",
+    "free_group",
+    "tree_alphabet",
+    "identity",
+    "word",
+    "parse_word",
+    "format_word",
+    "multiply",
+    "distance",
+    "confluent",
+    "ultrametric",
+    "horocycle",
+    "sphere",
+    "sphere_size",
+    "ball",
+]
+
 
 @dataclass(frozen=True)
 class Alphabet:

@@ -33,7 +33,7 @@ from .geometry import (
     format_word,
     word,
 )
-from .walks import WalkSpec, nstep, spectral_radius
+from .walks import EXACT_STEP_LIMIT, WalkSpec, nstep, spectral_radius
 from .series import FirstPassageSystem, _gamma_sum
 
 __all__ = [
@@ -41,11 +41,10 @@ __all__ = [
     "KernelTable",
     "spherical",
     "plain_tree_rho",
+    "meet_length",
     "ratio_kernel_isotropic",
     "martin_kernel_nn",
     "ratio_kernel_nn",
-    "ratio_grid_isotropic",
-    "ratio_grid_nn",
     "ratio_bound",
     "DoobWalk",
     "PlainTreeRows",
@@ -347,14 +346,16 @@ def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
     return grid
 
 
-def ratio_bound(spec: WalkSpec, x: ReducedWord, k_cap: int = 64) -> float:
+def ratio_bound(spec: WalkSpec, x: ReducedWord) -> float:
     """Upper bound sup_y H(x,y) <= 1/(rho^k p^(k)(e,x)), smallest usable k."""
     rho = spectral_radius(spec).value
-    for k in range(len(x), k_cap + 1):
+    for k in range(len(x), EXACT_STEP_LIMIT + 1):
         p = nstep(spec, k).probability(x)
         if p > 0:
             return 1.0 / (rho ** k * float(p))
-    raise ConvergenceError(f"no positive n-step probability up to {k_cap} steps")
+    raise ConvergenceError(
+        f"no positive n-step probability up to {EXACT_STEP_LIMIT} steps"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +463,19 @@ def doob_transform(
 # Scalar radial fold and the Dirichlet-decay table
 
 
-def radial_fold(q: int, prec: int = 120) -> tuple:
+def radial_fold(q: int) -> tuple:
     """Fold point of the plain tree walk's radial first-passage function.
 
     One unknown: F = z/(q+1) + z q F^2/(q+1).  Newton on (F, z) with the
     quadratic's double-root condition appended; no closed form consumed.
-    Returns (z_at_fold, F_at_fold, Green_at_fold) as mpf.
+    Returns (z_at_fold, F_at_fold, Green_at_fold) as mpf at 120 bits.
     """
     if q < 2:
         raise ValidationError("need q >= 2; the line is recurrent")
-    with mp.workprec(prec):
+    with mp.workprec(120):
         qq = mp.mpf(q)
         Fv, z = mp.mpf("0.5"), mp.mpf("1.1")
-        tol = mp.mpf(2) ** (20 - prec)
+        tol = mp.mpf(2) ** -100  # 20 bits short of the working precision
         for _ in range(200):
             g1 = z / (qq + 1) + z * qq / (qq + 1) * Fv * Fv - Fv
             g2 = 2 * z * qq / (qq + 1) * Fv - 1
@@ -540,7 +541,6 @@ def ancona_harnack_check(
     system: FirstPassageSystem,
     n_pairs: int = 20,
     distances: Sequence[int] = (4, 6, 8, 10),
-    z_values: Sequence[float] | None = None,
     seed: int = 0,
 ) -> AnconaReport:
     """Empirical Green-comparison constants on sampled geodesic triples.
@@ -564,8 +564,7 @@ def ancona_harnack_check(
         )
     rng = random.Random(seed)
     cert = system.radius()
-    if z_values is None:
-        z_values = (1.0, 0.5 * (1.0 + cert.lo), cert.lo)
+    z_values = (1.0, 0.5 * (1.0 + cert.lo), cert.lo)
 
     # samples are letter tuples; follow[c] lists the letters that may come
     # after c and side[c] those off c's axis, both in the order of letters

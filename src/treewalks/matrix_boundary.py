@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 STATE_CAP = 200_000  # vertices in the state ball of one sparse solve
+RADIUS_CAP = 6  # largest connecting radius ball_index tries
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +101,17 @@ def _step_pairs(spec: WalkSpec) -> list[tuple[ReducedWord, float]]:
     return [(w, float(p)) for w, p in spec.step_items() if p > 0]
 
 
-def ball_index(spec: WalkSpec, radius_cap: int = 6) -> BallIndex:
+def ball_index(spec: WalkSpec) -> BallIndex:
     """Build the ball coordinates, auto-selecting the connecting radius.
 
-    Candidate radii N = reach, reach+1, ... are accepted once a breadth
+    Candidate radii N = reach, ..., RADIUS_CAP are accepted once a breadth
     first search inside the radius-N ball reaches every ball point from
     every other one using only positive-probability steps.
     """
     steps = _step_pairs(spec)
     reach = spec.range
     inner = ball(spec.alphabet, reach)
-    for n in range(reach, radius_cap + 1):
+    for n in range(reach, RADIUS_CAP + 1):
         big = set(ball(spec.alphabet, n))
         ok = True
         for start in inner:
@@ -135,7 +136,7 @@ def ball_index(spec: WalkSpec, radius_cap: int = 6) -> BallIndex:
                 words=tuple(inner),
             )
     raise ValidationError(
-        f"no connecting radius up to {radius_cap}: the ball points do not "
+        f"no connecting radius up to {RADIUS_CAP}: the ball points do not "
         "communicate inside any candidate ball"
     )
 
@@ -144,7 +145,7 @@ def ball_index(spec: WalkSpec, radius_cap: int = 6) -> BallIndex:
 # Positivity floor
 
 
-def lambda_z(spec: WalkSpec, z: float, index: BallIndex | None = None) -> float:
+def lambda_z(spec: WalkSpec, z: float) -> float:
     """Minimum in-ball passage weight between ball points at weight z.
 
     The walk is confined to the connecting ball; the floor is the
@@ -152,8 +153,7 @@ def lambda_z(spec: WalkSpec, z: float, index: BallIndex | None = None) -> float:
     Every passage matrix column at this z is either zero or has
     min/max ratio at least this floor.
     """
-    if index is None:
-        index = ball_index(spec)
+    index = ball_index(spec)
     steps = _step_pairs(spec)
     big = ball(spec.alphabet, index.connect_radius)
     pos = {w: i for i, w in enumerate(big)}
@@ -347,32 +347,27 @@ def first_passage_to_ball(
     default, at least one block beyond x) and absorbed on entering the
     target ball; one sparse solve gives the exact entry weights of that
     truncated chain.  A z past its singularity, or a state ball over
-    ``STATE_CAP`` vertices, raises ConvergenceError.  The method override
-    forces one engine, mostly so the two can be played against each
-    other.
+    ``STATE_CAP`` vertices, raises ConvergenceError.  method="dp" forces
+    the sparse solve, mostly so the two engines can be played against
+    each other.
     """
     if index is None:
         index = ball_index(spec)
     if x.alphabet != spec.alphabet or y.alphabet != spec.alphabet:
         raise ValidationError("vertices over a different alphabet")
-    if method not in ("auto", "radial", "dp"):
-        raise ValidationError("method must be auto, radial or dp")
+    if method not in ("auto", "dp"):
+        raise ValidationError("method must be auto or dp")
     w = multiply(y.inverse(), x)
     if len(w) <= index.reach:
         # already inside: first entry is immediate, at x itself
         values = np.zeros(index.size)
         values[index.coordinate(w)] = 1.0
         return PassageVector(index, x, y, z, values, "inside", 0, 0.0)
-    if method == "radial" and not spec.is_uniform_nn:
-        raise ValidationError(
-            "radial passage needs a uniform nearest-neighbour word walk"
-        )
-    if spec.is_uniform_nn and method != "dp":
-        path = multiply(x.inverse(), y)
-        back = spec.alphabet.inverse_letter(path.letters[-1])
-        gate = index.coordinate(word(spec.alphabet, [back]))
+    if spec.is_uniform_nn and method == "auto":
+        # first entry is at the ball point w starts with, len(w) - 1 edges on
+        gate = index.coordinate(word(spec.alphabet, w.letters[:1]))
         values = np.zeros(index.size)
-        values[gate] = radial_passage(spec, len(path) - 1, z)
+        values[gate] = radial_passage(spec, len(w) - 1, z)
         return PassageVector(index, x, y, z, values, "radial", 0, 0.0)
     radius = state_radius or 3 * index.block_length
     if distance(x, y) > radius:
@@ -478,14 +473,12 @@ def _projected_orbit(mats, seed: np.ndarray) -> tuple[np.ndarray, list[float]]:
 
 
 def contraction_limit(
-    mats,
-    seeds: tuple[np.ndarray, np.ndarray] | None = None,
-    tol: float = 1e-10,
+    mats, seeds: tuple[np.ndarray, np.ndarray] | None = None
 ) -> ContractionResult:
     """Common projective limit direction of a left product of matrices.
 
     Two strictly positive seeds are pushed through the product from the
-    far end; the limit exists when their projections agree within tol.
+    far end; the limit exists when their projections agree within 1e-10.
     The reported rate is the median decay ratio of successive projected
     distances (0 when the product collapses in one factor, as happens
     for nearest-neighbour blocks).
@@ -499,7 +492,7 @@ def contraction_limit(
     v1, d1 = _projected_orbit(mats, np.asarray(seeds[0], dtype=float))
     v2, _ = _projected_orbit(mats, np.asarray(seeds[1], dtype=float))
     gap = float(np.max(np.abs(v1 - v2)))
-    if gap > tol:
+    if gap > 1e-10:
         raise ConvergenceError(
             f"not yet contracted: seed directions differ by {gap:.3e} "
             f"after {len(mats)} factors"
@@ -548,7 +541,6 @@ def martin_kernel_matrix(
     x: ReducedWord,
     xi: EndPrefix,
     z: float | None = None,
-    index: BallIndex | None = None,
 ) -> KernelValue:
     """Martin kernel at an end via contracted passage-matrix products.
 
@@ -559,8 +551,7 @@ def martin_kernel_matrix(
     their disagreement, which the start-invariance of the limit drives
     below 1e-8.
     """
-    if index is None:
-        index = ball_index(spec)
+    index = ball_index(spec)
     if z is None:
         if not spec.is_nearest_neighbour:
             raise ValidationError(

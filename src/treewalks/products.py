@@ -44,7 +44,9 @@ __all__ = [
     "product_kernel_grid",
     "product_return_sequence",
     "product_nstep_pair",
+    "CartesianAsymptotics",
     "cartesian_asymptotics",
+    "BoundaryClasses",
     "identify_equivalent_boundary",
     "product_report",
 ]
@@ -412,21 +414,19 @@ class BoundaryClasses:
 
 
 def identify_equivalent_boundary(
-    pw: ProductWalk,
-    candidates,
-    probes,
-    tol: float = 1e-7,
+    pw: ProductWalk, candidates, probes
 ) -> BoundaryClasses:
     """Group candidate boundary pairs whose kernels agree on all probes.
 
     Candidates join the first earlier class whose value vector matches
-    within relative tol at every probe; input order fixes the outcome,
-    keeping reports deterministic.
+    within relative tolerance 1e-7 at every probe; input order fixes the
+    outcome, keeping reports deterministic.
     """
     vectors = [
         np.array([product_ratio_kernel(pw, probe, cand).value for probe in probes])
         for cand in candidates
     ]
+    tol = 1e-7
     return BoundaryClasses(
         classes=_greedy_classes(vectors, tol), tol=tol, probe_count=len(probes)
     )
@@ -460,17 +460,9 @@ def _greedy_classes(vectors, tol: float) -> tuple:
 # Reporting
 
 
-def product_report(
-    pw: ProductWalk,
-    fits: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    classes: BoundaryClasses | None = None,
-) -> dict:
+def product_report(pw: ProductWalk, classes: BoundaryClasses | None = None) -> dict:
     """JSON-ready summary: factor parameters, combined asymptotics, classes."""
-    if fits is None:
-        fits = (
-            (spectral_radius(pw.left).value, factor_alpha(pw.left)),
-            (spectral_radius(pw.right).value, factor_alpha(pw.right)),
-        )
+    fits = [(spectral_radius(f).value, factor_alpha(f)) for f in (pw.left, pw.right)]
     payload: dict = {
         "schema": 1,
         "kind": pw.kind,

@@ -44,6 +44,26 @@ EXACT_STEP_LIMIT = 64  # exact rational convolution is the default up to here
 PRUNE_DEFAULT = Fraction(1, 10**30)
 WORD_SUPPORT_CAP = 200_000  # words one convolution step may hold
 
+__all__ = [
+    "WalkSpec",
+    "isotropic_walk",
+    "finite_walk",
+    "word_twin",
+    "load_walk_spec",
+    "dump_walk_spec",
+    "sphere_intersection",
+    "RadialChain",
+    "lattice_offsets",
+    "NStepResult",
+    "nstep",
+    "RatioSequence",
+    "ratio_sequence",
+    "LocalLimitFit",
+    "fit_local_limit",
+    "SpectralRadius",
+    "spectral_radius",
+]
+
 
 @dataclass(frozen=True)
 class WalkSpec:

@@ -65,9 +65,10 @@ def test_ball_index_coordinate_lookup(f2_spec):
         idx.coordinate(word(F2, [1, 1]))
 
 
-def test_ball_index_needs_room_to_connect(f2_spec):
+def test_ball_index_needs_room_to_connect(f2_spec, monkeypatch):
+    monkeypatch.setattr(matrix_boundary, "RADIUS_CAP", 0)
     with pytest.raises(ValidationError):
-        ball_index(f2_spec, radius_cap=0)
+        ball_index(f2_spec)
 
 
 def test_ball_index_rejects_isotropic_input(t3_spec):
@@ -224,10 +225,11 @@ def test_inside_ball_is_immediate(f2_spec):
 def test_sparse_engine_agrees_with_radial(f2_spec):
     x = word(F2, [1, 1, 1])
     y = identity(F2)
-    rad = first_passage_to_ball(f2_spec, x, y, 0.5, method="radial")
+    rad = first_passage_to_ball(f2_spec, x, y, 0.5, method="auto")
     dp = first_passage_to_ball(
         f2_spec, x, y, 0.5, method="dp", state_radius=8
     )
+    assert rad.method == "radial"
     assert dp.method == "sparse-dp"
     gap = np.max(np.abs(rad.values - dp.values))
     assert gap < 1e-8
@@ -239,8 +241,9 @@ def test_sparse_engine_on_the_line(z_spec):
     x = word(ab, [1, 1, 1, 1])
     y = identity(ab)
     z = 0.8
-    rad = first_passage_to_ball(z_spec, x, y, z, method="radial")
+    rad = first_passage_to_ball(z_spec, x, y, z, method="auto")
     dp = first_passage_to_ball(z_spec, x, y, z, method="dp")
+    assert rad.method == "radial"
     # the solve truncates excursions past its state ball and says by
     # how much; the closed form sits inside that bracket
     gap = float(np.max(np.abs(rad.values - dp.values)))
@@ -414,14 +417,18 @@ def test_sparse_solve_against_radial_closed_form(hold, x, z, state_radius):
     pv = first_passage_to_ball(
         spec, x, e, z, method="dp", state_radius=state_radius
     )
-    route = first_passage_to_ball(spec, x, e, z, method="radial").values
-    assert_bracketed(route, pv)
+    route = first_passage_to_ball(spec, x, e, z, method="auto")
+    assert route.method == "radial"
+    assert_bracketed(route.values, pv)
 
 
 # -- separation and product identities ----------------------------------------
 
 
-@pytest.mark.parametrize("method,tol", [("radial", 1e-12), ("dp", 1e-6)])
+# the auto case keeps the id of the radial engine it reaches
+@pytest.mark.parametrize(
+    "method,tol", [pytest.param("auto", 1e-12, id="radial-1e-12"), ("dp", 1e-6)]
+)
 def test_passage_separates_through_the_ball(f2_system, method, tol):
     # every path from x0 to x1 first meets the middle ball, so the
     # passage function factorizes through its entry points
@@ -434,6 +441,7 @@ def test_passage_separates_through_the_ball(f2_system, method, tol):
     fpv = first_passage_to_ball(
         spec, x0, center, z, method=method, state_radius=8
     )
+    assert fpv.method == {"auto": "radial", "dp": "sparse-dp"}[method]
     total = 0.0
     for v, wgt in fpv.support():
         total += wgt * passage_product(vals, (center * v).inverse() * x1)
