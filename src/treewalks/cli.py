@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid input, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -151,6 +152,8 @@ def _cmd_free_kernel(args) -> None:
 
 def _cmd_ratio_converge(args) -> None:
     spec = _require_factor(_load_walk(args))
+    if not args.tol >= 0:
+        raise ValidationError(f"need tolerance tol >= 0, got tol = {args.tol!r}")
     x = parse_word(spec.alphabet, args.x)
     y = parse_word(spec.alphabet, args.y)
     seq = ratio_sequence(spec, x, y, args.n_max)
@@ -276,6 +279,10 @@ def _cmd_ancona_check(args) -> None:
 
 def _cmd_phi_claim(args) -> None:
     spec = _require_word_walk(_load_walk(args))
+    if not math.isfinite(args.z_offset):
+        raise ValidationError(f"need a finite z-offset, got {args.z_offset!r}")
+    if args.depth < 2:
+        raise ValidationError("need depth >= 2: the first row is at depth 2")
     system = shared_system(spec)
     r = float(system.radius().r)
     z = r * (1.0 - args.z_offset)

@@ -244,17 +244,20 @@ def _passage_product(values: dict, letters: Iterable[int]) -> float:
 
 
 def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
-    """Letter first-passage values at z = 1/t, fold values at t = rho."""
+    """Letter first-passage values at z = 1/t: solved below the radius
+    bracket, the fold's inside it, refused above it.  The bracket widens by
+    a few ulps, so that t = 1/r, whose 1/t rounds r, still reads the fold."""
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"need a finite time-scale t > 0, got t = {t!r}")
     cert = system.radius()
     z = 1.0 / t
-    if z > cert.hi + 1e-12:
+    slack = 4 * math.ulp(cert.hi)
+    if z > cert.hi + slack:
         raise ValidationError(
             f"Martin kernel needs t at or above the walk's decay rate; "
             f"t = {t!r} puts 1/t beyond the singularity"
         )
-    point = system.fold() if z >= cert.lo - 1e-12 else system.solve(z)
+    point = system.fold() if z >= cert.lo - slack else system.solve(z)
     return {c: float(point.values[c]) for c in system.letters}
 
 

@@ -926,7 +926,7 @@ def green_second_order(
     stabilized = error <= tol.  shells counts linear solves, as
     PassageVector.steps does, so it is 1.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("need tol > 0")
     w = x.inverse() * y
     sol = system.solve(z)

@@ -469,6 +469,24 @@ def test_sizes_below_their_range_exit_2(capsys, command):
     assert message in err
 
 
+NO_RESULT = {
+    "phi-claim --z-offset nan": "need a finite z-offset, got nan",
+    "phi-claim --depth 1": "need depth >= 2",
+    "phi-claim --tol nan": "need tol > 0",
+    "ratio-converge --tol -1": "need tolerance tol >= 0, got tol = -1.0",
+    "ratio-converge --tol nan": "need tolerance tol >= 0, got tol = nan",
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_RESULT))
+def test_inputs_with_no_result_exit_2(capsys, command):
+    # a nan offset used to fail in Newton (exit 3), and the others printed
+    # a header with no row or rows that were all false (exit 0)
+    rc, out, err = run_cli(capsys, *command.split())
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and NO_RESULT[command] in err
+
+
 # -- one-generator walks ----------------------------------------------------------
 
 

@@ -11,9 +11,12 @@ replaced.
 
 import ast
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 import sys
 import time
 from fractions import Fraction
@@ -48,6 +51,7 @@ from treewalks import (
     word,
     word_twin,
 )
+import treewalks
 from treewalks import series, walks
 from treewalks.cli import main
 from treewalks.series import FirstPassageSystem, shared_system
@@ -314,6 +318,28 @@ def test_walk_class_picks_engines_in_route_alone():
     }
 
 
+def test_each_public_name_is_declared_once_where_it_is_defined():
+    # the package star-imports each module's __all__, so a name there must
+    # be that module's own, and a name in two lists would let one export
+    # shadow another
+    owner = {}
+    for info in pkgutil.iter_modules(treewalks.__path__):
+        module = importlib.import_module(f"treewalks.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, name
+            assert name not in owner, (name, owner.get(name), info.name)
+            owner[name] = info.name
+    # and the lists are the package's only public names besides its modules
+    public = {
+        name
+        for name, value in vars(treewalks).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == {name for name, mod in owner.items() if mod != "cli"}
+
+
 # -- lattice route: targets out of reach, walks of range two -------------------
 
 
@@ -554,21 +580,26 @@ def test_float_series_against_exact_nstep(rank, weights, hold, letters):
 
 
 def reference_lattice(spec, n_max):
-    """A fresh full-width vector per step over the reachable range."""
+    """A fresh full-width vector per step over the reachable range: the
+    origin index, and a generator of the vectors for n = 0..n_max that
+    holds only the current one."""
     steps = lattice_offsets(spec)
     rng = max(abs(m) for m in steps)
     half = n_max * rng
-    vec = np.zeros(2 * half + 1)
-    vec[half] = 1.0
-    out = [vec]
-    for n in range(1, n_max + 1):
-        nxt = np.zeros_like(vec)
-        lo, hi = half - (n - 1) * rng, half + (n - 1) * rng + 1
-        for m, p in steps.items():
-            nxt[lo + m : hi + m] += p * vec[lo:hi]
-        vec = nxt
-        out.append(vec)
-    return half, out
+
+    def vectors():
+        vec = np.zeros(2 * half + 1)
+        vec[half] = 1.0
+        yield vec
+        for n in range(1, n_max + 1):
+            nxt = np.zeros_like(vec)
+            lo, hi = half - (n - 1) * rng, half + (n - 1) * rng + 1
+            for m, p in steps.items():
+                nxt[lo + m : hi + m] += p * vec[lo:hi]
+            vec = nxt
+            yield vec
+
+    return half, vectors()
 
 
 @pytest.mark.parametrize(
@@ -683,14 +714,18 @@ def test_lattice_distributions_match_full_width_steps(rng, weights, hold, n_max)
     total = sum(steps.values())
     spec = lattice_walk({m: Fraction(k, total) for m, k in steps.items() if k})
     half, want = reference_lattice(spec, n_max)
-    for n, origin, vec in lattice_distributions(spec, n_max):
-        assert origin == half
-        assert np.array_equal(vec, want[n])
+    returns, quotients = [], []
+    pairs = zip(lattice_distributions(spec, n_max), enumerate(want), strict=True)
+    for (n, origin, vec), (k, v) in pairs:
+        assert (n, origin) == (k, half)
+        assert np.array_equal(vec, v)
+        returns.append(v[half])
+        if v[half] > 0:
+            quotients.append(v[half + rng] / v[half])
     e = identity(Z)
     y = word(Z, [1] * rng)
-    returns = [v[half] for v in want]
     seq = ratio_sequence(spec, e, y, n_max)
-    assert seq.values == [v[half + rng] / v[half] for v in want if v[half] > 0]
+    assert seq.values == quotients
     assert list(factor_returns(spec, n_max)) == returns
 
 
@@ -699,11 +734,12 @@ def test_lattice_windows_underflow_at_the_edges():
     # range are exact zeros, so the window has stopped tracking them
     spec = range2_lattice()
     half, want = reference_lattice(spec, 1000)
-    last = want[-1]
+    pairs = zip(lattice_distributions(spec, 1000), enumerate(want), strict=True)
+    for (n, _, vec), (k, last) in pairs:
+        assert n == k
+        assert np.array_equal(vec, last)
     nonzero = np.flatnonzero(last)
     assert nonzero[0] > half - 2000 and nonzero[-1] < half + 1000
-    for n, _, vec in lattice_distributions(spec, 1000):
-        assert np.array_equal(vec, want[n])
 
 
 @settings(max_examples=10, deadline=None)

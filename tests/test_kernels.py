@@ -35,6 +35,7 @@ from treewalks import (
     word,
     word_twin,
 )
+from treewalks.series import shared_system
 
 F2 = free_group(2)
 T3 = tree_alphabet(2)
@@ -206,6 +207,36 @@ def test_martin_kernel_above_decay_rate(f2_system):
     assert got.value > 1.0
     with pytest.raises(ValidationError):
         martin_kernel_nn(f2_system, word(F2, [1]), xi, t=0.5 * rho)
+
+
+def walk_s():
+    # the skewed walk e 1/5, 1 3/10, -1 1/5, 2 1/5, -2 1/10
+    weights = {(): 2, (1,): 3, (-1,): 2, (2,): 2, (-2,): 1}
+    return finite_walk(
+        F2, {word(F2, w): Fraction(p, 10) for w, p in weights.items()}
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: preset("f2-lazy-uniform"), walk_s], ids=["f2-lazy-uniform", "S"]
+)
+def test_martin_kernel_reads_the_fold_only_inside_the_bracket(make):
+    # 5e-13 below the radius bracket the fold's F_-1 is about 1e-6 off in
+    # relative terms, so 1/t is solved there; 5e-13 above it is refused
+    system = shared_system(make())
+    cert = system.radius()
+    x, e = word(F2, [1]), identity(F2)
+    t = 1.0 / (cert.lo - 5e-13)
+    got = martin_kernel_nn(system, x, e, t).value
+    assert got == float(system.solve(1.0 / t).values[-1])
+    assert abs(got / float(system.fold().values[-1]) - 1.0) > 1e-7
+    with pytest.raises(ValidationError, match="puts 1/t beyond the singularity"):
+        martin_kernel_nn(system, x, e, 1.0 / (cert.hi + 5e-13))
+    # t = 1/r reads the fold: the end kernel there is the ratio kernel
+    xi = EndPrefix.from_pattern(F2, [2, -1], 24)
+    rho = 1.0 / float(system.fold().r)
+    at_rho = martin_kernel_nn(system, x, xi, rho)
+    assert at_rho.value == ratio_kernel_nn(system, x, xi).value
 
 
 # -- Doob conjugation ---------------------------------------------------------
