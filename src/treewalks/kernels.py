@@ -245,8 +245,8 @@ def _passage_product(values: dict, letters: Iterable[int]) -> float:
 
 def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
     """Letter first-passage values at z = 1/t: solved below the radius
-    bracket, the fold's inside it, refused above it.  The bracket widens by
-    a few ulps, so that t = 1/r, whose 1/t rounds r, still reads the fold."""
+    bracket, read off the fold inside it and refused above it.  The bracket
+    widens by four ulps, as 1/t rounds r when t = 1/r."""
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"need a finite time-scale t > 0, got t = {t!r}")
     cert = system.radius()

@@ -364,7 +364,7 @@ def first_passage_to_ball(
         values[index.coordinate(w)] = 1.0
         return PassageVector(index, x, y, z, values, "inside", 0, 0.0)
     if spec.is_uniform_nn and method == "auto":
-        # first entry is at the ball point w starts with, len(w) - 1 edges on
+        # x = y w, so the walk first meets the ball at y w[0], len(w) - 1 edges on
         gate = index.coordinate(word(spec.alphabet, w.letters[:1]))
         values = np.zeros(index.size)
         values[gate] = radial_passage(spec, len(w) - 1, z)
