@@ -201,7 +201,8 @@ def system_digest(spec, prec: int) -> str:
 
 
 # Full-precision digests: the float pins above cannot see a last-bit move in
-# a 96-bit solve, fold point or null vector; these can.
+# a 96-bit solve, fold point or null vector; these can.  A "/bisection"
+# name runs the fallback bisection, which solves every midpoint.
 DIGEST_PINS = {
     ("f2-lazy-uniform", 96): "635c97c710f804b5d06c22ecce6b35a82bc16e7a6c83850b86d06e484007697a",
     ("f2-lazy-uniform", 160): "4039f9dc5342cd514a12892bbbeb93aa7ac52da0611de7f92360305e1ea7441f",
@@ -209,12 +210,40 @@ DIGEST_PINS = {
     ("skewed-f2", 160): "3612ab86f2af7a325a7f09d04775469544e85e8d80209136e4de3b8568e2fd6c",
     ("f3", 96): "2e99a06c2d38a5e4a38ce19872912f0a006813aa69adfdb7f562d95c69dceb23",
     ("f3", 160): "203393226c68d7f5562b1a1d68849d6f54434a61462b25ecf74893564823b772",
+    ("f3", 80): "56fc127bdb58e45a8968ee19835e8c78680972aad47d7db3ca19e577aa69406b",
+    ("uniform-f3", 96): "18913caa748e120107ee84a2ff4c7d9c31e95e314726158e76c35001fd69891d",
+    ("skewed-f2/bisection", 96): "3ff511c0faf003e598e5e77e0eea34633d2153ee11975d64b9bf365426567224",
 }
 
 
 @pytest.mark.parametrize("name, prec", sorted(DIGEST_PINS))
-def test_full_precision_digest_is_pinned(f2_spec, name, prec):
-    assert system_digest(pinned_walk(name, f2_spec), prec) == DIGEST_PINS[name, prec]
+def test_full_precision_digest_is_pinned(f2_spec, monkeypatch, name, prec):
+    walk, _, route = name.partition("/")
+    spec = pinned_walk(walk, f2_spec)
+    if route != "bisection":
+        assert system_digest(spec, prec) == DIGEST_PINS[name, prec]
+        return
+    # every midpoint solved by Newton from the last solvable vector; each
+    # verdict of the bisection and the step that reached it join the digest
+    monkeypatch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: None)
+    digest = system_digest(spec, prec)
+    outcomes = []
+    newton = FirstPassageSystem._newton
+
+    def logged(self, *args):
+        try:
+            out = newton(self, *args)
+        except ConvergenceError as exc:
+            outcomes.append(str(exc))
+            raise
+        outcomes.append(out[1])
+        return out
+
+    monkeypatch.setattr(FirstPassageSystem, "_newton", logged)
+    FirstPassageSystem(spec, prec).radius()
+    assert len(outcomes) == 45  # the solve at z = 1 and the 44 midpoints
+    log = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert hashlib.sha256((digest + log).encode()).hexdigest() == DIGEST_PINS[name, prec]
 
 
 CERTIFIED = re.compile(
@@ -310,6 +339,8 @@ def test_fold_outside_the_bracket_is_named(f2_spec, monkeypatch):
 def pinned_walk(name, f2_spec):
     if name == "f2-lazy-uniform":
         return f2_spec
+    if name == "uniform-f3":
+        return lazy_uniform_f3_walk()
     return asymmetric_walk() if name == "skewed-f2" else f3_walk()
 
 
