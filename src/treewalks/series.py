@@ -46,6 +46,10 @@ The fold is the zero of the bordered system phi(f, z) = f, J(f, z) v = v,
 v[0] = 1 (Moore and Spence, SIAM J. Numer. Anal. 17, 1980), and its right
 null vector v comes with it.  One-generator walks fold with a
 two-dimensional null space, and fold() refuses them.
+
+The Newton algebra runs on raw mpf tuples through mpmath.libmp: each call
+is the one that an mpf operator of the written formula makes, so every bit
+is that of mpf arithmetic.  mpf objects are made where values leave it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import fnan, fone, from_float, from_int, fzero, round_nearest as RND
+from mpmath.libmp import mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul
+from mpmath.libmp import mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import ReducedWord, format_word, identity, word
@@ -238,41 +245,53 @@ class FirstPassageSystem:
 
     # -- fixed-point map -----------------------------------------------
 
+    # Raw mpfs at mp.prec up to fold(); docstrings give the mpf formulas.
     def _weights(self):
-        mu = [
-            mp.mpf(p.numerator) / p.denominator for p in self.mu_fractions
-        ]
-        mu0 = mp.mpf(self.mu0_fraction.numerator) / self.mu0_fraction.denominator
-        return mu, mu0
+        """mu and mu0 as raw mpfs: mp.mpf(p.numerator) / p.denominator."""
+        prec = mp.prec
+        mu = [mpf_div(from_int(p.numerator, prec, RND), from_int(p.denominator),
+                      prec, RND) for p in [*self.mu_fractions, self.mu0_fraction]]
+        return mu[:-1], mu[-1]
+
+    def _letter_sum(self, f, mu):
+        """s = sum_k mu_k f_{k^-1}, added up from 0 in letter order."""
+        prec = mp.prec
+        s = fzero
+        for m, x in zip(mu, (f[i] for i in self.inv_index)):
+            s = mpf_add(s, mpf_mul(m, x, prec, RND), prec, RND)
+        return s
 
     def _phi(self, f, z, mu, mu0):
-        L = len(self.letters)
-        s = mp.mpf(0)
-        for k in range(L):
-            s += mu[k] * f[self.inv_index[k]]
+        """phi_k = z * (mu_k + mu0 * f_k + f_k * (s - mu_k * f_{k^-1}))."""
+        prec = mp.prec
+        s = self._letter_sum(f, mu)
         out = []
-        for k in range(L):
-            out.append(
-                z * (mu[k] + mu0 * f[k] + f[k] * (s - mu[k] * f[self.inv_index[k]]))
-            )
-        return out, s
+        for m, x, xi in zip(mu, f, (f[i] for i in self.inv_index)):
+            head = mpf_add(m, mpf_mul(mu0, x, prec, RND), prec, RND)
+            inner = mpf_sub(s, mpf_mul(m, xi, prec, RND), prec, RND)
+            tail = mpf_mul(x, inner, prec, RND)
+            out.append(mpf_mul(z, mpf_add(head, tail, prec, RND), prec, RND))
+        return out
 
     def _jacobian(self, f, z, mu, mu0):
-        L = len(self.letters)
-        s = mp.mpf(0)
-        for k in range(L):
-            s += mu[k] * f[self.inv_index[k]]
+        """J[i][k] = z * v with v = f_i * mu_{k^-1}, then for k = i
+        v += mu0 + s - mu_i * f_{i^-1}, then for k = i^-1 v -= mu_i * f_i."""
+        prec = mp.prec
+        inv = self.inv_index
+        s = self._letter_sum(f, mu)
         J = []
-        for i in range(L):
-            ii = self.inv_index[i]
+        for i, (m, x) in enumerate(zip(mu, f)):
+            ii = inv[i]
             row = []
-            for k in range(L):
-                v = f[i] * mu[self.inv_index[k]]
+            for k in range(len(f)):
+                v = mpf_mul(x, mu[inv[k]], prec, RND)
                 if k == i:
-                    v += mu0 + s - mu[i] * f[ii]
+                    d = mpf_add(mu0, s, prec, RND)
+                    d = mpf_sub(d, mpf_mul(m, f[ii], prec, RND), prec, RND)
+                    v = mpf_add(v, d, prec, RND)
                 if k == ii:
-                    v -= mu[i] * f[i]
-                row.append(z * v)
+                    v = mpf_sub(v, mpf_mul(m, x, prec, RND), prec, RND)
+                row.append(mpf_mul(z, v, prec, RND))
             J.append(row)
         return J
 
@@ -287,20 +306,17 @@ class FirstPassageSystem:
         with mp.workprec(self.prec):
             zz = mp.mpf(z)
             mu, mu0 = self._weights()
-            L = len(self.letters)
-            if start is None:
-                f = [mp.mpf(0)] * L
-            elif isinstance(start, dict):
-                f = [mp.mpf(start[c]) for c in self.letters]
-            else:
-                f = [mp.mpf(start)] * L
+            if not isinstance(start, dict):
+                start = dict.fromkeys(self.letters, start or 0)
+            f = [mp.mpf(start[c])._mpf_ for c in self.letters]
+            bound = from_float(VALUE_BOUND)
             for _ in range(steps):
-                f, _ = self._phi(f, zz, mu, mu0)
-                if max(f) > VALUE_BOUND:
+                f = self._phi(f, zz._mpf_, mu, mu0)
+                if mpf_gt(_max(f), bound):
                     raise ConvergenceError(
                         f"iteration escaped its bound at z = {mp.nstr(zz, 17)}"
                     )
-            return {c: float(f[self.index[c]]) for c in self.letters}
+            return {c: float(mp.make_mpf(f[self.index[c]])) for c in self.letters}
 
     def _diverged(self, zz, cause: str) -> ConvergenceError:
         return ConvergenceError(
@@ -311,51 +327,50 @@ class FirstPassageSystem:
     def _newton(self, zz, f, mu, mu0):
         """Newton polish from a post-fixed point below the least fixed point.
 
-        Call inside mp.workprec(self.prec).  Returns (f, steps, residual).
-        Raises ConvergenceError naming the guard that fired: a certified
-        negative residual or correction (see the module docstring), a
-        singular Newton matrix, an iterate past VALUE_BOUND, or NEWTON_CAP
+        Call inside mp.workprec(self.prec) with the mpf point zz and f, mu
+        and mu0 raw.  Returns (f, steps, residual), raw.  Raises
+        ConvergenceError naming the guard that fired: a certified negative
+        residual or correction (see the module docstring), a singular
+        Newton matrix, an iterate past VALUE_BOUND, or NEWTON_CAP
         exhausted.  The sign tests allow for rounding relative to the size
         of the vector they test.
         """
-        L = len(self.letters)
-        tol = mp.mpf(2) ** (16 - self.prec)
-        residual = None
+        prec, z = mp.prec, zz._mpf_
+        tol = mpf_shift(fone, 16 - self.prec)  # 2 ** (16 - self.prec)
+        neg_tol = mpf_neg(tol, prec, RND)
+        bound = from_float(VALUE_BOUND)
+
+        def negative(xs, size):  # min(xs) < -tol * (1 + size)
+            floor = mpf_mul(neg_tol, mpf_add(size, fone, prec, RND), prec, RND)
+            return mpf_lt(_max(xs, mpf_lt), floor)
+
         for step in range(NEWTON_CAP):
-            phi, _ = self._phi(f, zz, mu, mu0)
-            g = [phi[k] - f[k] for k in range(L)]
-            residual = max(abs(v) for v in g)
-            if residual <= tol:
+            phi = self._phi(f, z, mu, mu0)
+            g = [mpf_sub(p, x, prec, RND) for p, x in zip(phi, f)]
+            residual = _max([mpf_abs(v, prec, RND) for v in g])
+            if mpf_le(residual, tol):
                 return f, step, residual
-            if min(g) < -tol * (1 + max(f)):
-                raise self._diverged(
-                    zz,
-                    f"certified by a negative residual phi(f) - f at Newton "
-                    f"step {step}",
-                )
-            A = _eye_minus(self._jacobian(f, zz, mu, mu0))
+            if negative(g, _max(f)):
+                raise self._diverged(zz, "certified by a negative residual "
+                                     f"phi(f) - f at Newton step {step}")
+            A = _eye_minus(self._jacobian(f, z, mu, mu0))
             try:
-                delta = _lu_solve(A, g)
+                delta = _mpf_lu_solve(A, g, prec + 10)
             except ZeroDivisionError:
                 raise self._diverged(
                     zz, f"singular Newton matrix at Newton step {step}"
                 ) from None
-            if min(delta) < -tol * (1 + max(abs(v) for v in delta)):
-                raise self._diverged(
-                    zz,
-                    f"certified by a negative Newton correction at Newton "
-                    f"step {step}",
-                )
-            f = [f[k] + delta[k] for k in range(L)]
-            for k in range(L):
-                if mp.isnan(f[k]) or f[k] > VALUE_BOUND:
-                    raise self._diverged(
-                        zz,
-                        f"Newton iterate is NaN or above VALUE_BOUND = "
-                        f"{VALUE_BOUND:g} at Newton step {step}",
-                    )
-                if f[k] < 0:
-                    f[k] = mp.mpf(0)
+            if negative(delta, _max([mpf_abs(v, prec, RND) for v in delta])):
+                raise self._diverged(zz, "certified by a negative Newton "
+                                     f"correction at Newton step {step}")
+            f = [mpf_add(x, d, prec, RND) for x, d in zip(f, delta)]
+            for k, x in enumerate(f):
+                if x == fnan or mpf_gt(x, bound):
+                    raise self._diverged(zz, "Newton iterate is NaN or above "
+                                         f"VALUE_BOUND = {VALUE_BOUND:g} at "
+                                         f"Newton step {step}")
+                if mpf_lt(x, fzero):
+                    f[k] = fzero
         raise self._diverged(zz, f"NEWTON_CAP = {NEWTON_CAP} steps exhausted")
 
     def solve(self, z) -> SolveResult:
@@ -368,39 +383,41 @@ class FirstPassageSystem:
         Every failure names its cause; NEWTON_CAP and VALUE_BOUND remain as
         backstops.  Results are cached per evaluation point.
         """
-        key = str(z)
-        hit = self._solve_cache.get(key)
-        if hit is not None:
-            return hit
         with mp.workprec(self.prec):
             zz = mp.mpf(z)
+            key = z = zz._mpf_  # the point the solve uses, to every bit
+            hit = self._solve_cache.get(key)
+            if hit is not None:
+                return hit
             if zz <= 0:
                 raise ValidationError("evaluation point must be positive")
             mu, mu0 = self._weights()
-            L = len(self.letters)
-            f = [mp.mpf(0)] * L
+            f = [fzero] * len(self.letters)
+            bound = from_float(VALUE_BOUND)
             for _ in range(KLEENE_WARMUP):
-                f, _ = self._phi(f, zz, mu, mu0)
-                if max(f) > VALUE_BOUND:
-                    raise self._diverged(
-                        zz,
-                        f"Kleene iterates escaped VALUE_BOUND = {VALUE_BOUND:g}",
-                    )
+                f = self._phi(f, z, mu, mu0)
+                if mpf_gt(_max(f), bound):
+                    raise self._diverged(zz, "Kleene iterates escaped "
+                                         f"VALUE_BOUND = {VALUE_BOUND:g}")
             f, steps, residual = self._newton(zz, f, mu, mu0)
-            iterations = KLEENE_WARMUP + steps
-            phi, s = self._phi(f, zz, mu, mu0)
-            u = zz * (mu0 + s)
-            green = 1 / (1 - u) if u < 1 else None
             result = SolveResult(
                 z=zz,
                 letters=self.letters,
-                values={c: f[self.index[c]] for c in self.letters},
-                green=green,
-                iterations=iterations,
-                residual=residual,
+                values={c: mp.make_mpf(f[self.index[c]]) for c in self.letters},
+                green=self._green(f, z, mu, mu0),
+                iterations=KLEENE_WARMUP + steps,
+                residual=mp.make_mpf(residual),
             )
         self._solve_cache[key] = result
         return result
+
+    def _green(self, f, z, mu, mu0):
+        """1 / (1 - u) with u = z * (mu0 + s) as an mpf, None unless u < 1."""
+        prec = mp.prec
+        u = mpf_mul(z, mpf_add(mu0, self._letter_sum(f, mu), prec, RND), prec, RND)
+        if not mpf_lt(u, fone):
+            return None
+        return mp.make_mpf(mpf_rdiv_int(1, mpf_sub(fone, u, prec, RND), prec, RND))
 
     # -- singularity ----------------------------------------------------
 
@@ -451,7 +468,7 @@ class FirstPassageSystem:
         the last solvable lo converges there.
         """
         lo = 1.0
-        f = [start.values[c] for c in self.letters]
+        f = [start.values[c]._mpf_ for c in self.letters]
         evaluations = 2
         with mp.workprec(self.prec):
             mu, mu0 = self._weights()
@@ -482,7 +499,7 @@ class FirstPassageSystem:
             return False
         with mp.workprec(self.prec):
             mu, mu0 = self._weights()
-            f = [base.values[c] for c in self.letters]
+            f = [base.values[c]._mpf_ for c in self.letters]
             try:
                 self._newton(mp.mpf(cert.hi), f, mu, mu0)
             except ConvergenceError:
@@ -535,9 +552,9 @@ class FirstPassageSystem:
             else:
                 lo, f = mid, f_mid
         try:
-            return self._fold_newton(
+            return mp.make_mpf(self._fold_newton(
                 f, lo, lo - ESTIMATE_WIDTH, hi + ESTIMATE_WIDTH, self.prec
-            )[2]
+            )[2])
         except ConvergenceError:
             return None
 
@@ -549,50 +566,49 @@ class FirstPassageSystem:
         in f, so the Jacobian is [[J - I, 0, phi / z], [H, (J - I)[:, 1:],
         J v / z]] with H = D^2 phi[v, .], which is _jacobian at v without
         the holding term.  Starts from (f, v = 1, z) and returns (values,
-        v, r, residual, iterations).  Raises ConvergenceError naming the
-        guard that fired: a singular correction step, FOLD_CAP exhausted,
-        or an r outside [lo, hi].
+        v, r, residual, iterations), raw.  Raises ConvergenceError naming
+        the guard that fired: a singular correction step, FOLD_CAP
+        exhausted, or an r outside [lo, hi].
         """
         L = len(self.letters)
         with mp.workprec(prec):
             mu, mu0 = self._weights()
-            f = [mp.mpf(x) for x in f]
-            v = [mp.mpf(1)] * L
-            zz = mp.mpf(z)
-            tol = mp.mpf(2) ** (40 - prec)
+            f = [mp.mpf(x)._mpf_ for x in f]
+            v = [fone] * L
+            zz = mp.mpf(z)._mpf_
+            tol = mpf_shift(fone, 40 - prec)  # 2 ** (40 - prec)
             for iterations in range(FOLD_CAP):
-                phi, _ = self._phi(f, zz, mu, mu0)
+                phi = self._phi(f, zz, mu, mu0)
                 J = self._jacobian(f, zz, mu, mu0)
-                Jv = [mp.fdot(row, v) for row in J]
-                g = [phi[k] - f[k] for k in range(L)]
-                g += [Jv[k] - v[k] for k in range(L)]
-                residual = max(abs(x) for x in g)
-                if residual <= tol:
+                # mp.fdot(row, v): exact products, one rounding of the sum
+                Jv = [mpf_sum([mpf_mul(a, b) for a, b in zip(row, v)], prec, RND)
+                      for row in J]
+                g = [mpf_sub(a, b, prec, RND) for a, b in zip(phi + Jv, f + v)]
+                residual = _max([mpf_abs(x, prec, RND) for x in g])
+                if mpf_le(residual, tol):
                     break
-                JI = [[x - 1 if i == k else x for k, x in enumerate(row)]
-                      for i, row in enumerate(J)]
-                H = self._jacobian(v, zz, mu, 0)
-                A = [JI[i] + [0] * (L - 1) + [phi[i] / zz] for i in range(L)]
-                A += [H[i] + JI[i][1:] + [Jv[i] / zz] for i in range(L)]
+                JI = [[mpf_sub(x, fone, prec, RND) if i == k else x
+                       for k, x in enumerate(row)] for i, row in enumerate(J)]
+                H = self._jacobian(v, zz, mu, fzero)
+                col = [mpf_div(x, zz, prec, RND) for x in phi + Jv]  # phi / z, J v / z
+                A = [JI[i] + [fzero] * (L - 1) + [col[i]] for i in range(L)]
+                A += [H[i] + JI[i][1:] + [col[L + i]] for i in range(L)]
                 try:
-                    delta = _lu_solve(A, g)
+                    delta = _mpf_lu_solve(A, g, prec + 10)
                 except ZeroDivisionError:
-                    raise ConvergenceError(
-                        f"fold refinement hit a singular correction step at "
-                        f"step {iterations}"
-                    ) from None
-                f = [f[k] - delta[k] for k in range(L)]
-                v = [v[0]] + [v[k] - delta[L - 1 + k] for k in range(1, L)]
-                zz -= delta[2 * L - 1]
+                    raise ConvergenceError(f"fold refinement hit a singular correction"
+                                           f" step at step {iterations}") from None
+                f = [mpf_sub(x, d, prec, RND) for x, d in zip(f, delta)]
+                v[1:] = [mpf_sub(x, d, prec, RND) for x, d in zip(v[1:], delta[L:])]
+                zz = mpf_sub(zz, delta[2 * L - 1], prec, RND)
             else:
-                raise ConvergenceError(
-                    f"fold refinement did not converge: FOLD_CAP = {FOLD_CAP} "
-                    "steps exhausted"
-                )
-            if not (lo <= float(zz) <= hi):
+                raise ConvergenceError("fold refinement did not converge: "
+                                       f"FOLD_CAP = {FOLD_CAP} steps exhausted")
+            r = mp.make_mpf(zz)
+            if not (lo <= float(r) <= hi):
                 raise ConvergenceError(
                     f"fold refinement left the singularity bracket "
-                    f"[{lo!r}, {hi!r}]: r = {mp.nstr(zz, 17)}"
+                    f"[{lo!r}, {hi!r}]: r = {mp.nstr(r, 17)}"
                 )
         return f, v, zz, residual, iterations
 
@@ -623,15 +639,12 @@ class FirstPassageSystem:
         )
         with mp.workprec(prec):
             mu, mu0 = self._weights()
-            _, s = self._phi(f, r, mu, mu0)
-            ret = r * (mu0 + s)
-            green = 1 / (1 - ret) if ret < 1 else None
             self._fold = FoldPoint(
-                r=r,
-                values={c: f[self.index[c]] for c in self.letters},
-                null_vector=v,
-                green=green,
-                residual=residual,
+                r=mp.make_mpf(r),
+                values={c: mp.make_mpf(f[self.index[c]]) for c in self.letters},
+                null_vector=_mpfs(v),
+                green=self._green(f, r, mu, mu0),
+                residual=mp.make_mpf(residual),
                 iterations=iterations,
                 prec=prec,
             )
@@ -704,7 +717,9 @@ class FirstPassageSystem:
             mu, mu0 = self._weights()
             f = [fp.values[c] for c in self.letters]
             v = fp.null_vector
-            A = _eye_minus(self._jacobian(f, r, mu, mu0))
+            J = self._jacobian([x._mpf_ for x in f], r._mpf_, mu, mu0)
+            A = [_mpfs(row) for row in _eye_minus(J)]
+            mu = _mpfs(mu)
             minor_t = [[A[k][i] for k in range(1, L)] for i in range(1, L)]
             try:  # first entry 1, the rest from the transposed minor A[1:, 1:]^T
                 w = [1, *_lu_solve(minor_t, [-A[0][i] for i in range(1, L)])]
@@ -727,60 +742,85 @@ class FirstPassageSystem:
         return dict(table)
 
 
+def _mpfs(xs) -> list:
+    """mpf objects of raw mpfs, bit for bit."""
+    return [mp.make_mpf(x) for x in xs]
+
+
+def _max(xs, beats=mpf_gt):
+    """Python's max of raw mpfs, as taken of mpfs; beats=mpf_lt gives min."""
+    out = xs[0]
+    for x in xs[1:]:
+        if beats(x, out):
+            out = x
+    return out
+
+
 def _eye_minus(J) -> list:
-    """I - J as lists: 1 - J[i][i] on the diagonal, -J[i][k] off it."""
-    return [[1 - x if i == k else -x for k, x in enumerate(row)]
-            for i, row in enumerate(J)]
+    """I - J of raw mpfs: 1 - J[i][i] on the diagonal, -J[i][k] off it."""
+    prec = mp.prec
+    return [[mpf_sub(fone, x, prec, RND) if i == k else mpf_neg(x, prec, RND)
+             for k, x in enumerate(row)] for i, row in enumerate(J)]
 
 
 def _lu_solve(A, b) -> list:
     """x with A x = b for a square A, from lists: mpmath's lu_solve, bit for bit.
 
+    Entries go through mp.convert; _mpf_lu_solve solves at mp.prec + 10 bits.
+    """
+    A = [[mp.convert(a)._mpf_ for a in row] for row in A]
+    return _mpfs(_mpf_lu_solve(A, [mp.convert(c)._mpf_ for c in b], mp.prec + 10))
+
+
+def _mpf_lu_solve(A, b, prec: int) -> list:
+    """x with A x = b for a square A of raw mpfs, at prec = mp.prec + 10, raw.
+
     mpmath 1.3.0's lu_solve -> LU_decomp -> L_solve -> U_solve, step for
-    step, without its matrix class: entries through mp.convert, prec + 10
-    working bits, the pivot tolerance |1-norm of A * eps|, scaled partial
-    pivoting on (1 / sum_l |A[k][l]|) |A[k][j]| with a strict >, the same
-    three ZeroDivisionError tests.  A column that is zero from the diagonal
-    down leaves no pivot; mpmath then raises TypeError, and this solve
-    ZeroDivisionError like the other singular cases.  The substitutions run
-    in mpmath's loop order, so every entry of x is the mpf that mpmath's
-    lu_solve returns.
+    step, without its matrix class: the pivot tolerance |1-norm of A * eps|,
+    scaled partial pivoting on (1 / sum_l |A[k][l]|) |A[k][j]| with a strict
+    >, the same three ZeroDivisionError tests (where mpmath raises TypeError
+    on a column that is zero from the diagonal down).  The arithmetic is
+    libmp's, the calls that mpmath's mpf operators and mp.fsum make, in
+    mpmath's loop order, so x is the mpf vector of mpmath's lu_solve.
     """
     n = len(A)
-    with mp.workprec(mp.prec + 10):
-        A = [[mp.convert(a) for a in row] for row in A]
-        x = [mp.convert(c) for c in b]
-        norm = max(mp.fsum((row[j] for row in A), absolute=True) for j in range(n))
-        tol = abs(norm * mp.eps)  # each pivot has to be bigger
-        for j in range(n - 1):
-            biggest, p = 0, None
-            for k in range(j, n):
-                s = mp.fsum([abs(a) for a in A[k][j:]])
-                if abs(s) <= tol:
-                    raise ZeroDivisionError("matrix is numerically singular")
-                current = 1 / s * abs(A[k][j])
-                if current > biggest:
-                    biggest, p = current, k
-            if p is None:
+    A = [list(row) for row in A]
+    x = list(b)
+    norm = _max([mpf_sum([mpf_abs(row[j]) for row in A], prec, RND, True)
+                 for j in range(n)])
+    # each pivot has to be bigger than abs(norm * eps), eps = 2 ** (1 - prec)
+    tol = mpf_abs(mpf_mul(norm, mpf_shift(fone, 1 - prec), prec, RND), prec, RND)
+    for j in range(n - 1):
+        biggest, p = fzero, None
+        for k in range(j, n):
+            s = mpf_sum([mpf_abs(a, prec, RND) for a in A[k][j:]], prec, RND)
+            if mpf_le(mpf_abs(s, prec, RND), tol):
                 raise ZeroDivisionError("matrix is numerically singular")
-            A[j], A[p] = A[p], A[j]
-            x[j], x[p] = x[p], x[j]
-            pivot = A[j]
-            if abs(pivot[j]) <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            for row in A[j + 1:]:
-                row[j] = m = row[j] / pivot[j]
-                for k in range(j + 1, n):
-                    row[k] -= m * pivot[k]
-        if abs(A[n - 1][n - 1]) <= tol:
+            # 1 / s * abs(A[k][j])
+            inv_s = mpf_rdiv_int(1, s, prec, RND)
+            current = mpf_mul(inv_s, mpf_abs(A[k][j], prec, RND), prec, RND)
+            if mpf_gt(current, biggest):
+                biggest, p = current, k
+        if p is None:
             raise ZeroDivisionError("matrix is numerically singular")
-        for i in range(1, n):
-            for j in range(i):
-                x[i] -= A[i][j] * x[j]
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                x[i] -= A[i][j] * x[j]
-            x[i] /= A[i][i]
+        A[j], A[p] = A[p], A[j]
+        x[j], x[p] = x[p], x[j]
+        pivot = A[j]
+        if mpf_le(mpf_abs(pivot[j], prec, RND), tol):
+            raise ZeroDivisionError("matrix is numerically singular")
+        for row in A[j + 1:]:
+            row[j] = m = mpf_div(row[j], pivot[j], prec, RND)
+            for k in range(j + 1, n):
+                row[k] = mpf_sub(row[k], mpf_mul(m, pivot[k], prec, RND), prec, RND)
+    if mpf_le(mpf_abs(A[n - 1][n - 1], prec, RND), tol):
+        raise ZeroDivisionError("matrix is numerically singular")
+    for i in range(1, n):
+        for j in range(i):
+            x[i] = mpf_sub(x[i], mpf_mul(A[i][j], x[j], prec, RND), prec, RND)
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            x[i] = mpf_sub(x[i], mpf_mul(A[i][j], x[j], prec, RND), prec, RND)
+        x[i] = mpf_div(x[i], A[i][i], prec, RND)
     return x
 
 

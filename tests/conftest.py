@@ -6,6 +6,7 @@ every kernel test downstream reuses them through the solve cache.
 """
 
 import pytest
+from mpmath import ctx_mp_python
 
 from treewalks import FirstPassageSystem, geometry, preset
 
@@ -59,6 +60,40 @@ def count_reduced_words(monkeypatch):
         check(self)
 
     monkeypatch.setattr(geometry.ReducedWord, "__post_init__", counted)
+
+    def run(call) -> int:
+        nonlocal count
+        count = 0
+        call()
+        return count
+
+    return run
+
+
+MPF_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+    "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+@pytest.fixture
+def count_mpf_operators(monkeypatch):
+    """Call a function and return how many mpf arithmetic and comparison
+    operators it called."""
+    count = 0
+
+    def counted(method):
+        def call(*args):
+            nonlocal count
+            count += 1
+            return method(*args)
+
+        return call
+
+    for name in MPF_OPERATORS:
+        method = getattr(ctx_mp_python._mpf, name)
+        monkeypatch.setattr(ctx_mp_python._mpf, name, counted(method))
 
     def run(call) -> int:
         nonlocal count

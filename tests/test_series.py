@@ -85,6 +85,20 @@ def test_kleene_converges_from_both_sides(f2_system):
         assert abs(hi[c] - 1.0 / 3.0) < 1e-8
 
 
+def test_solve_cache_keys_on_every_bit_of_z(f2_spec):
+    # the two points agree to 20 decimal digits, so their 15-digit str does
+    # too; each must still get its own solve
+    system = FirstPassageSystem(f2_spec)
+    with mp.workprec(system.prec):
+        above, below = 1 + mp.ldexp(1, -70), 1 - mp.ldexp(1, -70)
+    high, low = system.solve(above), system.solve(below)
+    assert high is not low
+    assert (high.z, low.z) == (above, below)
+    assert high.values != low.values
+    # one point spelled two ways is one solve
+    assert system.solve(1) is system.solve(1.0)
+
+
 def test_solve_rejects_nonpositive_point(f2_system):
     with pytest.raises(ValidationError):
         f2_system.solve(0.0)
@@ -272,8 +286,9 @@ def test_newton_budget_names_its_cap(f2_spec, monkeypatch):
 def test_singular_newton_matrix_is_named(f2_spec, monkeypatch):
     system = FirstPassageSystem(f2_spec)
     L = len(system.letters)
-    # I - J = 0: the Newton correction has no solution
-    eye = [[mp.mpf(i == k) for k in range(L)] for i in range(L)]
+    # I - J = 0: the Newton correction has no solution (raw mpfs, as
+    # _jacobian returns them)
+    eye = [[mp.mpf(i == k)._mpf_ for k in range(L)] for i in range(L)]
     monkeypatch.setattr(system, "_jacobian", lambda *args: eye)
     with pytest.raises(ConvergenceError, match="singular Newton matrix at Newton step 0"):
         system.solve(1.0)
@@ -283,8 +298,8 @@ def test_zero_column_newton_matrix_is_named(f2_spec, monkeypatch):
     system = FirstPassageSystem(f2_spec)
     L = len(system.letters)
     # I - J has no zero row, but its first column is zero: no pivot exists
-    J = [[mp.mpf(0)] * L for _ in range(L)]
-    J[0][0], J[0][1] = mp.mpf(1), mp.mpf(-1)
+    J = [[mp.mpf(0)._mpf_] * L for _ in range(L)]
+    J[0][0], J[0][1] = mp.mpf(1)._mpf_, mp.mpf(-1)._mpf_
     monkeypatch.setattr(system, "_jacobian", lambda *args: J)
     with pytest.raises(ConvergenceError, match="singular Newton matrix at Newton step 0"):
         system.solve(1.0)
@@ -296,7 +311,7 @@ def test_negative_residual_is_certified_at_the_first_step(f2_spec):
     system = FirstPassageSystem(f2_spec)
     with mp.workprec(system.prec):
         mu, mu0 = system._weights()
-        start = [mp.mpf("0.9")] * len(system.letters)
+        start = [mp.mpf("0.9")._mpf_] * len(system.letters)
         with pytest.raises(ConvergenceError) as info:
             system._newton(mp.mpf(1), start, mu, mu0)
     assert "certified by a negative residual phi(f) - f at Newton step 0" in str(
@@ -318,7 +333,7 @@ def test_singular_fold_correction_is_named(f2_spec, monkeypatch):
     L = len(system.letters)
     # J = 0 makes H and J v zero too, and v[0] = 1 is fixed, so the row of
     # the equation (J v - v)[0] = 0 in the bordered Jacobian is zero
-    zeros = [[mp.mpf(0)] * L for _ in range(L)]
+    zeros = [[mp.mpf(0)._mpf_] * L for _ in range(L)]
     monkeypatch.setattr(system, "_jacobian", lambda *args: zeros)
     with pytest.raises(ConvergenceError, match="singular correction step at step 0"):
         system.fold()
@@ -420,8 +435,9 @@ def test_fold_null_vector_is_the_minor_solve(spec):
     assert v[0] == 1 and min(v) > 0
     with mp.workprec(fp.prec):
         mu, mu0 = system._weights()
-        f = [fp.values[c] for c in system.letters]
-        A = mp.eye(L) - mp.matrix(system._jacobian(f, fp.r, mu, mu0))
+        f = [fp.values[c]._mpf_ for c in system.letters]
+        J = system._jacobian(f, fp.r._mpf_, mu, mu0)
+        A = mp.eye(L) - mp.matrix([[mp.make_mpf(x) for x in row] for row in J])
         residual = max(abs(x) for x in A * mp.matrix(v))
         assert residual <= mp.mpf(2) ** (48 - fp.prec)
         # the right null vector from the minor A[1:, 1:] with v[0] = 1
@@ -457,6 +473,74 @@ def test_radius_brackets_the_fold_at_the_floor(spec):
     cert = system.radius()
     r = float(system.fold().r)
     assert cert.lo * (1 - 1e-15) <= r <= cert.hi * (1 + 1e-15)
+
+
+# -- the Newton algebra on raw mpfs -------------------------------------------
+
+
+def phi_by_operators(system, f, z, mu, mu0):
+    """The fixed-point map in mpf operator arithmetic, the reference."""
+    inv = system.inv_index
+    s = mp.mpf(0)
+    for k in range(len(f)):
+        s += mu[k] * f[inv[k]]
+    return [z * (mu[k] + mu0 * f[k] + f[k] * (s - mu[k] * f[inv[k]]))
+            for k in range(len(f))]
+
+
+def jacobian_by_operators(system, f, z, mu, mu0):
+    """Its Jacobian in mpf operator arithmetic, the reference."""
+    inv = system.inv_index
+    s = mp.mpf(0)
+    for k in range(len(f)):
+        s += mu[k] * f[inv[k]]
+    J = []
+    for i in range(len(f)):
+        row = []
+        for k in range(len(f)):
+            v = f[i] * mu[inv[k]]
+            if k == i:
+                v += mu0 + s - mu[i] * f[inv[i]]
+            if k == inv[i]:
+                v -= mu[i] * f[i]
+            row.append(z * v)
+        J.append(row)
+    return J
+
+
+@pytest.mark.parametrize("prec", [80, 96, 192])
+def test_phi_and_jacobian_are_the_operator_formulas_bit_for_bit(prec):
+    rng = random.Random(prec)
+    alphabets = [free_group(2), free_group(3), free_group(4), tree_alphabet(3)]
+    for ab in alphabets:
+        size = len(ab.letters)
+        for weights in ([1] * size, [rng.randint(1, 9) for _ in range(size)]):
+            system = FirstPassageSystem(weighted_walk(ab, weights, Fraction(1, 4)))
+            with mp.workprec(prec):
+                mu = [mp.mpf(p.numerator) / p.denominator for p in system.mu_fractions]
+                mu0 = mp.mpf(1) / 4
+                raw_mu, raw_mu0 = system._weights()
+                assert [x._mpf_ for x in (*mu, mu0)] == [*raw_mu, raw_mu0]
+                for _ in range(3):
+                    f = [mp.ldexp(rng.randrange(2**prec), -prec) for _ in range(size)]
+                    z = mp.mpf(rng.uniform(0.5, 1.5))
+                    raw_f, raw_z = [x._mpf_ for x in f], z._mpf_
+                    phi = phi_by_operators(system, f, z, mu, mu0)
+                    assert [x._mpf_ for x in phi] == system._phi(raw_f, raw_z, raw_mu, raw_mu0)
+                    # the fold refinement also takes the Jacobian at its null
+                    # vector with mu0 = 0, which the operator code spelled int 0
+                    for m0, raw_m0 in ((mu0, raw_mu0), (0, mp.mpf(0)._mpf_)):
+                        J = jacobian_by_operators(system, f, z, mu, m0)
+                        got = system._jacobian(raw_f, raw_z, raw_mu, raw_m0)
+                        assert [[x._mpf_ for x in row] for row in J] == got
+
+
+def test_radius_and_fold_make_no_mpf_operator_calls(f2_spec, count_mpf_operators):
+    system = FirstPassageSystem(f2_spec)
+    calls = count_mpf_operators(lambda: (system.radius(), system.fold()))
+    # in operator arithmetic this took about 16,900 calls; what is left is
+    # bookkeeping, a z <= 0 test per solve and an estimate test per midpoint
+    assert calls <= 100
 
 
 # -- the LU solve on lists -----------------------------------------------------
