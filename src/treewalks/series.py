@@ -383,12 +383,15 @@ class FirstPassageSystem:
         Every failure names its cause; NEWTON_CAP and VALUE_BOUND remain as
         backstops.  Results are cached per evaluation point.
         """
+        # keyed on the point the solve uses: a float is exact at MIN_PREC
+        # bits, and mpfs hash and compare with floats by value
+        key = z if isinstance(z, float) else mp.mpf(z, prec=self.prec)
+        hit = self._solve_cache.get(key)
+        if hit is not None:
+            return hit
         with mp.workprec(self.prec):
             zz = mp.mpf(z)
-            key = z = zz._mpf_  # the point the solve uses, to every bit
-            hit = self._solve_cache.get(key)
-            if hit is not None:
-                return hit
+            z = zz._mpf_
             if zz <= 0:
                 raise ValidationError("evaluation point must be positive")
             mu, mu0 = self._weights()
@@ -642,7 +645,7 @@ class FirstPassageSystem:
             self._fold = FoldPoint(
                 r=mp.make_mpf(r),
                 values={c: mp.make_mpf(f[self.index[c]]) for c in self.letters},
-                null_vector=_mpfs(v),
+                null_vector=list(map(mp.make_mpf, v)),
                 green=self._green(f, r, mu, mu0),
                 residual=mp.make_mpf(residual),
                 iterations=iterations,
@@ -718,8 +721,8 @@ class FirstPassageSystem:
             f = [fp.values[c] for c in self.letters]
             v = fp.null_vector
             J = self._jacobian([x._mpf_ for x in f], r._mpf_, mu, mu0)
-            A = [_mpfs(row) for row in _eye_minus(J)]
-            mu = _mpfs(mu)
+            A = [list(map(mp.make_mpf, row)) for row in _eye_minus(J)]
+            mu = list(map(mp.make_mpf, mu))
             minor_t = [[A[k][i] for k in range(1, L)] for i in range(1, L)]
             try:  # first entry 1, the rest from the transposed minor A[1:, 1:]^T
                 w = [1, *_lu_solve(minor_t, [-A[0][i] for i in range(1, L)])]
@@ -740,11 +743,6 @@ class FirstPassageSystem:
                 table[letter] = float(c * v[k] / f[k])
         self._gammas = table
         return dict(table)
-
-
-def _mpfs(xs) -> list:
-    """mpf objects of raw mpfs, bit for bit."""
-    return [mp.make_mpf(x) for x in xs]
 
 
 def _max(xs, beats=mpf_gt):
@@ -769,7 +767,8 @@ def _lu_solve(A, b) -> list:
     Entries go through mp.convert; _mpf_lu_solve solves at mp.prec + 10 bits.
     """
     A = [[mp.convert(a)._mpf_ for a in row] for row in A]
-    return _mpfs(_mpf_lu_solve(A, [mp.convert(c)._mpf_ for c in b], mp.prec + 10))
+    x = _mpf_lu_solve(A, [mp.convert(c)._mpf_ for c in b], mp.prec + 10)
+    return list(map(mp.make_mpf, x))
 
 
 def _mpf_lu_solve(A, b, prec: int) -> list:

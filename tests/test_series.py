@@ -95,8 +95,8 @@ def test_solve_cache_keys_on_every_bit_of_z(f2_spec):
     assert high is not low
     assert (high.z, low.z) == (above, below)
     assert high.values != low.values
-    # one point spelled two ways is one solve
-    assert system.solve(1) is system.solve(1.0)
+    # one point spelled three ways is one solve
+    assert system.solve(1) is system.solve(1.0) is system.solve(mp.mpf(1))
 
 
 def test_solve_rejects_nonpositive_point(f2_system):
