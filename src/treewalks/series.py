@@ -764,7 +764,8 @@ def _eye_minus(J) -> list:
 def _lu_solve(A, b) -> list:
     """x with A x = b for a square A, from lists: mpmath's lu_solve, bit for bit.
 
-    Entries go through mp.convert; _mpf_lu_solve solves at mp.prec + 10 bits.
+    Entries go through mp.convert, and _mpf_lu_solve solves at mp.prec + 10
+    bits in libmp's arithmetic, the calls that the mpf operators make.
     """
     A = [[mp.convert(a)._mpf_ for a in row] for row in A]
     x = _mpf_lu_solve(A, [mp.convert(c)._mpf_ for c in b], mp.prec + 10)

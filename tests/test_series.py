@@ -517,8 +517,8 @@ def test_phi_and_jacobian_are_the_operator_formulas_bit_for_bit(prec):
         for weights in ([1] * size, [rng.randint(1, 9) for _ in range(size)]):
             system = FirstPassageSystem(weighted_walk(ab, weights, Fraction(1, 4)))
             with mp.workprec(prec):
-                mu = [mp.mpf(p.numerator) / p.denominator for p in system.mu_fractions]
-                mu0 = mp.mpf(1) / 4
+                mu0, *mu = [mp.mpf(p.numerator) / p.denominator
+                            for p in (system.mu0_fraction, *system.mu_fractions)]
                 raw_mu, raw_mu0 = system._weights()
                 assert [x._mpf_ for x in (*mu, mu0)] == [*raw_mu, raw_mu0]
                 for _ in range(3):
