@@ -1,5 +1,6 @@
 """Ball indices, first-passage vectors and matrices, contracted kernels."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from treewalks import (
     FirstPassageSystem,
     PassageMatrix,
     ValidationError,
+    ball,
     ball_index,
     contraction_limit,
     finite_walk,
@@ -32,6 +34,7 @@ from treewalks import (
 from treewalks import matrix_boundary
 
 F2 = free_group(2)
+F3 = free_group(3)
 
 
 def letter_products(system, z):
@@ -589,3 +592,39 @@ def test_matrix_kernel_needs_certified_z_or_explicit(t3_spec, f2_spec):
     xi = EndPrefix.from_pattern(F2, [2, -1], 40)
     with pytest.raises(ValidationError):
         martin_kernel_matrix(longer, word(F2, [1]), xi)
+
+
+def lazy_uniform_f3_walk():
+    # every letter 5/48, holding 3/8
+    mu = {identity(F3): Fraction(3, 8)}
+    for c in F3.letters:
+        mu[word(F3, [c])] = Fraction(5, 48)
+    return finite_walk(F3, mu)
+
+
+# sha256 over the reprs of martin_kernel_matrix at every x of ball 2, in
+# ball order, at the certified z: recorded while every block of the end
+# still got its own passage matrix
+MATRIX_KERNEL_PINS = {
+    ("f2-lazy-uniform", (2, -1), 44): "f66af8e052acdc31535bfdf1bdb43aff599bccd559391b85cee766e240f42666",
+    ("f2-lazy-uniform", (2, -1), 66): "8c121b8a15eebd186248c453b532e474d962d4b4d76837783fe826729f96776b",
+    ("f2-lazy-uniform", (2, -1), 88): "cb1dcbb7753b7ee5dec6c099052f9a133f45f469ec5bd5dc9e1097a9f05cdcd5",
+    ("f2-lazy-uniform", (1, 2, 2), 44): "08cb9dac77b0c3420da7c9c53f4254ec4c059384857aff5f58b43b69374719fd",
+    ("f2-lazy-uniform", (1, 2, 2), 66): "664e516de1054bac3d88d72e2b352d4c5c4ac62495a17fe00dbf4d64ef829435",
+    ("f2-lazy-uniform", (1, 2, 2), 88): "fe768b092065d9b0c9e662362f7311a92d317324c2fc650915ff6ff1cf41c7a9",
+    ("uniform-f3", (3, -1), 44): "5cf60e9ba3dc6f859ee83ac9d342d21e97a708435b35d68eecddcb02af3fc0f1",
+    ("uniform-f3", (3, -1), 66): "53cc4b4db0e65fadec1116995ed6c9be046ca7b3a8a0b84a49c47323b709b71a",
+    ("uniform-f3", (3, -1), 88): "0d8a1c96c016ff82c96ca060a10d00930fe4238111a02c8e943c3a15a9dc12bc",
+    ("uniform-f3", (1, 2, 3), 44): "32d9cc668ae200f0f4b54bfc799e761b4a0c0d45b6375ccbb6a496a1547c75d3",
+    ("uniform-f3", (1, 2, 3), 66): "7b2d59a641e0a30d840d12ae034ae8ed34449a19272dc30b76cd912456d291f0",
+    ("uniform-f3", (1, 2, 3), 88): "1145f5282505c17a3e8f30e06df2546826587180817cce7414a1936a8e7ea832",
+}
+
+
+@pytest.mark.parametrize("name, pattern, depth", sorted(MATRIX_KERNEL_PINS))
+def test_matrix_kernel_reprs_are_pinned(f2_spec, name, pattern, depth):
+    spec, ab = (f2_spec, F2) if name == "f2-lazy-uniform" else (lazy_uniform_f3_walk(), F3)
+    xi = EndPrefix.from_pattern(ab, pattern, depth)
+    reprs = [repr(martin_kernel_matrix(spec, x, xi)) for x in ball(ab, 2)]
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == MATRIX_KERNEL_PINS[name, pattern, depth]
