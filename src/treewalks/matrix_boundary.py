@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,12 +107,18 @@ def ball_index(spec: WalkSpec) -> BallIndex:
 
     Candidate radii N = reach, ..., RADIUS_CAP are accepted once a breadth
     first search inside the radius-N ball reaches every ball point from
-    every other one using only positive-probability steps.
+    every other one using only positive-probability steps.  The search
+    runs once per walk and cap; later calls return the same index.
     """
+    return _ball_index(spec, RADIUS_CAP)
+
+
+@lru_cache(maxsize=None)
+def _ball_index(spec: WalkSpec, cap: int) -> BallIndex:
     steps = _step_pairs(spec)
     reach = spec.range
     inner = ball(spec.alphabet, reach)
-    for n in range(reach, RADIUS_CAP + 1):
+    for n in range(reach, cap + 1):
         big = set(ball(spec.alphabet, n))
         ok = True
         for start in inner:
@@ -136,7 +143,7 @@ def ball_index(spec: WalkSpec) -> BallIndex:
                 words=tuple(inner),
             )
     raise ValidationError(
-        f"no connecting radius up to {RADIUS_CAP}: the ball points do not "
+        f"no connecting radius up to {cap}: the ball points do not "
         "communicate inside any candidate ball"
     )
 
@@ -346,11 +353,16 @@ def first_passage_to_ball(
     are killed on leaving a state ball around y (three block lengths by
     default, at least one block beyond x) and absorbed on entering the
     target ball; one sparse solve gives the exact entry weights of that
-    truncated chain.  A z past its singularity, or a state ball over
-    ``STATE_CAP`` vertices, raises ConvergenceError.  method="dp" forces
-    the sparse solve, mostly so the two engines can be played against
-    each other.
+    truncated chain.  method="dp" forces the sparse solve, mostly so the
+    two engines can be played against each other.
+
+    A z that is not finite and positive raises ValidationError.  Past the
+    singularity the radial route raises ValidationError (from
+    radial_passage) and the sparse route ConvergenceError, as does a
+    state ball over ``STATE_CAP`` vertices.
     """
+    if not (z > 0 and math.isfinite(z)):
+        raise ValidationError(f"z = {z} is not finite and positive")
     if index is None:
         index = ball_index(spec)
     if x.alphabet != spec.alphabet or y.alphabet != spec.alphabet:
@@ -569,14 +581,23 @@ def martin_kernel_matrix(
             f"prefix depth {xi.depth} too short for the matrix kernel: "
             f"need at least {(k + 1) * d}"
         )
-    centers = [xi.word.prefix(j * d) for j in range(k, blocks + 1)]
-    mats = [
-        passage_matrix(spec, multiply(a.inverse(), b), z, index)
-        for a, b in zip(centers, centers[1:])
-    ]
-    value = _kernel_quotient(spec, index, x, centers[0], z, mats)
+    # block j runs from centre j*d to centre (j+1)*d; a periodic end
+    # repeats its blocks, so each distinct one is built once
+    letters = xi.word.letters
+    built: dict[tuple[int, ...], PassageMatrix] = {}
+    mats = []
+    for j in range(k, blocks):
+        block = letters[j * d : (j + 1) * d]
+        if block not in built:
+            built[block] = passage_matrix(
+                spec, ReducedWord(xi.alphabet, block), z, index
+            )
+        mats.append(built[block])
+    value = _kernel_quotient(spec, index, x, xi.word.prefix(k * d), z, mats)
     if blocks >= k + 2:
-        again = _kernel_quotient(spec, index, x, centers[1], z, mats[1:])
+        again = _kernel_quotient(
+            spec, index, x, xi.word.prefix((k + 1) * d), z, mats[1:]
+        )
         err = abs(value - again)
         stab = err < 1e-8
     else:

@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -167,7 +168,10 @@ class WalkSpec:
     def coefficient_map(self) -> dict[int, Fraction]:
         return dict(self.coefficients)
 
-    @property
+    # range and is_uniform_nn are read on every route() call and every
+    # passage row, so each spec derives them once; eq and hash see the
+    # fields alone
+    @cached_property
     def range(self) -> int:
         if self.mode == "isotropic":
             return max(d for d, a in self.coefficients if a > 0)
@@ -192,7 +196,7 @@ class WalkSpec:
             return "lattice"
         return "nn" if self.is_nearest_neighbour else "words"
 
-    @property
+    @cached_property
     def is_uniform_nn(self) -> bool:
         """True when the step law is lazy uniform nearest-neighbour."""
         if self.mode == "isotropic":

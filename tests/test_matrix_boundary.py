@@ -74,6 +74,18 @@ def test_ball_index_needs_room_to_connect(f2_spec, monkeypatch):
         ball_index(f2_spec)
 
 
+def test_ball_index_is_built_once_per_walk_and_cap(f2_spec, monkeypatch):
+    idx = ball_index(f2_spec)
+    twin = finite_walk(F2, dict(f2_spec.mu))
+    assert twin is not f2_spec
+    assert ball_index(f2_spec) is idx
+    assert ball_index(twin) is idx
+    # the cap is part of the key: a smaller one still runs the search
+    monkeypatch.setattr(matrix_boundary, "RADIUS_CAP", 0)
+    with pytest.raises(ValidationError, match="no connecting radius up to 0"):
+        ball_index(f2_spec)
+
+
 def test_ball_index_rejects_isotropic_input(t3_spec):
     with pytest.raises(ValidationError):
         ball_index(t3_spec)
@@ -479,6 +491,18 @@ def test_green_product_formula_with_one_matrix(f2_system):
     assert abs(got - expect) < 1e-12 * expect
 
 
+@pytest.mark.parametrize("z", [math.nan, -1.0, 0.0, math.inf])
+def test_passage_refuses_z_that_is_not_finite_and_positive(f2_spec, z):
+    x = word(F2, [1, 1])
+    with pytest.raises(ValidationError, match=f"z = {z} is not finite and positive"):
+        first_passage_to_ball(f2_spec, x, identity(F2), z)
+    with pytest.raises(ValidationError, match=f"z = {z} is not finite and positive"):
+        passage_matrix(f2_spec, word(F2, [2, -1, 2, -1]), z)
+    xi = EndPrefix.from_pattern(F2, [2, -1], 44)
+    with pytest.raises(ValidationError, match=f"z = {z} is not finite and positive"):
+        martin_kernel_matrix(f2_spec, word(F2, [1]), xi, z=z)
+
+
 # -- passage matrices -----------------------------------------------------------
 
 
@@ -559,6 +583,24 @@ def test_matrix_kernel_matches_passage_products(f2_spec, f2_system):
         # the start-invariance defect
         assert got.error < 1e-8
         assert got.stabilized
+
+
+@pytest.mark.parametrize("pattern, distinct", [((2, -1), 1), ((1, 2, 2), 3)])
+def test_matrix_kernel_builds_each_distinct_block_once(
+    f2_spec, monkeypatch, pattern, distinct
+):
+    blocks = []
+    build = matrix_boundary.passage_matrix
+
+    def counted(spec, block, z, index=None):
+        blocks.append(block.letters)
+        return build(spec, block, z, index)
+
+    monkeypatch.setattr(matrix_boundary, "passage_matrix", counted)
+    xi = EndPrefix.from_pattern(F2, pattern, 44)
+    martin_kernel_matrix(f2_spec, word(F2, [1]), xi)
+    # eleven blocks of length 4 along the end, from the first centre on
+    assert len(blocks) == len(set(blocks)) == distinct
 
 
 def test_matrix_kernel_is_one_at_root(f2_spec):

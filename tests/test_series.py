@@ -648,6 +648,19 @@ def test_shared_system_is_one_per_walk_and_precision(f2_spec):
     assert series.shared_system(f2_spec) is not system
 
 
+def test_shared_system_hits_for_an_equal_spec_with_cached_views(f2_spec):
+    # range (read by validation) and is_uniform_nn are cached on the
+    # instance; equality and the hash read the fields alone, so an equal
+    # fresh spec finds the system
+    system = series.shared_system(f2_spec)
+    assert f2_spec.is_uniform_nn
+    twin = finite_walk(f2_spec.group, dict(f2_spec.mu))
+    assert vars(f2_spec)["range"] == vars(twin)["range"] == 1
+    assert vars(f2_spec)["is_uniform_nn"] and "is_uniform_nn" not in vars(twin)
+    assert twin == f2_spec and hash(twin) == hash(f2_spec)
+    assert series.shared_system(twin) is system
+
+
 def test_first_passage_system_builds_no_mpmath_matrix(f2_spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an mpmath matrix was built")
