@@ -599,7 +599,7 @@ def test_matrix_kernel_builds_each_distinct_block_once(
     monkeypatch.setattr(matrix_boundary, "passage_matrix", counted)
     xi = EndPrefix.from_pattern(F2, pattern, 44)
     martin_kernel_matrix(f2_spec, word(F2, [1]), xi)
-    # eleven blocks of length 4 along the end, from the first centre on
+    # ten blocks of length 4, between the centres at depths 4, 8, ..., 44
     assert len(blocks) == len(set(blocks)) == distinct
 
 
