@@ -11,6 +11,7 @@ replaced.
 
 import ast
 import csv
+import hashlib
 import importlib
 import inspect
 import io
@@ -29,8 +30,11 @@ from hypothesis import strategies as st
 
 from treewalks import (
     ConvergenceError,
+    EndPrefix,
     ValidationError,
     ancona_harnack_check,
+    ball,
+    detect_R_mu,
     factor_kernel,
     factor_kernel_grid,
     factor_returns,
@@ -54,6 +58,7 @@ from treewalks import (
 import treewalks
 from treewalks import series, walks
 from treewalks.cli import main
+from treewalks.kernels import ratio_grid_nn
 from treewalks.series import FirstPassageSystem, shared_system
 from treewalks.walks import (
     PRUNE_DEFAULT,
@@ -931,3 +936,111 @@ def test_nn_laws_run_the_recursion_once(monkeypatch):
         _CountedIter.runs = 0
         call()
         assert _CountedIter.runs == 1
+
+
+# -- bit-identity pins of the nn kernel grid, reports and Ancona samples ---------
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def t3_twin():
+    return word_twin(preset("t3-lazy-iso"))
+
+
+NN_WALKS = {
+    "f2-lazy-uniform": lambda: preset("f2-lazy-uniform"),
+    "skewed F2": skewed_f2,
+    "skewed F3": skewed_f3,
+    "involutive T3": skewed_t3,
+    "T3 twin": t3_twin,
+}
+
+# sha256 of ratio_grid_nn(ball r, ball r).tobytes(), recorded before the
+# prefix-tree grid replaced the per-entry chains
+GRID_PINS = {
+    ("f2-lazy-uniform", 4): "ed50a2c4aee38ee881e465d8cb2e5d5b824e887b11921c5c11d5d01fd772d3f5",
+    ("skewed F2", 3): "cd8a22c71ecfed5db11dec699bda24ddc5f21c45cd0545f303665032a9f471e9",
+    ("skewed F3", 3): "4073b1282824b527230d6607546a0a352eaf20790c64b3650d7e589aa237e7e7",
+    ("involutive T3", 3): "5b35859baa90aa838d81a91bd318946e146de612c9e41645d807d8d1ba5bf905",
+    ("T3 twin", 3): "017269a280913d0a1945839210b35695dca3c00532674dbf1698f8adb3516d1d",
+}
+
+
+@pytest.mark.parametrize("name, radius", sorted(GRID_PINS))
+def test_ratio_grid_nn_bytes_are_pinned(name, radius):
+    spec = NN_WALKS[name]()
+    words = ball(spec.alphabet, radius)
+    grid = ratio_grid_nn(shared_system(spec), words, words)
+    assert _digest(grid.tobytes()) == GRID_PINS[name, radius]
+
+
+def _uneven_lists(ab):
+    # target lists that are not prefix-closed: end prefixes deepest first,
+    # part of a sphere without its ball, duplicates and e; probes from
+    # ball 1 and sphere 5, and two that reach past every target
+    first, last = ab.letters[0], ab.letters[-1]
+    ends = [EndPrefix.from_pattern(ab, (first, last), d).word for d in range(12, 0, -1)]
+    sphere3 = [w for w in ball(ab, 3) if len(w) == 3]
+    targets = ends + sphere3[::3] + [identity(ab)] + ends[::4] + sphere3[:2]
+    long = [EndPrefix.from_pattern(ab, pattern, 14).word for pattern in ((first, last), (last, first))]
+    probes = ball(ab, 1) + [w for w in ball(ab, 5) if len(w) == 5][::17] + long
+    return probes, targets
+
+
+UNEVEN_GRID_PINS = {
+    "f2-lazy-uniform": "c23e90016209c7a2dae58c2275e24ec1fe7e4b9ed8b922d405f153bb85e325ae",
+    "skewed F2": "7b94117d3893ed374e11d13dc9de3fbdfcdae2c677198091086dcc9b0203e77c",
+    "skewed F3": "76b0de2c040e074e9a87934e3b2ca69f4a982387f1aaed7f20a09e926615bd5e",
+    "involutive T3": "78371c1f09a24a9d3c8bac1b163e566805e163b2dc0338383b894aa5c7cb39f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNEVEN_GRID_PINS))
+def test_ratio_grid_nn_bytes_on_uneven_target_lists_are_pinned(name):
+    spec = NN_WALKS[name]()
+    probes, targets = _uneven_lists(spec.alphabet)
+    assert max(map(len, probes)) > max(map(len, targets))
+    grid = ratio_grid_nn(shared_system(spec), probes, targets)
+    assert _digest(grid.tobytes()) == UNEVEN_GRID_PINS[name]
+
+
+REPORT_WALKS = {**NN_WALKS, "t3xZ": lambda: preset("t3xZ"), "t3xt3": lambda: preset("t3xt3")}
+
+# sha256 of repr(detect_R_mu(walk, candidate radius, probe radius))
+REPORT_PINS = {
+    ("f2-lazy-uniform", 4, 4): "6973a58e31eed49c684660c596e03c5c4b0d4789e6d23423ad997ebc13686132",
+    ("skewed F2", 3, 3): "37f03ca5a77530c7e5c24f179ff4e1b6c206e0de45bb4524e61800445f7b885d",
+    ("skewed F3", 3, 3): "9fa76b9207bf46c346182f2dd114ee12b7d0af7ae7ca8e2cf367aee2f48b2a9f",
+    ("involutive T3", 3, 3): "1141d2dd0065648af689f4a61372beb462dbb4640504492b1c371cc4fe1b03d2",
+    ("T3 twin", 3, 3): "9b115739444b5fd74be13bd36c08c7072fa40279b8e42cfa061581fc57128776",
+    ("t3xZ", 4, 3): "6af9c4763e133cbc6cb1a5733d5beb4412e3d4173ca832be9be8389286b00dbd",
+    ("t3xt3", 4, 3): "1beef17c8d3fa8b7e9a3076401b1b0d7dca0be4df5d0708e85364ec6c0e94fef",
+}
+
+
+@pytest.mark.parametrize("name, cand, probe", sorted(REPORT_PINS))
+def test_detect_R_mu_reprs_are_pinned(name, cand, probe):
+    report = detect_R_mu(REPORT_WALKS[name](), candidate_radius=cand, probe_radius=probe)
+    assert _digest(repr(report).encode()) == REPORT_PINS[name, cand, probe]
+
+
+# sha256 of repr(ancona_harnack_check(system, n_pairs=37, seed=seed))
+ANCONA_PINS = {
+    ("skewed F2", 0): "13c4b9d84ae47ce55c87d837c1d92b1d292e841d586a3f86dfa94582ad9d8128",
+    ("skewed F2", 1): "13c4b9d84ae47ce55c87d837c1d92b1d292e841d586a3f86dfa94582ad9d8128",
+    ("skewed F2", 2): "13c4b9d84ae47ce55c87d837c1d92b1d292e841d586a3f86dfa94582ad9d8128",
+    ("skewed F3", 0): "e513e08f9a87799cccc441aaa0d27a5ac091012afbb4a7f2188d8c903a7d46eb",
+    ("skewed F3", 1): "3b8176009ad34db9e8287ad081524305f1bd767b44f6625d9450a3e4f27c0e86",
+    ("skewed F3", 2): "3aa81d646fe33c22f34efe3144dc3a50b66170e772b7bdd14cb2b5012cdc0f82",
+    ("involutive T3", 0): "ba8776fadefaaef8a72bb11d376529ffff0f6528c63f3cc77b066eaa87929bea",
+    ("involutive T3", 1): "f93049935018e29ebeb21ed9be7012cbb18a784118927ba2bbcca342a9354308",
+    ("involutive T3", 2): "3b6a0a620312b89bd05f15034ec4452b713628c25c3742dcc571ed6323725b30",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(ANCONA_PINS))
+def test_ancona_reprs_are_pinned(name, seed):
+    report = ancona_harnack_check(shared_system(NN_WALKS[name]()), n_pairs=37, seed=seed)
+    assert _digest(repr(report).encode()) == ANCONA_PINS[name, seed]
