@@ -34,7 +34,7 @@ from .geometry import (
     word,
 )
 from .walks import EXACT_STEP_LIMIT, WalkSpec, nstep, spectral_radius
-from .series import FirstPassageSystem, _gamma_sum
+from .series import FirstPassageSystem
 
 __all__ = [
     "KernelValue",
@@ -258,7 +258,7 @@ def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
             f"t = {t!r} puts 1/t beyond the singularity"
         )
     point = system.fold() if z >= cert.lo - slack else system.solve(z)
-    return {c: float(point.values[c]) for c in system.letters}
+    return point.floats
 
 
 def _end_quotient(values: dict, x: ReducedWord, prefix: ReducedWord, m: int) -> float:
@@ -318,34 +318,65 @@ def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
     gammas to the Green gamma of the closed-form gamma table
     (FirstPassageSystem.gamma_table, from the fold's null vectors).  The
     word x^-1 y is the first |x| - k letters of x^-1 followed by y[k:], k
-    the cancelled letters.  Each row keeps the running passage products
-    (from 1.0) and gamma sums over x^-1, and each entry continues them
-    through y[k:] letter by letter.  This is the only implementation of
-    the finite value; ratio_kernel_nn reads a 1x1 grid.
+    the cancelled letters.
+
+    The targets are read off one prefix tree, a node per (parent node,
+    letter) with parents first; inserting a node fills in its passage
+    product and gamma sum for x = e, the column's P(y) and G(y).  Each row
+    keeps the running passage products (from 1.0) and gamma sums over
+    x^-1.  A node at depth d on x's path takes them after |x| - d letters,
+    and every other node is its parent's product times its letter's value
+    and its parent's sum plus its letter's gamma.  So an entry chains
+    x^-1's first |x| - k letters and then y[k:], left to right, one letter
+    per node.  This is the only implementation of the finite value;
+    ratio_kernel_nn reads a 1x1 grid.
     """
-    fp = system.fold()
-    values = _nn_values_at(system, 1.0 / float(fp.r))
+    values = system.fold().floats
     gammas = system.gamma_table()
-    columns = [
-        (y, _passage_product(values, y.letters), _gamma_sum(gammas, y))
-        for y in targets
-    ]
+    # node 0 is e; node j > 0 hangs off parent[j] by a letter with value
+    # value[j] and gamma gamma[j]; p_e, g_e are its products for x = e
+    child: dict[tuple[int, int], int] = {}
+    parent, value, gamma = [0], [1.0], [0.0]
+    p_e, g_e = [1.0], [gammas["green"]]
+    columns = []
+    for y in targets:
+        node = 0
+        for c in y.letters:
+            nxt = child.get((node, c))
+            if nxt is None:
+                nxt = child[node, c] = len(parent)
+                parent.append(node)
+                value.append(values[c])
+                gamma.append(gammas[c])
+                p_e.append(p_e[node] * values[c])
+                g_e.append(g_e[node] + gammas[c])
+            node = nxt
+        columns.append((node, p_e[node], g_e[node]))
+    size = len(parent)
+    p_at, g_at = [0.0] * size, [0.0] * size
     grid = np.empty((len(probes), len(targets)))
     for i, x in enumerate(probes):
         n = len(x)
-        passage, gamma = [1.0], [gammas["green"]]
+        passage, total = [1.0], [gammas["green"]]
         for c in x.inverse().letters:
             passage.append(passage[-1] * values[c])
-            gamma.append(gamma[-1] + gammas[c])
-        row = []
-        for y, p_y, g_y in columns:
-            k = _common_prefix_length(x.letters, y.letters)
-            p, g = passage[n - k], gamma[n - k]
-            for c in y.letters[k:]:
-                p *= values[c]
-                g += gammas[c]
-            row.append((p / p_y) * g / g_y)
-        grid[i] = row
+            total.append(total[-1] + gammas[c])
+        path = [0]
+        for c in x.letters:
+            node = child.get((path[-1], c))
+            if node is None:
+                break
+            path.append(node)
+        for d, node in enumerate(path):
+            p_at[node], g_at[node] = passage[n - d], total[n - d]
+        # path nodes ascend, so the nodes between two of them are off the
+        # path and come after their parents
+        for a, b in zip(path, path[1:] + [size]):
+            for j in range(a + 1, b):
+                q = parent[j]
+                p_at[j] = p_at[q] * value[j]
+                g_at[j] = g_at[q] + gamma[j]
+        grid[i] = [(p_at[j] / p_y) * g_at[j] / g_y for j, p_y, g_y in columns]
     return grid
 
 
@@ -527,6 +558,47 @@ def doob_green_decay(q: int, radii: Iterable[int]) -> list:
 # Green-comparison report
 
 
+def _draw_tables(follow: dict) -> dict:
+    """For each letter c, the table that _random_word draws c's successor
+    by: _draw_table(follow[c]), whose entries point at the letters' own."""
+    tables = {c: [] for c in follow}
+    for c, table in tables.items():
+        table.extend(_draw_table(follow[c], tables))
+    return tables
+
+
+def _draw_table(seq: list, tables: dict) -> list:
+    """seq, the draw table of each of its letters, len(seq) and the bit
+    length of len(seq)."""
+    return [seq, [tables[d] for d in seq], len(seq), len(seq).bit_length()]
+
+
+def _random_word(getrandbits, table: list, n: int, first=None):
+    """n letters: one drawn by table, each next one by the draw table of
+    the letter before it (_draw_tables).
+
+    Each draw is random.Random.choice(seq) written out as CPython makes it
+    (Random._randbelow_with_getrandbits): getrandbits(k) with k the bit
+    length of len(seq), redrawn while it reads len(seq) or more, then that
+    index.  So the letters and the generator's stream are what rng.choice
+    gives, with less work per draw.  With first, a word that starts with
+    another letter uses up its n - 1 follow draws unbuilt and returns None.
+    """
+    seq, tables, size, k = table
+    r = getrandbits(k)
+    while r >= size:
+        r = getrandbits(k)
+    out = [seq[r]] if first is None or seq[r] == first else None
+    for _ in range(n - 1):
+        seq, tables, size, k = tables[r]
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        if out is not None:
+            out.append(seq[r])
+    return None if out is None else tuple(out)
+
+
 @dataclass(frozen=True)
 class AnconaReport:
     z_values: tuple
@@ -566,19 +638,18 @@ def ancona_harnack_check(
             "for its boundary-separated quadruples; this alphabet has none"
         )
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     cert = system.radius()
     z_values = (1.0, 0.5 * (1.0 + cert.lo), cert.lo)
 
     # samples are letter tuples; follow[c] lists the letters that may come
-    # after c and side[c] those off c's axis, both in the order of letters
+    # after c and side[c] those off c's axis, both in the order of letters.
+    # Every rng.choice of a list is written out in _random_word, which
+    # draws the same letters from the same stream; randrange is rng's own
     follow = {c: [d for d in letters if d != ab.inverse_letter(c)] for c in letters}
-    side = {c: [d for d in follow[c] if d != c] for c in letters}
-
-    def random_word(n: int) -> tuple[int, ...]:
-        out = [rng.choice(letters)]
-        for _ in range(n - 1):
-            out.append(rng.choice(follow[out[-1]]))
-        return tuple(out)
+    tables = _draw_tables(follow)
+    start = _draw_table(list(letters), tables)
+    side = {c: _draw_table([d for d in follow[c] if d != c], tables) for c in letters}
 
     triple_min = math.inf
     triple_max = -math.inf
@@ -590,11 +661,11 @@ def ancona_harnack_check(
     for z in z_values:
         sol = system.solve(z)
         G = float(sol.green)
-        vals = {c: float(sol.values[c]) for c in letters}
+        vals = sol.floats
         for n in distances:
             lo_n, hi_n = math.inf, -math.inf
             for _ in range(n_pairs):
-                y = random_word(n)
+                y = _random_word(getrandbits, start, n)
                 m = rng.randrange(1, n)
                 # w = y[:m] lies on the geodesic, so w^-1 y = y[m:]
                 g_ey = _passage_product(vals, y) * G
@@ -611,10 +682,10 @@ def ancona_harnack_check(
                 # first letter nor its inverse, so xq^-1 y and xq^-1 yq are
                 # reduced as they stand
                 first = y[0]
-                xq_inv = ab.inverse_letter(rng.choice(side[first]))
-                yq = random_word(n)
-                while yq[0] != first:
-                    yq = random_word(n)
+                xq_inv = ab.inverse_letter(_random_word(getrandbits, side[first], 1)[0])
+                yq = None
+                while yq is None:
+                    yq = _random_word(getrandbits, start, n, first)
                 g_xy = _passage_product(vals, (xq_inv,) + y) * G
                 g_xyq = _passage_product(vals, (xq_inv,) + yq) * G
                 g_eyq = _passage_product(vals, yq) * G

@@ -420,8 +420,12 @@ def identify_equivalent_boundary(
 
     Candidates join the first earlier class whose value vector matches
     within relative tolerance 1e-7 at every probe; input order fixes the
-    outcome, keeping reports deterministic.
+    outcome, keeping reports deterministic.  No probes tell nothing apart,
+    so an empty probe list raises ValidationError.
     """
+    if not probes:
+        raise ValidationError("identify_equivalent_boundary needs at least one probe; "
+                              "the probe list is empty")
     vectors = [
         np.array([product_ratio_kernel(pw, probe, cand).value for probe in probes])
         for cand in candidates
@@ -436,8 +440,11 @@ def _greedy_classes(vectors, tol: float) -> tuple:
     """Each vector joins the first class whose representative matches it
     within relative tol everywhere, else founds a new class.
 
-    One vector is compared with every representative at once; the
-    representatives and their scales fill preallocated rows.
+    A representative that matches everywhere matches at the last entry, so
+    a vector is compared with every representative at that one entry, and
+    in full only with those that pass; the lowest full match is its class.
+    The last entry, because a ball lists e first and H(e, y) = 1 there
+    tells no two targets apart.  The vectors need at least one entry.
     """
     vectors = np.asarray(vectors, dtype=float)
     reps = np.empty_like(vectors)
@@ -445,11 +452,13 @@ def _greedy_classes(vectors, tol: float) -> tuple:
     classes: list[list[int]] = []
     for i, vec in enumerate(vectors):
         n = len(classes)
-        gaps = np.max(np.abs(vec - reps[:n]) / scales[:n], axis=1)
-        hits = np.flatnonzero(gaps <= tol)
-        if hits.size:
-            classes[hits[0]].append(i)
-            continue
+        near = np.flatnonzero(np.abs(vec[-1] - reps[:n, -1]) / scales[:n, -1] <= tol)
+        if near.size:
+            gaps = np.max(np.abs(vec - reps[near]) / scales[near], axis=1)
+            hits = near[gaps <= tol]
+            if hits.size:
+                classes[hits[0]].append(i)
+                continue
         reps[n] = vec
         scales[n] = np.maximum(np.abs(vec), 1e-300)
         classes.append([i])

@@ -136,8 +136,9 @@ def detect_R_mu(
         i for i, d in enumerate(deviations) if d <= tol
     )
     member_labels = {labels[i] for i in member_indices}
+    scanned = set(labels)
     inverse_closed = all(
-        inverses[labels[i]] not in set(labels)
+        inverses[labels[i]] not in scanned
         or inverses[labels[i]] in member_labels
         for i in member_indices
     )

@@ -55,8 +55,9 @@ is that of mpf arithmetic.  mpf objects are made where values leave it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 from mpmath import mp
@@ -90,6 +91,11 @@ BRACKET_WIDTH = 1e-13  # bisection stops below the certified 1e-12
 ESTIMATE_WIDTH = 1e-9  # float64 bisection that starts the fold estimate
 
 
+def _letter_floats(result) -> MappingProxyType:
+    """The letter values rounded to floats, read-only, once per result."""
+    return MappingProxyType({c: float(v) for c, v in result.values.items()})
+
+
 @dataclass
 class SolveResult:
     """Minimal nonnegative solution of the fixed-point system at one z."""
@@ -100,6 +106,8 @@ class SolveResult:
     green: object | None  # None when the return series diverges
     iterations: int
     residual: object
+
+    floats = cached_property(_letter_floats)
 
     def first_passage(self, target: ReducedWord):
         out = mp.mpf(1)
@@ -142,6 +150,8 @@ class FoldPoint:
     residual: object
     iterations: int
     prec: int
+
+    floats = cached_property(_letter_floats)
 
     def value_at_radius(self, target: ReducedWord):
         if self.green is None:
@@ -546,7 +556,7 @@ class FirstPassageSystem:
             return None
 
         lo = 1.0
-        f = np.array([float(start.values[c]) for c in self.letters])
+        f = np.array([start.floats[c] for c in self.letters])
         while hi - lo > ESTIMATE_WIDTH:
             mid = 0.5 * (lo + hi)
             f_mid = newton64(mid, f)
@@ -974,7 +984,7 @@ def green_second_order(
     green = sol.green
     L = len(system.letters)
     inv = np.array(system.inv_index)
-    fvals = np.array([float(sol.values[c]) for c in system.letters])
+    fvals = np.array([sol.floats[c] for c in system.letters])
     om = fvals * fvals[inv]
     count = np.full(L, len(w) + 1.0)
     for c in w.letters:

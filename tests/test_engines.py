@@ -18,6 +18,7 @@ import io
 import json
 import math
 import pkgutil
+import random
 import sys
 import time
 from fractions import Fraction
@@ -56,9 +57,8 @@ from treewalks import (
     word_twin,
 )
 import treewalks
-from treewalks import series, walks
+from treewalks import kernels, series, walks
 from treewalks.cli import main
-from treewalks.kernels import ratio_grid_nn
 from treewalks.series import FirstPassageSystem, shared_system
 from treewalks.walks import (
     PRUNE_DEFAULT,
@@ -957,7 +957,7 @@ NN_WALKS = {
     "T3 twin": t3_twin,
 }
 
-# sha256 of ratio_grid_nn(ball r, ball r).tobytes(), recorded before the
+# sha256 of kernels.ratio_grid_nn(ball r, ball r).tobytes(), recorded before the
 # prefix-tree grid replaced the per-entry chains
 GRID_PINS = {
     ("f2-lazy-uniform", 4): "ed50a2c4aee38ee881e465d8cb2e5d5b824e887b11921c5c11d5d01fd772d3f5",
@@ -972,7 +972,7 @@ GRID_PINS = {
 def test_ratio_grid_nn_bytes_are_pinned(name, radius):
     spec = NN_WALKS[name]()
     words = ball(spec.alphabet, radius)
-    grid = ratio_grid_nn(shared_system(spec), words, words)
+    grid = kernels.ratio_grid_nn(shared_system(spec), words, words)
     assert _digest(grid.tobytes()) == GRID_PINS[name, radius]
 
 
@@ -1002,7 +1002,7 @@ def test_ratio_grid_nn_bytes_on_uneven_target_lists_are_pinned(name):
     spec = NN_WALKS[name]()
     probes, targets = _uneven_lists(spec.alphabet)
     assert max(map(len, probes)) > max(map(len, targets))
-    grid = ratio_grid_nn(shared_system(spec), probes, targets)
+    grid = kernels.ratio_grid_nn(shared_system(spec), probes, targets)
     assert _digest(grid.tobytes()) == UNEVEN_GRID_PINS[name]
 
 
@@ -1044,3 +1044,80 @@ ANCONA_PINS = {
 def test_ancona_reprs_are_pinned(name, seed):
     report = ancona_harnack_check(shared_system(NN_WALKS[name]()), n_pairs=37, seed=seed)
     assert _digest(repr(report).encode()) == ANCONA_PINS[name, seed]
+
+
+def reference_grid_nn(system, probes, targets):
+    # one chain per entry from 1.0: x^-1's first |x| - k letters, then y[k:]
+    values = {c: float(v) for c, v in system.fold().values.items()}
+    gammas = system.gamma_table()
+
+    def chain(letters):
+        p, g = 1.0, gammas["green"]
+        for c in letters:
+            p *= values[c]
+            g += gammas[c]
+        return p, g
+
+    grid = np.empty((len(probes), len(targets)))
+    for i, x in enumerate(probes):
+        down = x.inverse().letters
+        for j, y in enumerate(targets):
+            k = 0
+            while k < min(len(x), len(y)) and x.letters[k] == y.letters[k]:
+                k += 1
+            p, g = chain(down[: len(x) - k] + y.letters[k:])
+            p_y, g_y = chain(y.letters)
+            grid[i, j] = (p / p_y) * g / g_y
+    return grid
+
+
+letter_lists = st.lists(st.lists(st.integers(0, 5), max_size=9), max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["skewed F2", "skewed F3", "involutive T3"]),
+       probes=letter_lists, targets=letter_lists)
+def test_ratio_grid_nn_is_the_per_entry_chain_bit_for_bit(name, probes, targets):
+    spec = NN_WALKS[name]()
+    ab = spec.alphabet
+
+    def words(lists):
+        return [word(ab, [ab.letters[k % len(ab.letters)] for k in w]) for w in lists]
+
+    probes, targets = words(probes), words(targets)
+    system = shared_system(spec)
+    got = kernels.ratio_grid_nn(system, probes, targets)
+    assert got.tobytes() == reference_grid_nn(system, probes, targets).tobytes()
+
+
+@pytest.mark.parametrize("ab", [F2, F3, T3], ids=["F2", "F3", "involutive T3"])
+def test_ancona_draws_are_random_choice_draws(ab):
+    # the written-out choice reads the same letters and leaves the
+    # generator where Random.choice leaves it, on every list the check
+    # draws from; a CPython that changes choice fails here first
+    letters = list(ab.letters)
+    follow = {c: [d for d in letters if d != ab.inverse_letter(c)] for c in letters}
+    side = {c: [d for d in follow[c] if d != c] for c in letters}
+    tables = kernels._draw_tables(follow)
+    for seed, seq in enumerate([letters, *follow.values(), *side.values()]):
+        rng, ref = random.Random(seed), random.Random(seed)
+        table = kernels._draw_table(seq, tables)
+        got = [kernels._random_word(rng.getrandbits, table, 1)[0] for _ in range(2000)]
+        assert got == [ref.choice(seq) for _ in range(2000)]
+        assert rng.getstate() == ref.getstate()
+
+    def reference_word(n):
+        out = [ref.choice(letters)]
+        while len(out) < n:
+            out.append(ref.choice(follow[out[-1]]))
+        return tuple(out)
+
+    rng, ref = random.Random(99), random.Random(99)
+    start = kernels._draw_table(letters, tables)
+    assert kernels._random_word(rng.getrandbits, start, 2000) == reference_word(2000)
+    # a word asked to start with a letter uses up its draws either way
+    for _ in range(200):
+        want = reference_word(7)
+        got = kernels._random_word(rng.getrandbits, start, 7, letters[0])
+        assert got == (want if want[0] == letters[0] else None)
+    assert rng.getstate() == ref.getstate()

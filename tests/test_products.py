@@ -430,6 +430,14 @@ def test_line_times_line_collapses_entirely(z_spec):
     assert classes.classes == ((0, 1, 2),)
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_empty_probe_list_is_refused_by_name(t3xz, count):
+    xi, eta, up, dn = tree_line_candidates()
+    candidates = [ProductBoundaryPoint(a, b) for a in (xi, eta) for b in (up, dn)]
+    with pytest.raises(ValidationError, match="probe list is empty"):
+        identify_equivalent_boundary(t3xz, candidates[:count], [])
+
+
 def test_class_lookup_rejects_unknown_candidate(t3xz):
     xi, _, up, _ = tree_line_candidates()
     classes = identify_equivalent_boundary(

@@ -356,6 +356,19 @@ def test_greedy_classes_match_the_one_by_one_loop(picks, nudges):
     assert products._greedy_classes(vectors, 1e-6) == reference_classes(vectors, 1e-6)
 
 
+def test_greedy_classes_compare_in_full_after_the_last_entry():
+    # both representatives match the last entry of vector 2, only the
+    # second matches it everywhere; vector 7 matches classes 5 and 6 in
+    # full and joins the first; NaN entries match nothing
+    nan = float("nan")
+    vectors = [[1.0, 2.0, 3.0], [1.0, 5.0, 3.0], [1.0, 5.0, 3.0 * (1 + 1e-9)],
+               [1.0, 2.0, nan], [1.0, 2.0, nan], [1.0, 1.0, 1.0],
+               [1.0, 1.0, 1.0 + 1.5e-6], [1.0, 1.0, 1.0 + 0.75e-6], [nan, 2.0, 3.0]]
+    want = ((0,), (1, 2), (3,), (4,), (5, 7), (6,), (8,))
+    assert products._greedy_classes(vectors, 1e-6) == want
+    assert reference_classes(np.array(vectors), 1e-6) == want
+
+
 # -- report serialization --------------------------------------------------------
 
 
