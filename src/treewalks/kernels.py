@@ -18,7 +18,7 @@ import json
 import math
 import random
 from dataclasses import asdict, astuple, dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from mpmath import mp
@@ -243,10 +243,10 @@ def _passage_product(values: dict, letters: Iterable[int]) -> float:
     return out
 
 
-def _nn_values_at(system: FirstPassageSystem, t: float) -> dict:
-    """Letter first-passage values at z = 1/t: solved below the radius
-    bracket, read off the fold inside it and refused above it.  The bracket
-    widens by four ulps, as 1/t rounds r when t = 1/r."""
+def _nn_values_at(system: FirstPassageSystem, t: float) -> Mapping[int, float]:
+    """Letter first-passage values at z = 1/t, the result's read-only floats:
+    solved below the radius bracket, read off the fold inside it and refused
+    above it.  The bracket widens by four ulps, as 1/t rounds r when t = 1/r."""
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"need a finite time-scale t > 0, got t = {t!r}")
     cert = system.radius()
