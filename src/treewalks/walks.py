@@ -765,8 +765,6 @@ def _spherical_spectral_radius(spec: WalkSpec) -> SpectralRadius:
 
 def _lattice_spectral_radius(spec: WalkSpec) -> SpectralRadius:
     # rank-one free group = the integers; rho = min_c sum mu(m) e^(c m)
-    from scipy.optimize import brentq
-
     mu = lattice_offsets(spec)
 
     def dm(c):
@@ -778,7 +776,17 @@ def _lattice_spectral_radius(spec: WalkSpec) -> SpectralRadius:
         raise ValidationError("lattice walk must move both ways")
     # the bracket keeps e^(c m) finite for every step length in the support
     bound = 60.0 / max(abs(m) for m in mu)
-    c_star = brentq(dm, -bound, bound, xtol=1e-15)
+    # M is convex: bisect on the sign of M'(c) down to adjacent doubles, or
+    # to an exact zero (a symmetric walk stops at c = 0.0 at once)
+    lo, hi = -bound, bound
+    while lo < (c_star := 0.5 * (lo + hi)) < hi:
+        slope = dm(c_star)
+        if slope == 0:
+            break
+        if slope > 0:
+            hi = c_star
+        else:
+            lo = c_star
     rho = sum(p * math.exp(c_star * m) for m, p in mu.items())
     return SpectralRadius(rho, "lattice-exponential", {"c": c_star})
 

@@ -713,6 +713,38 @@ def test_malformed_spec_file_exits_2(capsys, tmp_path, text, line):
     assert err.startswith("error:") and repr(line) in err
 
 
+def _bad_path_args(tmp_path, case):
+    """The arguments of one file error, and the path it should name."""
+    if case == "out missing directory":
+        path = tmp_path / "missing" / "out.csv"
+        return ["--out", str(path)], str(path)
+    path = tmp_path / "walk.spec"
+    if case == "spec-file directory":
+        path.mkdir()
+    elif case == "spec-file not UTF-8":
+        path.write_bytes(b"mode finitely-supported\nrank 2\ne 1/2\n\xff\xfe 1/2\n")
+    return ["--spec-file", str(path)], str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["spec-file missing", "spec-file directory", "spec-file not UTF-8",
+     "out missing directory"],
+)
+def test_file_errors_exit_2_naming_the_path(capsys, tmp_path, case):
+    args, path = _bad_path_args(tmp_path, case)
+    rc, out, err = run_cli(capsys, "ratio-converge", "--n-max", "4", *args)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and path in err
+
+
+def test_free_kernel_row_that_overflows_exits_3(capsys):
+    argv = ("free-kernel", "--x", "1", "--y", "1", "--t", "1e308")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error:") and "x = 1, target 1 is inf" in err
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -786,17 +818,12 @@ def test_stdout_matches_golden_bytes(capsys, case):
 # -- import cost -----------------------------------------------------------------
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported inside the few routines that use it, so the
-    # package import (the floor of every CLI call) does not pay for it
+def run_python(code):
+    """Run code in a fresh interpreter that imports this process's treewalks."""
     src_root = str(Path(treewalks.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_root, env.get("PYTHONPATH")) if p
-    )
-    code = (
-        "import sys, treewalks\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -806,4 +833,34 @@ def test_import_loads_no_scipy():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the few routines that use it, so the
+    # package import (the floor of every CLI call) does not pay for it
+    assert run_python(f"import sys, treewalks\nprint({SCIPY_MODULES})") == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "reduced --preset t3xZ --candidate-radius 4 --probe-radius 3",
+        "reduced --preset z-lazy",
+        "product --preset t3xZ",
+        "ratio-converge --preset z-lazy --n-max 64",
+    ],
+)
+def test_lattice_factor_commands_load_no_scipy(command):
+    # the lattice decay rate bisects on its own, with no scipy.optimize
+    code = (
+        "import io, sys, contextlib\n"
+        "from treewalks.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({command.split()!r})\n"
+        f"print(rc, {SCIPY_MODULES})"
+    )
+    assert run_python(code) == "0 []\n"

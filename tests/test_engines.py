@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from treewalks import (
     ConvergenceError,
@@ -379,6 +380,26 @@ def test_range_two_lattice_walk_takes_the_lattice_route():
     assert abs(kernel.value - 2 ** (1 / 3)) < 1e-13
     seq = ratio_sequence(spec, a, identity(Z), 4000)
     assert abs(seq.last - kernel.value) < 1e-2
+
+
+@pytest.mark.parametrize(
+    "make, root",
+    [
+        (biased_lattice, lambda: mp.log(mp.mpf(1) / 2) / 2),
+        (range2_lattice, lambda: mp.log(2) / 3),
+        (lambda: lattice_walk({0: "1/2", 1: "3/8", -1: "1/8"}), lambda: -mp.log(3) / 2),
+        (lambda: preset("z-lazy"), lambda: mp.mpf(0)),
+    ],
+    ids=["biased", "range-2", "drifted", "z-lazy"],
+)
+def test_lattice_tilt_sits_within_two_ulps_of_its_root(make, root):
+    # the bisection on the sign of M'(c) ends on adjacent doubles, or on
+    # an exact zero: a symmetric walk keeps c = 0.0
+    c = spectral_radius(make()).details["c"]
+    with mp.workprec(200):
+        assert abs(mp.mpf(c) - root()) <= 2 * math.ulp(c)
+    if root() == 0:
+        assert c == 0.0
 
 
 # -- underflow of the return probability ---------------------------------------
@@ -938,7 +959,7 @@ def test_nn_laws_run_the_recursion_once(monkeypatch):
         assert _CountedIter.runs == 1
 
 
-# -- bit-identity pins of the nn kernel grid, reports and Ancona samples ---------
+# -- bit-identity pins of the nn kernel grid and reports, and Ancona forms -------
 
 
 def _digest(data: bytes) -> str:
@@ -1026,24 +1047,59 @@ def test_detect_R_mu_reprs_are_pinned(name, cand, probe):
     assert _digest(repr(report).encode()) == REPORT_PINS[name, cand, probe]
 
 
-# sha256 of repr(ancona_harnack_check(system, n_pairs=37, seed=seed))
-ANCONA_PINS = {
-    ("skewed F2", 0): "13c4b9d84ae47ce55c87d837c1d92b1d292e841d586a3f86dfa94582ad9d8128",
-    ("skewed F2", 1): "13c4b9d84ae47ce55c87d837c1d92b1d292e841d586a3f86dfa94582ad9d8128",
-    ("skewed F2", 2): "13c4b9d84ae47ce55c87d837c1d92b1d292e841d586a3f86dfa94582ad9d8128",
-    ("skewed F3", 0): "e513e08f9a87799cccc441aaa0d27a5ac091012afbb4a7f2188d8c903a7d46eb",
-    ("skewed F3", 1): "3b8176009ad34db9e8287ad081524305f1bd767b44f6625d9450a3e4f27c0e86",
-    ("skewed F3", 2): "3aa81d646fe33c22f34efe3144dc3a50b66170e772b7bdd14cb2b5012cdc0f82",
-    ("involutive T3", 0): "ba8776fadefaaef8a72bb11d376529ffff0f6528c63f3cc77b066eaa87929bea",
-    ("involutive T3", 1): "f93049935018e29ebeb21ed9be7012cbb18a784118927ba2bbcca342a9354308",
-    ("involutive T3", 2): "3b6a0a620312b89bd05f15034ec4452b713628c25c3742dcc571ed6323725b30",
-}
+# the walks and seeds whose sampled reports were pinned before the check read
+# its closed forms
+ANCONA_CASES = [
+    (name, seed)
+    for name in ("skewed F2", "skewed F3", "involutive T3")
+    for seed in range(3)
+]
 
 
-@pytest.mark.parametrize("name, seed", sorted(ANCONA_PINS))
+def closed_form_ancona(system, n_pairs, distances):
+    # each field from system.solve at the three points: 1/G(e, e | z), the
+    # larger of F_c(z) and 1/F_c(z), and 0.0 where the quotients cancel
+    cert = system.radius()
+    z_values = (1.0, 0.5 * (1.0 + cert.lo), cert.lo)
+    solves = [system.solve(z) for z in z_values]
+    triples = [1.0 / float(sol.green) for sol in solves]
+    letters = [float(f) for sol in solves for f in sol.values.values()]
+    growth = [max(f, 1.0 / f) for f in letters]
+    return kernels.AnconaReport(
+        z_values=z_values,
+        distances=tuple(distances),
+        triple_min=min(triples),
+        triple_max=max(triples),
+        triple_green_gap=0.0,
+        per_distance_spread=tuple((n, 0.0) for n in sorted(set(distances))),
+        harnack_max=max(growth),
+        quadruple_max=0.0,
+        samples=3 * len(distances) * n_pairs,
+    )
+
+
+@pytest.mark.parametrize("name, seed", ANCONA_CASES)
 def test_ancona_reprs_are_pinned(name, seed):
-    report = ancona_harnack_check(shared_system(NN_WALKS[name]()), n_pairs=37, seed=seed)
-    assert _digest(repr(report).encode()) == ANCONA_PINS[name, seed]
+    # pinned to the closed forms, and the same for every seed
+    system = shared_system(NN_WALKS[name]())
+    report = ancona_harnack_check(system, n_pairs=37, seed=seed)
+    assert report == ancona_harnack_check(system, n_pairs=37, seed=(seed + 1) % 3)
+    want = closed_form_ancona(system, 37, (4, 6, 8, 10))
+    assert repr(report) == repr(want)
+
+
+def test_ancona_check_makes_no_random_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ancona_harnack_check drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    for name in ("seed", "random", "getrandbits", "randrange", "choice", "sample"):
+        monkeypatch.setattr(random, name, refuse)
+    assert "random" not in vars(kernels)
+    for name in ("f2-lazy-uniform", "skewed F3", "involutive T3"):
+        system = shared_system(NN_WALKS[name]())
+        report = ancona_harnack_check(system, n_pairs=50, distances=(4, 7), seed=5)
+        assert report == closed_form_ancona(system, 50, (4, 7))
 
 
 def reference_grid_nn(system, probes, targets):
@@ -1088,36 +1144,3 @@ def test_ratio_grid_nn_is_the_per_entry_chain_bit_for_bit(name, probes, targets)
     system = shared_system(spec)
     got = kernels.ratio_grid_nn(system, probes, targets)
     assert got.tobytes() == reference_grid_nn(system, probes, targets).tobytes()
-
-
-@pytest.mark.parametrize("ab", [F2, F3, T3], ids=["F2", "F3", "involutive T3"])
-def test_ancona_draws_are_random_choice_draws(ab):
-    # the written-out choice reads the same letters and leaves the
-    # generator where Random.choice leaves it, on every list the check
-    # draws from; a CPython that changes choice fails here first
-    letters = list(ab.letters)
-    follow = {c: [d for d in letters if d != ab.inverse_letter(c)] for c in letters}
-    side = {c: [d for d in follow[c] if d != c] for c in letters}
-    tables = kernels._draw_tables(follow)
-    for seed, seq in enumerate([letters, *follow.values(), *side.values()]):
-        rng, ref = random.Random(seed), random.Random(seed)
-        table = kernels._draw_table(seq, tables)
-        got = [kernels._random_word(rng.getrandbits, table, 1)[0] for _ in range(2000)]
-        assert got == [ref.choice(seq) for _ in range(2000)]
-        assert rng.getstate() == ref.getstate()
-
-    def reference_word(n):
-        out = [ref.choice(letters)]
-        while len(out) < n:
-            out.append(ref.choice(follow[out[-1]]))
-        return tuple(out)
-
-    rng, ref = random.Random(99), random.Random(99)
-    start = kernels._draw_table(letters, tables)
-    assert kernels._random_word(rng.getrandbits, start, 2000) == reference_word(2000)
-    # a word asked to start with a letter uses up its draws either way
-    for _ in range(200):
-        want = reference_word(7)
-        got = kernels._random_word(rng.getrandbits, start, 7, letters[0])
-        assert got == (want if want[0] == letters[0] else None)
-    assert rng.getstate() == ref.getstate()

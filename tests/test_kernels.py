@@ -7,8 +7,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from treewalks import (
+    ConvergenceError,
     EndPrefix,
     FirstPassageSystem,
     KernelTable,
@@ -22,6 +24,7 @@ from treewalks import (
     finite_walk,
     free_group,
     identity,
+    kernels,
     martin_kernel_nn,
     meet_length,
     plain_tree_rho,
@@ -209,6 +212,18 @@ def test_martin_kernel_above_decay_rate(f2_system):
         martin_kernel_nn(f2_system, word(F2, [1]), xi, t=0.5 * rho)
 
 
+def test_kernel_rows_refuse_a_value_that_is_not_finite(f2_system):
+    # at t = 1e308 the letter values sit near 1e-308, and the quotient for
+    # x = y = a1 is 1 / F_1, which overflows
+    x = word(F2, [1])
+    with pytest.raises(ConvergenceError, match="x = 1, target 1 is inf, not finite"):
+        martin_kernel_nn(f2_system, x, x, t=1e308)
+    xi = EndPrefix.from_pattern(F2, [1], 12)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConvergenceError, match=f"x = 1, target 1,1,.* is {value}"):
+            kernels._end_row(x, xi, lambda m: value, 1.0)
+
+
 def walk_s():
     # the skewed walk e 1/5, 1 3/10, -1 1/5, 2 1/5, -2 1/10
     weights = {(): 2, (1,): 3, (-1,): 2, (2,): 2, (-2,): 1}
@@ -301,6 +316,23 @@ def test_ancona_triples_sit_at_one(f2_system):
         assert spread < 1e-9
     assert report.harnack_max >= 1.0
     assert report.quadruple_max < 1e-9
+
+
+def test_ancona_forms_on_the_uniform_walk_against_mpmath(f2_system):
+    # at z = 1, F = 1/5 + F/5 + 3F^2/5 has least root 1/3, and
+    # G(e, e | 1) = 1 / (1 - 1/5 - 4F/5) = 15/8; F rises with z, so
+    # 1/G(e, e | 1) and 1/F(1) are the largest triple and growth
+    with mp.workprec(200):
+        F = (4 - mp.sqrt(16 - 12)) / 6
+        G = 1 / (1 - mp.mpf(1) / 5 - 4 * F / 5)
+        assert float(1 / G) == float(mp.mpf(8) / 15)
+        report = ancona_harnack_check(f2_system, n_pairs=20)
+        assert report.triple_max == float(1 / G) == 0.5333333333333333
+        assert report.harnack_max == float(1 / F) == 3.0
+    assert report.triple_min == 1.0 / float(f2_system.solve(report.z_values[2]).green)
+    assert report.triple_green_gap == report.quadruple_max == 0.0
+    assert report.per_distance_spread == ((4, 0.0), (6, 0.0), (8, 0.0), (10, 0.0))
+    assert report.samples == 3 * 4 * 20
 
 
 def test_ancona_is_seed_deterministic(f2_system):

@@ -99,6 +99,25 @@ def test_solve_cache_keys_on_every_bit_of_z(f2_spec):
     assert system.solve(1) is system.solve(1.0) is system.solve(mp.mpf(1))
 
 
+def test_solve_cache_drops_the_least_recently_read_point(f2_spec, monkeypatch):
+    # solve() starts from zero, so an evicted point solves to the same bits
+    monkeypatch.setattr(series, "SOLVE_CACHE", 2)
+    system = FirstPassageSystem(f2_spec)
+    first, second = system.solve(0.5), system.solve(0.7)
+    assert system.solve(0.5) is first  # a hit: 0.7 is now the oldest
+    system.solve(0.9)
+    assert system.solve(0.5) is first
+    again = system.solve(0.7)
+    assert again is not second
+    assert list(system._solve_cache) == [0.5, 0.7]
+
+    def bits(sol):
+        values = [v._mpf_ for v in sol.values.values()]
+        return values, sol.green._mpf_, sol.residual._mpf_
+
+    assert bits(again) == bits(second)
+
+
 def test_solve_rejects_nonpositive_point(f2_system):
     with pytest.raises(ValidationError):
         f2_system.solve(0.0)
