@@ -595,10 +595,10 @@ def ancona_harnack_check(
     or its inverse, and the cross-ratio of boundary-separated quadruples is
     1.  The report gives the extremes of 1/G(z), the largest of F_c(z) and
     1/F_c(z) over z and c, and 0.0 for the triple's gap from 1/G(z), its
-    spread at each distance and the cross-ratio's distance from 1.  samples counts the n_pairs
-    triples per distance and z that the forms cover; seed draws nothing.
-    A walk over one generator has no quadruples and is refused, as are no
-    pairs and a distance below 2 (no inner geodesic point w).
+    spread at each distance and the cross-ratio's distance from 1.
+    samples counts the n_pairs triples per distance and z that the forms
+    cover; seed draws nothing.  A walk over one generator has no
+    quadruples and is refused, as are no pairs and a distance below 2.
     """
     if n_pairs < 1 or not distances or min(distances) < 2:
         raise ValidationError("ancona check needs n_pairs >= 1 and distances >= 2")
