@@ -212,10 +212,6 @@ class EndPrefix:
     def truncate(self, depth: int) -> "EndPrefix":
         return EndPrefix(self.word.prefix(depth))
 
-    def translate(self, g: ReducedWord) -> "EndPrefix":
-        """Prefix of the end g.xi; depth shrinks by at most |g|."""
-        return EndPrefix(multiply(g, self.word))
-
     @classmethod
     def from_pattern(
         cls, alphabet: Alphabet, pattern: Iterable[int], depth: int

@@ -230,6 +230,12 @@ def ratio_grid_isotropic(spec: WalkSpec, probes, targets) -> np.ndarray:
         raise ValidationError("radial projection requires isotropy")
     reach = max(map(len, probes)) + max(map(len, targets))
     phi = [spherical(spec.q, n) for n in range(reach + 1)]
+    for y in targets:
+        if phi[len(y)] == 0.0:
+            raise ConvergenceError(
+                f"ratio kernel to target {format_word(y)} divides by "
+                f"phi({len(y)}), which underflows to 0 at q = {spec.q}"
+            )
     grid = np.empty((len(probes), len(targets)))
     for i, x in enumerate(probes):
         grid[i] = [
@@ -251,6 +257,21 @@ def _passage_product(values: dict, letters: Iterable[int]) -> float:
     return out
 
 
+def _passage_quotient(values: dict, up, down, x: ReducedWord, target) -> float:
+    """Passage product over the letters up divided by the one over down; a
+    divisor that underflows to 0 raises ConvergenceError naming x and the
+    target, a vertex or an EndPrefix."""
+    divisor = _passage_product(values, down)
+    if divisor == 0.0:
+        end = isinstance(target, EndPrefix)
+        label = _prefix_label(target) if end else format_word(target)
+        raise ConvergenceError(
+            f"kernel at x = {format_word(x)}, target {label} divides by a "
+            "first-passage product that underflows to 0"
+        )
+    return _passage_product(values, up) / divisor
+
+
 def _nn_values_at(system: FirstPassageSystem, t: float) -> Mapping[int, float]:
     """Letter first-passage values at z = 1/t, the result's read-only floats:
     solved below the radius bracket, read off the fold inside it and refused
@@ -269,11 +290,11 @@ def _nn_values_at(system: FirstPassageSystem, t: float) -> Mapping[int, float]:
     return point.floats
 
 
-def _end_quotient(values: dict, x: ReducedWord, prefix: ReducedWord, m: int) -> float:
+def _end_quotient(values: dict, x: ReducedWord, xi: EndPrefix, m: int) -> float:
     """Boundary quotient for a confluent of length m: the passage product
     from x down to the confluent over the one from e out to it."""
     down = x.inverse().letters[: len(x) - m]
-    return _passage_product(values, down) / _passage_product(values, prefix.letters[:m])
+    return _passage_quotient(values, down, xi.word.letters[:m], x, xi)
 
 
 def martin_kernel_nn(
@@ -291,12 +312,12 @@ def martin_kernel_nn(
 
     def finite(w: ReducedWord) -> float:
         path = (x.inverse() * w).letters
-        return _passage_product(values, path) / _passage_product(values, w.letters)
+        return _passage_quotient(values, path, w.letters, x, target)
 
     if isinstance(target, EndPrefix):
         wy = target.word
         return _end_row(
-            x, target, lambda m: _end_quotient(values, x, wy, m), finite(wy)
+            x, target, lambda m: _end_quotient(values, x, target, m), finite(wy)
         )
     return _vertex_row(x, target, finite(target))
 
@@ -455,9 +476,6 @@ class DoobWalk:
     def row(self, x: ReducedWord) -> list:
         fx = self.f(x)
         return [(y, p * self.f(y) / (self.t * fx)) for y, p in self.base_row(x)]
-
-    def row_sum(self, x: ReducedWord):
-        return sum(p for _, p in self.row(x))
 
 
 def verify_t_harmonic(

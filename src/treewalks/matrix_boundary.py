@@ -419,15 +419,6 @@ class PassageMatrix:
                     "and positive passage weights"
                 )
 
-    def column_ratio_floor(self) -> float:
-        """Worst min/max ratio over positive columns; at least lambda_z."""
-        floor = math.inf
-        for j in range(self.index.size):
-            col = self.array[:, j]
-            if col.max() > 0.0:
-                floor = min(floor, float(col.min() / col.max()))
-        return floor
-
     def to_json(self) -> str:
         payload = {
             "schema": 1,

@@ -37,15 +37,17 @@ The radius certificate asserts three things only: the system is solvable
 at lo, unsolvable at hi, and hi - lo <= 1e-12.  The bisection midpoints in
 between are bookkeeping: a wrong side for a midpoint cannot go unnoticed,
 because it puts r outside the final bracket and one of the two end solves
-then fails.  So radius() estimates r from the fold system, takes the side
-of every midpoint from that estimate, and then solves lo from zero and
-runs Newton at hi from the values at lo.  Should the estimate or either
-end check fail, the same bisection runs again with every midpoint solved.
+then fails.  So radius() estimates r, takes the side of every midpoint
+from that estimate, and then solves lo from zero and runs Newton at hi
+from the values at lo.  Should the estimate or either end check fail,
+radius() raises ConvergenceError naming it; no midpoint is ever solved.
 
 The fold is the zero of the bordered system phi(f, z) = f, J(f, z) v = v,
 v[0] = 1 (Moore and Spence, SIAM J. Numer. Anal. 17, 1980), and its right
 null vector v comes with it.  One-generator walks fold with a
-two-dimensional null space, and fold() refuses them.
+two-dimensional null space: their two letter equations are scalar
+quadratics, whose shared fold r = 1 / (mu0 + 2 sqrt(mu_1 mu_-1)) is the
+estimate, and fold() refuses them.
 
 The Newton algebra runs on raw mpf tuples through mpmath.libmp: each call
 is the one that an mpf operator of the written formula makes, so every bit
@@ -83,6 +85,7 @@ __all__ = [
 ]
 
 MIN_PREC = 80  # below it Newton's tolerance cannot tell z just past the fold
+ESTIMATE_PREC = 96  # its fold tolerance 2^-56 lies far inside the bracket
 KLEENE_WARMUP = 25
 NEWTON_CAP = 400
 SOLVE_CACHE = 256  # solves kept per system, least recently read dropped first
@@ -308,27 +311,6 @@ class FirstPassageSystem:
 
     # -- pointwise solve -------------------------------------------------
 
-    def kleene(self, z, steps: int, start=None) -> dict[int, float]:
-        """Plain monotone iteration, exposed for minimality experiments.
-
-        start may be a scalar or a per-letter dict; default zero.  Raises
-        once iterates pass a divergence bound.
-        """
-        with mp.workprec(self.prec):
-            zz = mp.mpf(z)
-            mu, mu0 = self._weights()
-            if not isinstance(start, dict):
-                start = dict.fromkeys(self.letters, start or 0)
-            f = [mp.mpf(start[c])._mpf_ for c in self.letters]
-            bound = from_float(VALUE_BOUND)
-            for _ in range(steps):
-                f = self._phi(f, zz._mpf_, mu, mu0)
-                if mpf_gt(_max(f), bound):
-                    raise ConvergenceError(
-                        f"iteration escaped its bound at z = {mp.nstr(zz, 17)}"
-                    )
-            return {c: float(mp.make_mpf(f[self.index[c]])) for c in self.letters}
-
     def _diverged(self, zz, cause: str) -> ConvergenceError:
         return ConvergenceError(
             f"first-passage solve at z = {mp.nstr(zz, 17)} found no "
@@ -453,7 +435,7 @@ class FirstPassageSystem:
         are cert.lo, from zero through solve(), whose cached values fold()
         reads, and cert.hi, by Newton from the values at cert.lo, which
         must certify divergence.  If the estimate or either end check
-        fails, the bisection reruns with every midpoint solved.
+        fails, ConvergenceError names it.
         """
         if self._radius_cert is not None:
             return self._radius_cert
@@ -474,66 +456,59 @@ class FirstPassageSystem:
                 "singularity bisection bracket not found in (0, 2]"
             )
         estimate = self._fold_estimate(start, hi)
-        cert = self._bisect(start, hi, estimate)
-        if estimate is not None and not self._brackets_singularity(cert):
-            cert = self._bisect(start, hi, None)
-        self._radius_cert = cert
-        return cert
-
-    def _bisect(self, start: SolveResult, hi: float, estimate):
-        """Bisect [1, hi] down to BRACKET_WIDTH.
-
-        A midpoint is solvable exactly when it lies below the estimate, or,
-        with no estimate, when Newton's method started from the vector at
-        the last solvable lo converges there.
-        """
-        lo = 1.0
-        f = [start.values[c]._mpf_ for c in self.letters]
         evaluations = 2
-        with mp.workprec(self.prec):
-            mu, mu0 = self._weights()
-            while hi - lo > BRACKET_WIDTH:
-                mid = 0.5 * (lo + hi)
-                evaluations += 1
-                if estimate is None:
-                    try:
-                        f, _, _ = self._newton(mp.mpf(mid), f, mu, mu0)
-                        lo = mid
-                    except ConvergenceError:
-                        hi = mid
-                elif mp.mpf(mid) < estimate:  # a float r may sit an ulp off
-                    lo = mid
-                else:
-                    hi = mid
-        return RadiusCertificate(
+        while hi - lo > BRACKET_WIDTH:
+            mid = 0.5 * (lo + hi)
+            evaluations += 1
+            if mid < estimate:  # exact, where float(estimate) may sit an ulp off
+                lo = mid
+            else:
+                hi = mid
+        cert = RadiusCertificate(
             r=0.5 * (lo + hi), lo=lo, hi=hi, evaluations=evaluations,
             prec=self.prec,
         )
+        self._check_ends(cert)
+        self._radius_cert = cert
+        return cert
 
-    def _brackets_singularity(self, cert: RadiusCertificate) -> bool:
-        """True when solve(cert.lo) succeeds and Newton at cert.hi, started
-        from its values, certifies that no fixed point exists."""
+    def _check_ends(self, cert: RadiusCertificate) -> None:
+        """Raise ConvergenceError unless solve(cert.lo) succeeds and Newton
+        at cert.hi, started from its values, certifies that no fixed point
+        exists."""
         try:
             base = self.solve(cert.lo)
-        except ConvergenceError:
-            return False
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"radius bracket failed its cert.lo check: {exc}"
+            ) from None
         with mp.workprec(self.prec):
             mu, mu0 = self._weights()
             f = [base.values[c]._mpf_ for c in self.letters]
             try:
                 self._newton(mp.mpf(cert.hi), f, mu, mu0)
             except ConvergenceError:
-                return True
-        return False
+                return
+        raise ConvergenceError(
+            f"radius bracket failed its cert.hi check: Newton at z = "
+            f"{cert.hi!r} converged from the values at cert.lo"
+        )
 
     def _fold_estimate(self, start: SolveResult, hi: float):
-        """The singularity to self.prec bits, or None if it cannot be had.
+        """The singularity to ESTIMATE_PREC bits, as an mpf.
 
-        A float64 bisection with warm-started Newton steps narrows [1, hi]
-        to ESTIMATE_WIDTH; the bordered fold Newton then runs at self.prec
-        from the vector at its lower end.  Nothing here is certified:
-        radius() checks the bracket the estimate leads to.
+        A walk over one generator has it in closed form (module docstring).
+        Otherwise a float64 bisection with warm-started Newton steps narrows
+        [1, hi] to ESTIMATE_WIDTH, and the bordered fold Newton runs at
+        ESTIMATE_PREC bits from the vector at its lower end; ConvergenceError
+        names its failure.  Nothing here is certified: radius() checks the
+        bracket the estimate leads to.
         """
+        if len(self.letters) == 2:
+            with mp.workprec(ESTIMATE_PREC):
+                mu, mu0 = self._weights()
+                up, down, mu0 = map(mp.make_mpf, (*mu, mu0))
+                return 1 / (mu0 + 2 * mp.sqrt(up * down))
         L = len(self.letters)
         inv = np.array(self.inv_index)
         rows = np.arange(L)
@@ -572,11 +547,12 @@ class FirstPassageSystem:
             else:
                 lo, f = mid, f_mid
         try:
-            return mp.make_mpf(self._fold_newton(
-                f, lo, lo - ESTIMATE_WIDTH, hi + ESTIMATE_WIDTH, self.prec
-            )[2])
-        except ConvergenceError:
-            return None
+            r = self._fold_newton(
+                f, lo, lo - ESTIMATE_WIDTH, hi + ESTIMATE_WIDTH, ESTIMATE_PREC
+            )[2]
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"radius estimate failed: {exc}") from None
+        return mp.make_mpf(r)
 
     def _fold_newton(self, f, z, lo: float, hi: float, prec: int):
         """Newton's method on the bordered fold system at prec bits.
@@ -737,12 +713,12 @@ class FirstPassageSystem:
             mu, mu0 = self._weights()
             f = [fp.values[c] for c in self.letters]
             v = fp.null_vector
-            J = self._jacobian([x._mpf_ for x in f], r._mpf_, mu, mu0)
-            A = [list(map(mp.make_mpf, row)) for row in _eye_minus(J)]
+            A = _eye_minus(self._jacobian([x._mpf_ for x in f], r._mpf_, mu, mu0))
             mu = list(map(mp.make_mpf, mu))
             minor_t = [[A[k][i] for k in range(1, L)] for i in range(1, L)]
+            b = [mpf_neg(A[0][i]) for i in range(1, L)]
             try:  # first entry 1, the rest from the transposed minor A[1:, 1:]^T
-                w = [1, *_lu_solve(minor_t, [-A[0][i] for i in range(1, L)])]
+                w = [1, *map(mp.make_mpf, _mpf_lu_solve(minor_t, b, mp.prec + 10))]
             except ZeroDivisionError:  # a singular minor: A is reducible
                 w = [0]
             for side, vec in (("right", v), ("left", w)):
@@ -776,17 +752,6 @@ def _eye_minus(J) -> list:
     prec = mp.prec
     return [[mpf_sub(fone, x, prec, RND) if i == k else mpf_neg(x, prec, RND)
              for k, x in enumerate(row)] for i, row in enumerate(J)]
-
-
-def _lu_solve(A, b) -> list:
-    """x with A x = b for a square A, from lists: mpmath's lu_solve, bit for bit.
-
-    Entries go through mp.convert, and _mpf_lu_solve solves at mp.prec + 10
-    bits in libmp's arithmetic, the calls that the mpf operators make.
-    """
-    A = [[mp.convert(a)._mpf_ for a in row] for row in A]
-    x = _mpf_lu_solve(A, [mp.convert(c)._mpf_ for c in b], mp.prec + 10)
-    return list(map(mp.make_mpf, x))
 
 
 def _mpf_lu_solve(A, b, prec: int) -> list:

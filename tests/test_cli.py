@@ -745,6 +745,23 @@ def test_free_kernel_row_that_overflows_exits_3(capsys):
     assert err.startswith("error:") and "x = 1, target 1 is inf" in err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("free-kernel", "--x", "1", "--pattern", "2,-1", "--t", "1e308"),
+         "x = 1, target 2,-1,2,-1,"),
+        (("tree-kernel", "--q", "100000000", "--depth", "120",
+          "--x", ",".join(["1"] * 120)),
+         "target 1,2,1,2,"),
+    ],
+    ids=["free-kernel", "tree-kernel"],
+)
+def test_kernel_row_whose_divisor_underflows_exits_3(capsys, argv, target):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error:") and target in err and "underflows to 0" in err
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

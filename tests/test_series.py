@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from treewalks import (
+    Alphabet,
     ConvergenceError,
     FirstPassageSystem,
     ValidationError,
@@ -76,13 +77,16 @@ def test_solve_picks_minimal_root(f2_system):
 
 
 def test_kleene_converges_from_both_sides(f2_system):
-    # iterates below the fixed point rise to it, iterates started between
-    # the two roots fall back down: minimality, observed directly
-    lo = f2_system.kleene(1.0, 400)
-    hi = f2_system.kleene(1.0, 400, start=0.9)
-    for c in f2_system.letters:
-        assert abs(lo[c] - 1.0 / 3.0) < 1e-8
-        assert abs(hi[c] - 1.0 / 3.0) < 1e-8
+    # iterates of phi below the fixed point rise to it, iterates started
+    # between the two roots fall back down: minimality, observed directly
+    with mp.workprec(f2_system.prec):
+        mu, mu0 = f2_system._weights()
+        for start in ("0", "0.9"):
+            f = [mp.mpf(start)._mpf_] * len(f2_system.letters)
+            for _ in range(400):
+                f = f2_system._phi(f, mp.mpf(1)._mpf_, mu, mu0)
+            for x in f:
+                assert abs(mp.make_mpf(x) - mp.mpf(1) / 3) < 1e-8
 
 
 def test_solve_cache_keys_on_every_bit_of_z(f2_spec):
@@ -234,8 +238,7 @@ def system_digest(spec, prec: int) -> str:
 
 
 # Full-precision digests: the float pins above cannot see a last-bit move in
-# a 96-bit solve, fold point or null vector; these can.  A "/bisection"
-# name runs the fallback bisection, which solves every midpoint.
+# a 96-bit solve, fold point or null vector; these can.
 DIGEST_PINS = {
     ("f2-lazy-uniform", 96): "635c97c710f804b5d06c22ecce6b35a82bc16e7a6c83850b86d06e484007697a",
     ("f2-lazy-uniform", 160): "4039f9dc5342cd514a12892bbbeb93aa7ac52da0611de7f92360305e1ea7441f",
@@ -245,38 +248,12 @@ DIGEST_PINS = {
     ("f3", 160): "203393226c68d7f5562b1a1d68849d6f54434a61462b25ecf74893564823b772",
     ("f3", 80): "56fc127bdb58e45a8968ee19835e8c78680972aad47d7db3ca19e577aa69406b",
     ("uniform-f3", 96): "18913caa748e120107ee84a2ff4c7d9c31e95e314726158e76c35001fd69891d",
-    ("skewed-f2/bisection", 96): "3ff511c0faf003e598e5e77e0eea34633d2153ee11975d64b9bf365426567224",
 }
 
 
 @pytest.mark.parametrize("name, prec", sorted(DIGEST_PINS))
-def test_full_precision_digest_is_pinned(f2_spec, monkeypatch, name, prec):
-    walk, _, route = name.partition("/")
-    spec = pinned_walk(walk, f2_spec)
-    if route != "bisection":
-        assert system_digest(spec, prec) == DIGEST_PINS[name, prec]
-        return
-    # every midpoint solved by Newton from the last solvable vector; each
-    # verdict of the bisection and the step that reached it join the digest
-    monkeypatch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: None)
-    digest = system_digest(spec, prec)
-    outcomes = []
-    newton = FirstPassageSystem._newton
-
-    def logged(self, *args):
-        try:
-            out = newton(self, *args)
-        except ConvergenceError as exc:
-            outcomes.append(str(exc))
-            raise
-        outcomes.append(out[1])
-        return out
-
-    monkeypatch.setattr(FirstPassageSystem, "_newton", logged)
-    FirstPassageSystem(spec, prec).radius()
-    assert len(outcomes) == 45  # the solve at z = 1 and the 44 midpoints
-    log = hashlib.sha256(repr(outcomes).encode()).hexdigest()
-    assert hashlib.sha256((digest + log).encode()).hexdigest() == DIGEST_PINS[name, prec]
+def test_full_precision_digest_is_pinned(f2_spec, name, prec):
+    assert system_digest(pinned_walk(name, f2_spec), prec) == DIGEST_PINS[name, prec]
 
 
 CERTIFIED = re.compile(
@@ -378,20 +355,23 @@ def pinned_walk(name, f2_spec):
     return asymmetric_walk() if name == "skewed-f2" else f3_walk()
 
 
-@pytest.mark.parametrize("estimate", [None, 1 + 1e-6, 1 - 1e-6])
+@pytest.mark.parametrize("estimate", [1 + 1e-6, 1 - 1e-6])
 @pytest.mark.parametrize("name", sorted(RADIUS_PINS))
 def test_radius_survives_a_missing_or_wrong_estimate(
     f2_spec, monkeypatch, name, estimate
 ):
+    # no wrong bracket is returned: an estimate above r leaves cert.lo past
+    # the fold, one below r leaves cert.hi short of it, and the end check
+    # that fails is named
     r = RADIUS_PINS[name][2]
-    value = None if estimate is None else r * estimate
-    monkeypatch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: value)
-    cert = FirstPassageSystem(pinned_walk(name, f2_spec)).radius()
-    assert (cert.lo, cert.hi, cert.r) == RADIUS_PINS[name]
-    assert cert.evaluations == 46
+    monkeypatch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: r * estimate)
+    end = "cert.lo" if estimate > 1 else "cert.hi"
+    with pytest.raises(ConvergenceError, match=f"radius bracket failed its {end} check"):
+        FirstPassageSystem(pinned_walk(name, f2_spec)).radius()
 
 
-def test_radius_solves_only_near_the_estimate(f2_spec, monkeypatch):
+def newton_points(monkeypatch) -> list:
+    """The points z of every later FirstPassageSystem._newton call, in order."""
     calls = []
     newton = FirstPassageSystem._newton
 
@@ -400,48 +380,117 @@ def test_radius_solves_only_near_the_estimate(f2_spec, monkeypatch):
         return newton(self, *args)
 
     monkeypatch.setattr(FirstPassageSystem, "_newton", counted)
+    return calls
+
+
+def test_radius_solves_only_near_the_estimate(f2_spec, monkeypatch):
+    calls = newton_points(monkeypatch)
     for spec in (f2_spec, f3_walk()):
         calls.clear()
         cert = FirstPassageSystem(spec).radius()
         assert cert.evaluations == 46
         # z = 1, lo from zero and hi from lo; every midpoint takes its side
-        # from the estimate, where the plain bisection solves all 44
+        # from the estimate
         assert calls == [1, cert.lo, cert.hi]
 
 
 # free groups and their involutive twins, the free products of order-two
 # generators that carry the regular trees T3 and T4
 RADIUS_ALPHABETS = [free_group(2), free_group(3), tree_alphabet(2), tree_alphabet(3)]
+RADIUS_HOLDS = [Fraction(1, 10), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]
 
 
 @st.composite
-def radius_walks(draw):
-    ab = draw(st.sampled_from(RADIUS_ALPHABETS))
+def radius_walks(draw, alphabets=RADIUS_ALPHABETS, holds=RADIUS_HOLDS):
+    ab = draw(st.sampled_from(alphabets))
     size = len(ab.letters)
     weights = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
-    hold = draw(st.sampled_from(
-        [Fraction(1, 10), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]
-    ))
+    hold = draw(st.sampled_from(holds))
     return weighted_walk(ab, weights, hold)
 
 
+def closed_form_radius(spec):
+    """1 / (mu0 + 2 sqrt(mu_1 mu_-1)) of a one-generator walk, at 256 bits."""
+    ab = spec.alphabet
+    with mp.workprec(256):
+        hold, up, down = (
+            mp.mpf(p.numerator) / p.denominator
+            for p in (spec.mu_map.get(w, Fraction(0))
+                      for w in (identity(ab), word(ab, [1]), word(ab, [-1])))
+        )
+        return 1 / (hold + 2 * mp.sqrt(up * down))
+
+
 @settings(max_examples=8, deadline=None)
-@given(spec=radius_walks())
-def test_radius_certificate_against_cold_solves(spec):
-    system = FirstPassageSystem(spec)
+@given(
+    spec=radius_walks(
+        [free_group(1), *RADIUS_ALPHABETS, Alphabet("involutive", 6)],
+        [Fraction(1, 1000), Fraction(1, 100), *RADIUS_HOLDS],
+    ),
+    prec=st.integers(series.MIN_PREC, 256),
+)
+def test_radius_certificate_against_cold_solves(spec, prec):
+    system = FirstPassageSystem(spec, prec)
     cert = system.radius()
-    cold = FirstPassageSystem(spec)  # fresh cache: solves start from zero
+    cold = FirstPassageSystem(spec, prec)  # fresh cache: solves start from zero
     cold.solve(cert.lo)
     with pytest.raises(ConvergenceError):
         cold.solve(cert.hi)
     assert cert.hi - cert.lo <= 1e-12
-    # the fold is an independent Newton iteration on the bordered system
-    r = float(system.fold().r)
-    assert cert.lo * (1 - 1e-15) <= r <= cert.hi * (1 + 1e-15)
-    # the same bisection with every midpoint solved reaches the same bracket
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FirstPassageSystem, "_fold_estimate", lambda *args: None)
-        assert FirstPassageSystem(spec).radius() == cert
+    # the fold is an independent Newton iteration on the bordered system;
+    # a one-generator walk has no fold() but a closed form
+    if spec.alphabet.size == 1:
+        assert cert.lo <= closed_form_radius(spec) <= cert.hi
+    else:
+        r = float(system.fold().r)
+        assert cert.lo * (1 - 1e-15) <= r <= cert.hi * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("prec", [80, 96, 160, 256])
+@pytest.mark.parametrize("name", ["z-lazy", "drifted", "skewed"])
+def test_one_generator_radius_brackets_the_closed_form(z_spec, name, prec):
+    if name == "skewed":
+        spec = weighted_walk(free_group(1), [1, 5], Fraction(1, 1000))
+    else:
+        spec = z_spec if name == "z-lazy" else DRIFTED_LINE
+    cert = FirstPassageSystem(spec, prec).radius()
+    assert cert.lo <= closed_form_radius(spec) <= cert.hi
+    assert cert.hi - cert.lo <= 1e-12
+
+
+# Walks that need ESTIMATE_PREC or the one-generator closed form: an
+# estimate at 80 bits sits 2-6e-13 off, and the bordered Newton of a
+# one-generator walk goes singular.  Their certificates were recorded by a
+# bisection that solved every midpoint: (alphabet, weights, hold, prec,
+# (lo, hi, r), evaluations).
+FORMER_FALLBACK_PINS = {
+    "involutive-6": (
+        ("involutive", 6), [44, 31, 26, 44, 31, 23], Fraction(1, 4), 80,
+        (1.2250500122201515, 1.2250500122202084, 1.22505001222018), 46,
+    ),
+    "involutive-4": (
+        ("involutive", 4), [1, 4, 4, 3], Fraction(3, 4), 80,
+        (1.0278224694823166, 1.0278224694823923, 1.0278224694823543), 44,
+    ),
+    "f1": (
+        ("free", 1), [852, 868], Fraction(99, 100), 256,
+        (1.0000004326758438, 1.0000004326759173, 1.0000004326758805), 39,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_FALLBACK_PINS))
+def test_former_fallback_walks_keep_their_certificates(monkeypatch, name):
+    kind, weights, hold, prec, pin, evaluations = FORMER_FALLBACK_PINS[name]
+    calls = newton_points(monkeypatch)
+    spec = weighted_walk(Alphabet(*kind), weights, hold)
+    cert = FirstPassageSystem(spec, prec).radius()
+    assert (cert.lo, cert.hi, cert.r) == pin
+    assert cert.evaluations == evaluations
+    # Newton at z = 1, at hi0 = min(2, 1/mu0) unless the Kleene steps
+    # escape there first, and at the two ends; at no midpoint
+    hi0 = min(2.0, float(1 / hold))
+    assert calls in ([1, cert.lo, cert.hi], [1, hi0, cert.lo, cert.hi])
 
 
 @settings(max_examples=8, deadline=None)
@@ -589,17 +638,24 @@ def hadamard(n):
     return H
 
 
+def raw(xs) -> list:
+    """Raw mpf tuples of numbers, as mp.matrix converts its entries."""
+    return [mp.convert(x)._mpf_ for x in xs]
+
+
 def lu_solves_alike(A, b) -> bool:
-    """_lu_solve(A, b) is mp.lu_solve's answer mpf for mpf, or both raise
-    ZeroDivisionError; True when there was a solution to compare."""
+    """_mpf_lu_solve at mp.prec + 10 gives mp.lu_solve's answer bit for bit,
+    or both raise ZeroDivisionError; True when there was a solution to
+    compare."""
+    args = [raw(row) for row in A], raw(b), mp.prec + 10
     try:
         expect = mp.lu_solve(mp.matrix(A), mp.matrix(b))
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError, match="numerically singular"):
-            series._lu_solve(A, b)
+            series._mpf_lu_solve(*args)
         return False
-    got = series._lu_solve(A, b)
-    assert [x._mpf_ for x in got] == [expect[i]._mpf_ for i in range(len(b))]
+    got = series._mpf_lu_solve(*args)
+    assert got == [expect[i]._mpf_ for i in range(len(b))]
     return True
 
 
@@ -655,7 +711,7 @@ def test_lu_solve_refuses_a_zero_column_below_the_diagonal():
     # no row offers a pivot for the first column; mpmath's own LU then
     # swaps with a missing row index and raises TypeError
     with pytest.raises(ZeroDivisionError, match="numerically singular"):
-        series._lu_solve([[0, 1], [0, 2]], [1, 1])
+        series._mpf_lu_solve([raw([0, 1]), raw([0, 2])], raw([1, 1]), 63)
 
 
 def test_shared_system_is_one_per_walk_and_precision(f2_spec):
