@@ -269,7 +269,8 @@ def product_nstep_pair(pw: ProductWalk, n: int, y1: ReducedWord, y2: ReducedWord
     """Exact n-step probability of reaching (y1, y2) from the origin pair.
 
     Each factor law comes from nstep in exact rationals: the radial chain
-    for isotropic factors, word convolution for the others.
+    for isotropic factors, word convolution for the others.  A switching
+    product reads every step's factor laws off one sweep per factor.
     """
     left, right = pw.left, pw.right
     if pw.kind == "direct":
@@ -277,15 +278,13 @@ def product_nstep_pair(pw: ProductWalk, n: int, y1: ReducedWord, y2: ReducedWord
         p2 = nstep(right, n, exact=True).probability(y2)
         return p1 * p2
     s = pw.weight
+    laws1 = walks._exact_laws(left, y1, n)
+    laws2 = walks._exact_laws(right, y2, n)
     total = Fraction(0)
     for k in range(n + 1):
-        p1 = nstep(left, k, exact=True).probability(y1)
-        if p1 == 0:
-            continue
-        p2 = nstep(right, n - k, exact=True).probability(y2)
-        if p2 == 0:
-            continue
-        total += math.comb(n, k) * s**k * (1 - s) ** (n - k) * p1 * p2
+        p1, p2 = laws1[k], laws2[n - k]
+        if p1 and p2:
+            total += math.comb(n, k) * s**k * (1 - s) ** (n - k) * p1 * p2
     return total
 
 
@@ -302,7 +301,7 @@ def product_return_sequence(pw: ProductWalk, n_max: int) -> np.ndarray:
     from scipy.special import gammaln
 
     r1 = factor_returns(pw.left, n_max)
-    r2 = factor_returns(pw.right, n_max)
+    r2 = r1 if pw.right == pw.left else factor_returns(pw.right, n_max)
     if pw.kind == "direct":
         return r1 * r2
     s = float(pw.weight)

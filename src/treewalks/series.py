@@ -69,7 +69,7 @@ from mpmath.libmp import mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import ReducedWord, format_word, identity, word
-from .walks import EXACT_STEP_LIMIT, WalkSpec
+from .walks import EXACT_STEP_LIMIT, WalkSpec, _denominator
 
 __all__ = [
     "FirstPassageSystem",
@@ -430,7 +430,10 @@ class FirstPassageSystem:
         the Newton polish lands on the minimal fixed point, above it there
         is no nonnegative solution to land on, and the certified negative
         correction of solve() says so within a few steps.  The starting
-        ends z = 1 and z = min(2, 1/mu0) go through solve().  Every midpoint
+        ends z = 1 and z = min(2, 1/mu0) go through solve(); while hi
+        solves it doubles, up to 1/mu0, where no fixed point exists since
+        mu0 z = 1 leaves mu_c + f_c sum_{d != c} mu_d f_{d^-1} = 0 in the
+        equation of each letter c.  Every midpoint
         takes its side from the fold estimate (module docstring).  Solved
         are cert.lo, from zero through solve(), whose cached values fold()
         reads, and cert.hi, by Newton from the values at cert.lo, which
@@ -440,23 +443,27 @@ class FirstPassageSystem:
         if self._radius_cert is not None:
             return self._radius_cert
         lo = 1.0
-        hi = min(2.0, float(Fraction(1, 1) / self.mu0_fraction))
+        cap = float(Fraction(1, 1) / self.mu0_fraction)
+        hi = min(2.0, cap)
         try:
             start = self.solve(lo)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"first-passage system unsolvable at z = 1 ({exc})"
             ) from None
-        try:
-            self.solve(hi)
-        except ConvergenceError:
-            pass
-        else:
-            raise ConvergenceError(
-                "singularity bisection bracket not found in (0, 2]"
-            )
-        estimate = self._fold_estimate(start, hi)
         evaluations = 2
+        while True:
+            try:
+                self.solve(hi)
+            except ConvergenceError:
+                break
+            if hi >= cap:
+                raise ConvergenceError(
+                    f"singularity bisection bracket not found in (0, {hi!r}]"
+                )
+            hi = min(2.0 * hi, cap)
+            evaluations += 1
+        estimate = self._fold_estimate(start, hi)
         while hi - lo > BRACKET_WIDTH:
             mid = 0.5 * (lo + hi)
             evaluations += 1
@@ -862,14 +869,22 @@ def _series_rows(system: FirstPassageSystem, targets, n_max: int, exact: bool):
         in_walk = isinstance(target, ReducedWord) and target.alphabet == ab
         if not (target is None or in_walk or target in system.index):
             raise ValidationError(f"target {target!r} is no letter or word of the walk")
-    # one recursion for both arithmetics: object arrays of Fractions are
-    # exact whatever the summation order, float64 arrays use numpy's
-    num, dtype = (Fraction, object) if exact else (float, float)
-    zero, one = num(0), num(1)
+    # one recursion for both arithmetics.  Exact, the weights become
+    # integers over their least common denominator D and coefficient n of
+    # every array an integer over D**n: object arrays of Python ints are
+    # exact whatever the summation order, and each row divides once at the
+    # end.  float64 arrays use numpy's order.
+    weights = [system.mu0_fraction, *system.mu_fractions]
+    if exact:
+        den = _denominator(weights)
+        mu0, *mu = [int(p * den) for p in weights]
+        dtype, zero, one = object, 0, 1
+    else:
+        mu0, *mu = [float(p) for p in weights]
+        dtype, zero, one = float, 0.0, 1.0
     L = len(system.letters)
     inv = system.inv_index
-    mu0 = num(system.mu0_fraction)
-    mu = np.array([num(p) for p in system.mu_fractions], dtype=dtype)
+    mu = np.array(mu, dtype=dtype)
     f = np.full((L, n_max + 1), zero, dtype=dtype)
     t = np.full((L, n_max + 1), zero, dtype=dtype)
     s = np.full(n_max + 1, zero, dtype=dtype)
@@ -902,6 +917,12 @@ def _series_rows(system: FirstPassageSystem, targets, n_max: int, exact: bool):
             for c in target.letters:
                 coeffs = np.convolve(coeffs, f[system.index[c]])[: n_max + 1]
             rows[k] = np.convolve(coeffs, g)[: n_max + 1]
+    if exact:
+        scales = [den**n for n in range(n_max + 1)]
+        rows = np.array(
+            [[Fraction(c, d) for c, d in zip(row.tolist(), scales)] for row in rows],
+            dtype=object,
+        )
     return rows
 
 

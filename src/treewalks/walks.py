@@ -5,8 +5,12 @@ Two kinds of step distribution are supported: isotropic walks on the
 spheres, and finitely supported walks on a free group, given by an
 explicit probability map on reduced words.  Isotropic walks project to
 a Markov chain on distances; that radial chain is the workhorse for
-large n.  Finitely supported walks convolve on words, exactly in
-rationals for small n and in floating point with mass pruning beyond.
+large n.  Finitely supported walks convolve on words, exactly for small
+n and in floating point with mass pruning beyond.  The exact engines
+carry Python-int numerators: a law of n steps on weights with least
+common denominator D is an integer over D**n (_denominator), so their
+loops add and multiply ints, and each Fraction is built once, when a
+value is returned.
 Float laws have one engine per walk class: walks over one generator
 run on the integer line as dense vectors, other nearest-neighbour walks
 read the float Green series of their first-passage system, and word
@@ -316,9 +320,9 @@ class RadialChain:
 
     def distribution_exact(self, n: int) -> list[Fraction]:
         """Distribution of |X_n| started at the root, as exact rationals."""
-        for _, vec in self._distributions(n, Fraction):
+        for _, vec, scale in self._distributions(n, exact=True):
             pass
-        return vec.tolist()
+        return [Fraction(v, scale) for v in vec.tolist()]
 
     def distributions_float(self, n_max: int):
         """Float distributions of |X_n|; yields (n, vector) for n = 0..n_max.
@@ -327,24 +331,32 @@ class RadialChain:
         rounding stays tiny because every update adds nonnegative terms.
         The vector is a live buffer, only valid until the next iteration.
         """
-        yield from self._distributions(n_max, float)
+        for n, vec, _ in self._distributions(n_max, exact=False):
+            yield n, vec
 
-    def _distributions(self, n_max: int, num):
-        """_banded_sweep over the columns of the radial chain.
+    def _distributions(self, n_max: int, exact: bool):
+        """Yields (n, vec, scale) for n = 0..n_max, P(|X_n| = k) = vec[k] / scale,
+        from _banded_sweep over the columns of the radial chain.
 
-        ``num`` is float (float64 arrays) or Fraction (object arrays,
-        exact in any summation order); column delta holds the transition
-        probability from k to k + delta at index k.
+        Column delta holds the transition probability from k to k + delta
+        at index k.  In floats the arrays are float64 and scale is 1.
+        Exact, the entries become integers over their least common
+        denominator D, the arrays hold Python ints (exact in any summation
+        order) and scale is D**n.
         """
         rng = self.spec.range
         kmax = n_max * rng
-        dtype = float if num is float else object
-        zero = num(0)
-        coeffs = [(d, num(a)) for d, a in self._coeffs]
+        coeffs = self._coeffs if exact else [(d, float(a)) for d, a in self._coeffs]
         # from distance rng on, a row is row rng shifted: for k >= max(d, 1)
         # the d-sphere about a vertex at distance k meets the root's spheres
         # by kp - k alone, so each column tail repeats one entry of row rng
         rows = [self._row(k, coeffs) for k in range(min(rng, kmax) + 1)]
+        if exact:
+            den = _denominator(p for row in rows for p in row.values())
+            rows = [{kp: int(p * den) for kp, p in row.items()} for row in rows]
+            dtype, zero, one = object, 0, 1
+        else:
+            den, dtype, zero, one = 1, float, 0.0, 1.0
         columns = []
         for delta in range(-rng, rng + 1):
             col = np.full(kmax + 1, zero, dtype=dtype)
@@ -354,8 +366,9 @@ class RadialChain:
             col[len(rows) : kmax + 1 - max(delta, 0)] = rows[-1].get(rng + delta, zero)
             columns.append((delta, col))
         vec = np.full(kmax + 1, zero, dtype=dtype)
-        vec[0] = num(1)
-        yield from _banded_sweep(columns, vec, n_max, zero)
+        vec[0] = one
+        for n, vec in _banded_sweep(columns, vec, n_max, zero):
+            yield n, vec, den**n
 
 
 def _banded_sweep(columns, vec, n_max: int, zero):
@@ -503,34 +516,71 @@ def nstep(
             pass
         return NStepResult(spec, n, False, radial=list(vec))
     # every word walk, rank-one and nearest-neighbour ones included
-    for _, table, pruned in _word_laws(spec, n, exact=exact, prune=prune):
+    for _, table, pruned, scale in _word_laws(spec, n, exact=exact, prune=prune):
         pass
     ab = spec.alphabet
-    table = {ReducedWord(ab, letters): mass for letters, mass in table.items()}
+    if exact:
+        table = {ReducedWord(ab, k): Fraction(m, scale) for k, m in table.items()}
+        pruned = Fraction(pruned, scale)
+    else:
+        table = {ReducedWord(ab, k): mass for k, mass in table.items()}
     return NStepResult(spec, n, exact, table=table, pruned=pruned)
 
 
-def _word_laws(spec, n_max, *, exact=False, prune=None):
-    """Yields (n, table, pruned) for n = 0..n_max by convolution on words.
+def _denominator(weights) -> int:
+    """Least common denominator D of rational weights; a law of n steps on
+    them is an integer over D**n."""
+    return math.lcm(*(Fraction(w).denominator for w in weights))
 
-    ``table`` maps the letter tuple of each reduced word to p^(n)(e, word),
-    as exact rationals or floats; the product x * g is taken on letter
-    tuples, so no ReducedWord is built or validated inside the loop.  Entries below the prune threshold
-    (default: none when exact, PRUNE_DEFAULT in floats) are dropped and
-    their mass added to ``pruned``.  The table is replaced, never
-    mutated, between steps.  A step whose table passes WORD_SUPPORT_CAP
-    words raises ConvergenceError.
+
+def _exact_laws(spec: WalkSpec, y: ReducedWord, n_max: int) -> list[Fraction]:
+    """nstep(spec, n, exact=True).probability(y) for n = 0..n_max, read off
+    one sweep of its engine."""
+    if spec.mode == "isotropic":
+        k = len(y)
+        if k > n_max * spec.range:
+            return [Fraction(0)] * (n_max + 1)
+        size = sphere_size(spec.q, k)
+        sweep = RadialChain(spec)._distributions(n_max, exact=True)
+        return [Fraction(vec[k], scale * size) for _, vec, scale in sweep]
+    key = y.letters if y.alphabet == spec.alphabet else None
+    sweep = _word_laws(spec, n_max, exact=True)
+    return [Fraction(table.get(key, 0), scale) for _, table, _, scale in sweep]
+
+
+def _word_laws(spec, n_max, *, exact=False, prune=None):
+    """Yields (n, table, pruned, scale) for n = 0..n_max by convolution on
+    words.
+
+    ``table`` maps the letter tuple of each reduced word to
+    p^(n)(e, word) * scale; the product x * g is taken on letter tuples,
+    so no ReducedWord is built or validated inside the loop.  In floats
+    scale is 1.  Exact, the step weights become integers over their least
+    common denominator D, every mass is a Python int and scale is D**n.
+    Entries below the prune threshold (default: none when exact,
+    PRUNE_DEFAULT in floats) are dropped and their mass added to
+    ``pruned``, which carries the same scale.  The table is replaced,
+    never mutated, between steps.  A step whose table passes
+    WORD_SUPPORT_CAP words raises ConvergenceError.
     """
-    num = Fraction if exact else float
-    if prune is None:
-        prune = 0 if exact else PRUNE_DEFAULT
-    threshold = num(prune)
+    items = spec.step_items()
+    if exact:
+        den = _denominator(p for _, p in items)
+        weights = [int(p * den) for _, p in items]
+        prune = Fraction(prune or 0)
+        cur, pruned = {(): 1}, 0
+    else:
+        den = 1
+        weights = [float(p) for _, p in items]
+        prune = float(PRUNE_DEFAULT if prune is None else prune)
+        cur, pruned = {(): 1.0}, 0.0
     ab = spec.alphabet
-    steps = [(w.letters, num(p)) for w, p in spec.step_items()]
-    cur = {(): num(1)}
-    pruned = num(0)
-    yield 0, cur, pruned
+    steps = [(w.letters, p) for (w, _), p in zip(items, weights)]
+    scale = 1
+    yield 0, cur, pruned, scale
     for n in range(1, n_max + 1):
+        scale *= den
+        pruned *= den
         nxt: dict[tuple[int, ...], object] = {}
         for x, mass in cur.items():
             for g, p in steps:
@@ -541,6 +591,9 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
                     f"word convolution support passes {WORD_SUPPORT_CAP} "
                     f"words (WORD_SUPPORT_CAP) at n = {n}"
                 )
+        # an int mass lies below prune * scale exactly when it lies below
+        # the ceiling
+        threshold = math.ceil(prune * scale) if exact else prune
         if threshold:
             kept = {}
             for y, mass in nxt.items():
@@ -550,7 +603,7 @@ def _word_laws(spec, n_max, *, exact=False, prune=None):
                     kept[y] = mass
             nxt = kept
         cur = nxt
-        yield n, cur, pruned
+        yield n, cur, pruned, scale
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +637,7 @@ def _lattice_rows(spec, targets, n_max):
 def _word_rows(spec, targets, n_max):
     keys = [w.letters for w in targets]
     out = np.zeros((len(targets), n_max + 1))
-    for n, table, _ in _word_laws(spec, n_max):
+    for n, table, _, _ in _word_laws(spec, n_max):
         out[:, n] = [table.get(key, 0.0) for key in keys]
     return out
 

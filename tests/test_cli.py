@@ -177,6 +177,24 @@ def test_free_kernel_on_a_longer_range_walk_names_the_missing_route(capsys, tmp_
     assert "no ratio kernel or return-sequence route" in err
 
 
+def test_free_kernel_certifies_a_walk_with_radius_past_two(capsys, tmp_path):
+    # r = 2.025: the radius bracket's upper end doubles past z = 2
+    f1 = free_group(1)
+    mu = {
+        identity(f1): Fraction(1, 100),
+        word(f1, [1]): Fraction(36333, 39200),
+        word(f1, [-1]): Fraction(99, 1568),
+    }
+    spec_path = tmp_path / "wide.spec"
+    spec_path.write_text(dump_walk_spec(finite_walk(f1, mu)))
+    rc, out, err = run_cli(
+        capsys, "free-kernel", "--spec-file", str(spec_path),
+        "--x", "1", "--y", "1", "--t", "0.9",
+    )
+    assert rc == 0, err
+    assert out
+
+
 def test_single_factor_subcommand_rejects_products(capsys):
     rc, _, err = run_cli(capsys, "ratio-converge", "--preset", "t3xZ")
     assert rc == 2

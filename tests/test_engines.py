@@ -49,10 +49,12 @@ from treewalks import (
     load_walk_spec,
     nstep,
     preset,
+    product_nstep_pair,
     product_return_sequence,
     ratio_sequence,
     series_coefficients,
     spectral_radius,
+    sphere_size,
     tree_alphabet,
     word,
     word_twin,
@@ -911,6 +913,150 @@ def test_nn_return_route_checks_underflow_too():
         factor_returns(spec, 6200)
     assert str(got.value) == message
     assert np.array_equal(factor_returns(spec, 6144), series[:6145])
+
+
+# -- exact engines against the Fraction loops they replaced ---------------------
+#
+# The exact engines carry integer numerators over D**n; the references keep
+# a Fraction in every cell, as the engines did before.
+
+
+def reference_series_rows(system, targets, n_max):
+    """The Green recursion of series._series_rows on object arrays of
+    Fractions."""
+    zero = Fraction(0)
+    L = len(system.letters)
+    inv = system.inv_index
+    mu0 = system.mu0_fraction
+    mu = np.array(system.mu_fractions, dtype=object)
+    f = np.full((L, n_max + 1), zero, dtype=object)
+    t = np.full((L, n_max + 1), zero, dtype=object)
+    s = np.full(n_max + 1, zero, dtype=object)
+    for n in range(1, n_max + 1):
+        for i in range(L):
+            acc = mu[i] if n == 1 else zero
+            acc += mu0 * f[i, n - 1]
+            if n >= 3:
+                acc += np.dot(t[i, 1 : n - 1], f[i, n - 2 : 0 : -1])
+            f[i, n] = acc
+        s[n] = np.dot(mu, f[inv, n])
+        t[:, n] = s[n] - mu * f[inv, n]
+    u = np.full(n_max + 1, zero, dtype=object)
+    u[1:] = s[:-1]
+    if n_max >= 1:
+        u[1] += mu0
+    g = np.full(n_max + 1, zero, dtype=object)
+    g[0] = Fraction(1)
+    for n in range(1, n_max + 1):
+        g[n] = np.dot(u[1 : n + 1], g[n - 1 :: -1])
+    rows = []
+    for target in targets:
+        if target is None:
+            rows.append(g)
+        elif isinstance(target, int):
+            rows.append(f[system.index[target]])
+        else:
+            coeffs = np.full(n_max + 1, zero, dtype=object)
+            coeffs[0] = Fraction(1)
+            for c in target.letters:
+                coeffs = np.convolve(coeffs, f[system.index[c]])[: n_max + 1]
+            rows.append(np.convolve(coeffs, g)[: n_max + 1])
+    return [row.tolist() for row in rows]
+
+
+def reference_pair_law(pw, n, y1, y2):
+    """product_nstep_pair's binomial mixture over the reference laws."""
+
+    def laws(spec, y):
+        if spec.mode == "isotropic":
+            size = sphere_size(spec.q, len(y))
+            vecs = reference_radial(spec, n, Fraction)
+            return [v[len(y)] / size if len(y) < len(v) else 0 for v in vecs]
+        return [table.get(y, 0) for table, _ in reference_word_laws(spec, n, True, None)]
+
+    laws1, laws2 = laws(pw.left, y1), laws(pw.right, y2)
+    s = pw.weight
+    return sum(
+        math.comb(n, k) * s**k * (1 - s) ** (n - k) * laws1[k] * laws2[n - k]
+        for k in range(n + 1)
+    )
+
+
+def assert_fractions(values):
+    assert all(type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: preset("f2-lazy-uniform"), skewed_f2, skewed_f3, lambda: t3_twin()],
+    ids=["f2-lazy-uniform", "skewed-f2", "skewed-f3", "t3-twin"],
+)
+def test_exact_series_rows_match_the_fraction_recursion(make):
+    spec = make()
+    ab = spec.alphabet
+    system = FirstPassageSystem(spec)
+    three = word(ab, [1, 2, 3] if ab.kind == "involutive" else [1, 2, -1])
+    targets = [None, ab.letters[-1], three]
+    rows = series._series_rows(system, targets, 60, True)
+    want = reference_series_rows(system, targets, 60)
+    for row, ref in zip(rows, want):
+        assert row.tolist() == ref
+        assert_fractions(row)
+    got = series_coefficients(system, three, 60, exact=True).coefficients
+    assert list(got) == want[2]
+    assert_fractions(got)
+
+
+@pytest.mark.parametrize(
+    "make", [skewed_f2, lambda: t3_twin(), range2_f2],
+    ids=["skewed-f2", "t3-twin", "range2-f2"],
+)
+@pytest.mark.parametrize("prune", [None, Fraction(1, 10**4)], ids=["whole", "pruned"])
+def test_exact_word_laws_match_the_fraction_convolution(make, prune):
+    spec = make()
+    want = reference_word_laws(spec, 6, True, prune)
+    for n, (table, pruned) in enumerate(want):
+        res = nstep(spec, n, exact=True, prune=prune)
+        assert res.table == table
+        assert res.pruned == pruned
+        assert_fractions([*res.table.values(), res.pruned])
+    if prune is not None:
+        assert pruned > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: preset("t3-lazy-iso"),
+        lambda: isotropic_walk(3, {0: "1/3", 1: "2/3"}),
+        lambda: isotropic_walk(3, {0: "1/5", 1: "1/2", 2: "3/10"}),
+    ],
+    ids=["q2", "q3", "q3-range2"],
+)
+def test_exact_radial_laws_match_the_fraction_sweep(make):
+    spec = make()
+    want = reference_radial(spec, 64, Fraction)
+    chain = RadialChain(spec)
+    for n in range(65):
+        got = chain.distribution_exact(n)
+        assert got == want[n][: len(got)].tolist()
+        assert not any(want[n][len(got):])
+        assert_fractions(got)
+    assert nstep(spec, 64, exact=True).radial == got
+
+
+@pytest.mark.parametrize("name", ["t3xZ", "t3xt3"])
+def test_exact_product_pairs_match_the_fraction_mixture(name):
+    pw = preset(name)
+    a1, a2 = pw.left.alphabet, pw.right.alphabet
+    ys1 = [identity(a1), word(a1, [1]), word(a1, [2, 1])]
+    ys2 = [identity(a2), word(a2, [1]), word(a2, [a2.letters[-1]] * 2)]
+    for n in range(13):
+        for y1 in ys1:
+            for y2 in ys2:
+                got = product_nstep_pair(pw, n, y1, y2)
+                assert got == reference_pair_law(pw, n, y1, y2)
+                assert type(got) is Fraction
 
 
 # -- one Green recursion per call -----------------------------------------------

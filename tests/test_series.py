@@ -394,9 +394,11 @@ def test_radius_solves_only_near_the_estimate(f2_spec, monkeypatch):
         assert calls == [1, cert.lo, cert.hi]
 
 
-# free groups and their involutive twins, the free products of order-two
-# generators that carry the regular trees T3 and T4
-RADIUS_ALPHABETS = [free_group(2), free_group(3), tree_alphabet(2), tree_alphabet(3)]
+# free groups and the free products of three and four order-two generators,
+# which carry the regular trees T3 and T4 (tree_alphabet(3) is F2 again)
+RADIUS_ALPHABETS = [
+    free_group(2), free_group(3), tree_alphabet(2), Alphabet("involutive", 4)
+]
 RADIUS_HOLDS = [Fraction(1, 10), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]
 
 
@@ -456,6 +458,33 @@ def test_one_generator_radius_brackets_the_closed_form(z_spec, name, prec):
     cert = FirstPassageSystem(spec, prec).radius()
     assert cert.lo <= closed_form_radius(spec) <= cert.hi
     assert cert.hi - cert.lo <= 1e-12
+
+
+# Walks whose singularity lies past z = 2, so the bracket's upper end
+# doubles from 2 toward 1/mu0: (alphabet, weights, hold, (lo, hi) as first
+# certified).  The walk over one generator is e 1/100, 1 36333/39200,
+# -1 99/1568, with a closed form; the F2 walk has a fold.
+WIDE_RADIUS_WALKS = {
+    "f1": (
+        ("free", 1), [12111, 825], Fraction(1, 100),
+        (2.0250369346783827, 2.025036934678468),
+    ),
+    "f2": (
+        ("free", 2), [108, 791, 833, 28], Fraction(1, 100),
+        (2.2050322628534786, 2.205032262853564),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_RADIUS_WALKS))
+def test_radius_past_two_is_certified(name):
+    kind, weights, hold, pin = WIDE_RADIUS_WALKS[name]
+    spec = weighted_walk(Alphabet(*kind), weights, hold)
+    system = FirstPassageSystem(spec)
+    cert = system.radius()
+    assert (cert.lo, cert.hi) == pin
+    r = closed_form_radius(spec) if name == "f1" else system.fold().r
+    assert cert.lo <= r <= cert.hi
 
 
 # Walks that need ESTIMATE_PREC or the one-generator closed form: an
@@ -579,7 +608,7 @@ def jacobian_by_operators(system, f, z, mu, mu0):
 @pytest.mark.parametrize("prec", [80, 96, 192])
 def test_phi_and_jacobian_are_the_operator_formulas_bit_for_bit(prec):
     rng = random.Random(prec)
-    alphabets = [free_group(2), free_group(3), free_group(4), tree_alphabet(3)]
+    alphabets = [free_group(2), free_group(3), free_group(4), Alphabet("involutive", 4)]
     for ab in alphabets:
         size = len(ab.letters)
         for weights in ([1] * size, [rng.randint(1, 9) for _ in range(size)]):
