@@ -9,9 +9,9 @@ m-regular tree.  All word operations below work uniformly in both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -19,7 +19,6 @@ __all__ = [
     "Alphabet",
     "ReducedWord",
     "EndPrefix",
-    "GeodesicSegment",
     "free_group",
     "tree_alphabet",
     "identity",
@@ -119,6 +118,14 @@ class ReducedWord:
                 raise ValidationError(f"word {self.letters} is not reduced")
             prev = a
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "ReducedWord":
+        """A word on letters taken from words already checked, built without
+        the check (and without the frozen __setattr__)."""
+        w = object.__new__(cls)
+        w.__dict__.update(alphabet=alphabet, letters=letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -133,13 +140,16 @@ class ReducedWord:
         return multiply(self, other)
 
     def inverse(self) -> "ReducedWord":
-        inv = self.alphabet.inverse_letter
-        return ReducedWord(self.alphabet, tuple(inv(a) for a in reversed(self.letters)))
+        if self.alphabet.kind == "free":
+            letters = tuple(-a for a in reversed(self.letters))
+        else:
+            letters = self.letters[::-1]
+        return ReducedWord._trusted(self.alphabet, letters)
 
     def prefix(self, length: int) -> "ReducedWord":
         if not 0 <= length <= len(self.letters):
             raise ValidationError("prefix length out of range")
-        return ReducedWord(self.alphabet, self.letters[:length])
+        return ReducedWord._trusted(self.alphabet, self.letters[:length])
 
 
 def identity(alphabet: Alphabet) -> ReducedWord:
@@ -181,7 +191,9 @@ def _reduced_product(
 def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
     if x.alphabet != y.alphabet:
         raise ValidationError("words over different alphabets")
-    return ReducedWord(x.alphabet, _reduced_product(x.alphabet, x.letters, y.letters))
+    return ReducedWord._trusted(
+        x.alphabet, _reduced_product(x.alphabet, x.letters, y.letters)
+    )
 
 
 def distance(x: ReducedWord, y: ReducedWord) -> int:
@@ -219,6 +231,11 @@ class EndPrefix:
         pat = tuple(pattern)
         if not pat:
             raise ValidationError("pattern must be nonempty")
+        if pat[-1] == alphabet.inverse_letter(pat[0]):
+            raise ValidationError(
+                f"pattern {','.join(map(str, pat))} cancels where it repeats: "
+                "its last letter is the inverse of its first"
+            )
         letters: list[int] = []
         while len(letters) < depth:
             letters.append(pat[len(letters) % len(pat)])
@@ -287,32 +304,6 @@ def horocycle(x: ReducedWord, xi: EndPrefix, depth: int | None = None) -> int:
     if depth <= len(x) + len(c):
         raise ValidationError("prefix too short to resolve confluent")
     return distance(x, c) - len(c)
-
-
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """The geodesic between two vertices, through their confluent."""
-
-    start: ReducedWord
-    end: ReducedWord
-    vertices: tuple[ReducedWord, ...] = field(compare=False)
-
-    @classmethod
-    def between(cls, x: ReducedWord, y: ReducedWord) -> "GeodesicSegment":
-        if x.alphabet != y.alphabet:
-            raise ValidationError("words over different alphabets")
-        if x == y:
-            return cls(x, y, (x,))
-        c = confluent(x, y)
-        down = [x.prefix(k) for k in range(len(x), len(c) - 1, -1)]
-        up = [y.prefix(k) for k in range(len(c) + 1, len(y) + 1)]
-        return cls(x, y, tuple(down + up))
-
-    def __len__(self) -> int:
-        return len(self.vertices) - 1
-
-    def __iter__(self) -> Iterator[ReducedWord]:
-        return iter(self.vertices)
 
 
 def sphere_size(q: int, d: int) -> int:

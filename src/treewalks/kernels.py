@@ -1,4 +1,4 @@
-"""Ratio-limit and Martin kernels, Doob transforms, and Green comparisons.
+"""Ratio-limit and Martin kernels, eigenfunction checks, and Green comparisons.
 
 Two kernel families live here.  Isotropic tree walks get kernels through
 the radial eigenfunction of the plain step operator; nearest-neighbour
@@ -32,7 +32,7 @@ from .geometry import (
     format_word,
     word,
 )
-from .walks import EXACT_STEP_LIMIT, WalkSpec, nstep, spectral_radius
+from .walks import WalkSpec
 from .series import FirstPassageSystem
 
 __all__ = [
@@ -44,10 +44,7 @@ __all__ = [
     "ratio_kernel_isotropic",
     "martin_kernel_nn",
     "ratio_kernel_nn",
-    "ratio_bound",
-    "DoobWalk",
     "PlainTreeRows",
-    "doob_transform",
     "verify_t_harmonic",
     "doob_green_decay",
     "radial_fold",
@@ -409,20 +406,8 @@ def ratio_grid_nn(system: FirstPassageSystem, probes, targets) -> np.ndarray:
     return grid
 
 
-def ratio_bound(spec: WalkSpec, x: ReducedWord) -> float:
-    """Upper bound sup_y H(x,y) <= 1/(rho^k p^(k)(e,x)), smallest usable k."""
-    rho = spectral_radius(spec).value
-    for k in range(len(x), EXACT_STEP_LIMIT + 1):
-        p = nstep(spec, k).probability(x)
-        if p > 0:
-            return 1.0 / (rho ** k * float(p))
-    raise ConvergenceError(
-        f"no positive n-step probability up to {EXACT_STEP_LIMIT} steps"
-    )
-
-
 # ---------------------------------------------------------------------------
-# Doob transforms
+# Eigenfunction checks
 #
 # Sources are either a WalkSpec or any object exposing .alphabet and
 # .row(x) -> [(y, p)].  The row form admits transition laws that fall
@@ -460,24 +445,6 @@ def _row_source(source):
     return source.alphabet, source.row
 
 
-@dataclass
-class DoobWalk:
-    """Transition law conjugated by a positive t-harmonic function.
-
-    Not group-invariant in general, so rows are exposed pointwise rather
-    than as a WalkSpec.
-    """
-
-    alphabet: object
-    base_row: Callable[[ReducedWord], list]
-    t: object
-    f: Callable[[ReducedWord], object]
-
-    def row(self, x: ReducedWord) -> list:
-        fx = self.f(x)
-        return [(y, p * self.f(y) / (self.t * fx)) for y, p in self.base_row(x)]
-
-
 def verify_t_harmonic(
     source, f: Callable[[ReducedWord], object], t, radius: int = 3
 ) -> float:
@@ -488,35 +455,10 @@ def verify_t_harmonic(
     alphabet, row = _row_source(source)
     worst = 0.0
     for x in ball(alphabet, radius):
-        worst = max(worst, _harmonic_residual(row, f, t, x))
+        target = t * f(x)
+        resid = abs(float(sum(p * f(y) for y, p in row(x)) - target) / float(target))
+        worst = max(worst, resid)
     return worst
-
-
-def _harmonic_residual(row, f, t, x: ReducedWord) -> float:
-    target = t * f(x)
-    return abs(float(sum(p * f(y) for y, p in row(x)) - target) / float(target))
-
-
-def doob_transform(
-    source,
-    f: Callable[[ReducedWord], object],
-    t,
-    radius: int = 3,
-    tol: float = 1e-9,
-) -> DoobWalk:
-    """Conjugate a step law by a positive t-harmonic function.
-
-    Harmonicity is checked pointwise on the ball; the offending vertex is
-    named on failure.  Row sums of the result equal one wherever f is
-    exactly harmonic.
-    """
-    alphabet, row = _row_source(source)
-    for x in ball(alphabet, radius):
-        if not f(x) > 0:
-            raise ValidationError(f"f is not positive at {format_word(x)}")
-        if _harmonic_residual(row, f, t, x) > tol:
-            raise ValidationError(f"f is not t-harmonic at {format_word(x)}")
-    return DoobWalk(alphabet=alphabet, base_row=row, t=t, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +502,20 @@ def radial_fold(q: int) -> tuple:
 def doob_green_decay(q: int, radii: Iterable[int]) -> list:
     """Green values at argument 1 of the eigenfunction-conjugated walk.
 
-    Builds the conjugated chain through doob_transform (which checks the
-    eigenfunction), then uses the conjugation of n-step kernels: the n-step
-    law of the transformed chain is the base law times f(y)/(t^n f(x)), so
-    its Green value at 1 is the base Green value at the fold, divided by f.
-    Radial first-passage multiplicativity supplies the base values.
+    Checks that the spherical function f is t-harmonic for the plain step
+    on the ball of radius 3, then uses the conjugation of n-step kernels:
+    the n-step law of the conjugated chain is the base law times
+    f(y)/(t^n f(x)), so its Green value at 1 is the base Green value at the
+    fold, divided by f.  Radial first-passage multiplicativity supplies the
+    base values.
     """
     t = plain_tree_rho(q)
-    doob_transform(
-        PlainTreeRows(q), lambda v: spherical(q, len(v)), t, radius=3, tol=1e-12
-    )
+    resid = verify_t_harmonic(PlainTreeRows(q), lambda v: spherical(q, len(v)), t)
+    if resid > 1e-12:
+        raise ValidationError(
+            f"spherical function is not t-harmonic for q = {q} "
+            f"(residual {resid:.3g})"
+        )
     z, Fv, green = radial_fold(q)
     out = []
     for k in radii:

@@ -40,7 +40,6 @@ __all__ = [
     "PassageMatrix",
     "ContractionResult",
     "ball_index",
-    "lambda_z",
     "radial_passage",
     "first_passage_to_ball",
     "passage_matrix",
@@ -146,51 +145,6 @@ def _ball_index(spec: WalkSpec, cap: int) -> BallIndex:
         f"no connecting radius up to {cap}: the ball points do not "
         "communicate inside any candidate ball"
     )
-
-
-# ---------------------------------------------------------------------------
-# Positivity floor
-
-
-def lambda_z(spec: WalkSpec, z: float) -> float:
-    """Minimum in-ball passage weight between ball points at weight z.
-
-    The walk is confined to the connecting ball; the floor is the
-    smallest first-passage value over ordered pairs of the inner ball.
-    Every passage matrix column at this z is either zero or has
-    min/max ratio at least this floor.
-    """
-    index = ball_index(spec)
-    steps = _step_pairs(spec)
-    big = ball(spec.alphabet, index.connect_radius)
-    pos = {w: i for i, w in enumerate(big)}
-    m = len(big)
-    P = np.zeros((m, m))
-    for i, u in enumerate(big):
-        for g, p in steps:
-            v = multiply(u, g)
-            j = pos.get(v)
-            if j is not None:
-                P[i, j] += p
-    try:
-        G = np.linalg.solve(np.eye(m) - z * P, np.eye(m))
-    except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            f"confined chain not invertible at z = {z}"
-        ) from None
-    floor = math.inf
-    for u in index.words:
-        i = pos[u]
-        for v in index.words:
-            j = pos[v]
-            f = 1.0 if i == j else G[i, j] / G[j, j]
-            if f <= 0.0:
-                raise ConvergenceError(
-                    f"zero confined passage {format_word(u)} -> "
-                    f"{format_word(v)} at z = {z}: increase N"
-                )
-            floor = min(floor, f)
-    return floor
 
 
 # ---------------------------------------------------------------------------

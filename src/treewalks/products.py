@@ -47,7 +47,6 @@ __all__ = [
     "CartesianAsymptotics",
     "cartesian_asymptotics",
     "BoundaryClasses",
-    "identify_equivalent_boundary",
     "product_report",
 ]
 

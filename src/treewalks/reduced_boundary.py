@@ -1,10 +1,9 @@
 """Targets the ratio kernel cannot tell apart, and the subgroup they form.
 
 Two targets are equivalent when H(x, .) agrees on them for every probe
-x.  The set equivalent to the identity is a subgroup; collapsing a
-kernel table along the classes gives the reduced picture.  Everything
-here is a finite-resolution certificate: a candidate ball, a probe
-ball, and a tolerance.
+x.  The set equivalent to the identity is a subgroup.  Everything here
+is a finite-resolution certificate: a candidate ball, a probe ball, and
+a tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import ball, format_word
-from .kernels import KernelTable, _json_text
+from .kernels import _json_text
 from .products import (
     ProductWalk,
     _greedy_classes,
@@ -24,7 +23,7 @@ from .products import (
 )
 from .walks import WalkSpec
 
-__all__ = ["EquivalenceReport", "detect_R_mu", "reduced_kernel_table"]
+__all__ = ["EquivalenceReport", "detect_R_mu"]
 
 
 @dataclass(frozen=True)
@@ -164,61 +163,3 @@ def detect_R_mu(
         inverse_closed=inverse_closed,
         certificate=certificate,
     )
-
-
-def reduced_kernel_table(
-    report: EquivalenceReport, table: KernelTable, tol: float | None = None
-) -> KernelTable:
-    """Collapse a kernel table along the report's target classes.
-
-    Rows whose target belongs to a class are replaced by one row per
-    (source, class), carrying the class representative's label.  Rows
-    with targets outside the report pass through untouched.
-    """
-    if tol is None:
-        tol = report.tol
-    label_to_class: dict[str, int] = {}
-    for c, group in enumerate(report.classes):
-        for i in group:
-            label_to_class[report.labels[i]] = c
-    kept = []
-    groups: dict[tuple[str, int], list] = {}
-    order: list[tuple[str, int]] = []
-    for row in table.rows:
-        c = label_to_class.get(row.y_or_prefix)
-        if c is None:
-            kept.append(row)
-            continue
-        key = (row.x, c)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    out_rows = []
-    for key in order:
-        rows = groups[key]
-        values = [r.value for r in rows]
-        spread = max(values) - min(values)
-        limit = tol * max(1.0, max(abs(v) for v in values))
-        if spread > limit:
-            raise ValidationError(
-                f"kernel values for x = {key[0]} spread {spread:.3e} across "
-                f"class {key[1]}: classes were computed at a coarser tolerance"
-            )
-        rep = rows[0]
-        rep_label = report.labels[report.classes[key[1]][0]]
-        out_rows.append(
-            type(rep)(
-                x=rep.x,
-                y_or_prefix=rep_label,
-                depth=rep.depth,
-                value=rep.value,
-                error=rep.error,
-                stabilized=rep.stabilized,
-            )
-        )
-    out_rows.extend(kept)
-    meta = dict(table.meta)
-    meta["reduced_classes"] = len(report.classes)
-    meta["reduced_tol"] = tol
-    return KernelTable(kind=table.kind + "-reduced", rows=out_rows, meta=meta)

@@ -81,7 +81,6 @@ __all__ = [
     "SecondOrderGreen",
     "series_coefficients",
     "green_second_order",
-    "derivative_identity",
 ]
 
 MIN_PREC = 80  # below it Newton's tolerance cannot tell z just past the fold
@@ -1015,32 +1014,3 @@ def green_second_order(
         green_pair=float(green_pair),
         green_origin=float(green),
     )
-
-
-def derivative_identity(system: FirstPassageSystem, x: ReducedWord, z) -> dict:
-    """Derivative of z -> G(e,x|z) against its second-order quotients.
-
-    Returns the centered-difference derivative, the shifted quotient
-    (second-order sum minus the function, over z), the plain quotient
-    (second-order sum over z squared), and the relative residual of each
-    against the derivative.
-    """
-    with mp.workprec(system.prec):
-        zz = mp.mpf(z)
-        h = zz * mp.mpf("1e-9")
-        up = system.solve(zz + h).green_to(x)
-        dn = system.solve(zz - h).green_to(x)
-        derivative = (up - dn) / (2 * h)
-        gval = system.solve(zz).green_to(x)
-        g2 = green_second_order(system, identity(system.spec.alphabet), x, zz)
-        shifted = (g2.value - gval) / zz
-        plain = g2.value / (zz * zz)
-        return {
-            "derivative": float(derivative),
-            "quotient_shifted": float(shifted),
-            "quotient_plain": float(plain),
-            "residual_shifted": float(
-                abs(shifted - derivative) / abs(derivative)
-            ),
-            "residual_plain": float(abs(plain - derivative) / abs(derivative)),
-        }

@@ -518,12 +518,13 @@ def nstep(
     # every word walk, rank-one and nearest-neighbour ones included
     for _, table, pruned, scale in _word_laws(spec, n, exact=exact, prune=prune):
         pass
-    ab = spec.alphabet
+    # _reduced_product built the keys from the letters of checked words
+    ab, trusted = spec.alphabet, ReducedWord._trusted
     if exact:
-        table = {ReducedWord(ab, k): Fraction(m, scale) for k, m in table.items()}
+        table = {trusted(ab, k): Fraction(m, scale) for k, m in table.items()}
         pruned = Fraction(pruned, scale)
     else:
-        table = {ReducedWord(ab, k): mass for k, mass in table.items()}
+        table = {trusted(ab, k): mass for k, mass in table.items()}
     return NStepResult(spec, n, exact, table=table, pruned=pruned)
 
 

@@ -121,6 +121,7 @@ def test_malformed_word_exits_2(capsys):
     [
         ("--x=5", "outside alphabet"),
         ("--pattern=1,-1", "pattern must be nonempty"),
+        ("--pattern=1,2,-1", "pattern 1,2,-1 cancels where it repeats"),
         ("--pattern=a", "cannot parse word"),
     ],
 )

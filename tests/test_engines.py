@@ -348,6 +348,47 @@ def test_each_public_name_is_declared_once_where_it_is_defined():
     assert public == {name for name, mod in owner.items() if mod != "cli"}
 
 
+
+# library entry points that no module, script or benchmark calls: the
+# direct product beside the switching one, and the list of preset names
+UNREAD_PUBLIC_NAMES = {"direct_product", "preset_names"}
+
+
+def names_read(path):
+    """Names and attributes a file loads, outside the top-level definition
+    of the same name."""
+    read = set()
+    for stmt in ast.parse(path.read_text()).body:
+        here = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                here.add(node.attr)
+        here.discard(getattr(stmt, "name", None))
+        read |= here
+    return read
+
+
+def test_each_public_name_is_read_outside_the_unit_tests():
+    # an __all__ entry is a string and an import binds, so neither reads;
+    # the acceptance gate, the scripts and the benchmark count as readers
+    root = Path(__file__).parents[1]
+    paths = [
+        *Path(treewalks.__file__).parent.glob("*.py"),
+        *(root / "scripts").glob("*.py"),
+        *(root / "perfbench").glob("*.py"),
+        root / "tests" / "test_acceptance.py",
+    ]
+    read = set().union(*(names_read(path) for path in paths))
+    unread = {
+        name
+        for info in pkgutil.iter_modules(treewalks.__path__)
+        for name in importlib.import_module(f"treewalks.{info.name}").__all__
+        if name not in read
+    }
+    assert unread == UNREAD_PUBLIC_NAMES
+
 # -- lattice route: targets out of reach, walks of range two -------------------
 
 

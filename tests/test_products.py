@@ -29,7 +29,6 @@ from treewalks import (
     factor_returns,
     finite_walk,
     free_group,
-    identify_equivalent_boundary,
     identity,
     isotropic_walk,
     nstep,
@@ -43,7 +42,7 @@ from treewalks import (
     word,
     word_twin,
 )
-from treewalks.products import _logsumexp
+from treewalks.products import _logsumexp, identify_equivalent_boundary
 
 T3 = tree_alphabet(2)
 Z1 = free_group(1)

@@ -1,4 +1,4 @@
-"""Kernel-equivalence scans and collapsed kernel tables.
+"""Kernel-equivalence scans.
 
 The scans certify membership at a finite resolution (candidate ball,
 probe ball, tolerance); the tests freeze small-radius outcomes for the
@@ -16,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treewalks import (
-    KernelTable,
-    KernelValue,
     ProductBoundaryPoint,
     ValidationError,
     ball,
@@ -35,7 +33,6 @@ from treewalks import (
     preset,
     product_kernel_grid,
     product_ratio_kernel,
-    reduced_kernel_table,
     spectral_radius,
     spherical,
     tree_alphabet,
@@ -383,81 +380,3 @@ def test_report_json_round_trip(t3xz):
     assert payload["inverse_closed"] == report.inverse_closed
     assert payload["certificate"] == report.certificate
     assert payload["classes"] == [list(c) for c in report.classes]
-
-
-# -- collapsing kernel tables -----------------------------------------------------
-
-
-def line_word(m):
-    from treewalks import free_group
-
-    z1 = free_group(1)
-    return word(z1, [1] * m if m >= 0 else [-1] * -m)
-
-
-def product_rows(pw, probes, targets):
-    return [product_ratio_kernel(pw, x, y) for x in probes for y in targets]
-
-
-def test_reduced_table_collapses_line_fibres(t3xz):
-    report = detect_R_mu(t3xz, candidate_radius=2, probe_radius=2, tol=1e-6)
-    e1 = identity(T3)
-    probes = [(e1, line_word(0)), (word(T3, [1]), line_word(0))]
-    targets = [
-        (e1, line_word(0)),
-        (e1, line_word(1)),
-        (e1, line_word(-1)),
-        (word(T3, [1]), line_word(0)),
-        (word(T3, [1]), line_word(1)),
-    ]
-    table = KernelTable(
-        kind="product-ratio",
-        rows=product_rows(t3xz, probes, targets),
-        meta={"preset": "t3xZ"},
-    )
-    reduced = reduced_kernel_table(report, table)
-    # two probes, two surviving classes: identity fibre and the [1] fibre
-    assert len(reduced.rows) == 4
-    assert reduced.kind == "product-ratio-reduced"
-    assert reduced.meta["reduced_classes"] == len(report.classes)
-    assert reduced.meta["reduced_tol"] == report.tol
-    labels = {row.y_or_prefix for row in reduced.rows}
-    rep0 = report.labels[report.classes[report.class_of("e|e")][0]]
-    rep1 = report.labels[report.classes[report.class_of("1|e")][0]]
-    assert labels == {rep0, rep1}
-    # collapsed rows keep the first-seen value for each (probe, class)
-    first = reduced.rows[0]
-    assert first.x == "e|e"
-    assert first.value == table.rows[0].value
-
-
-def test_reduced_table_passes_foreign_targets_through(t3xz):
-    report = detect_R_mu(t3xz, candidate_radius=1, probe_radius=1, tol=1e-6)
-    foreign = KernelValue("e|e", "outside|label", None, 7.0, 0.0, True)
-    e1 = identity(T3)
-    table = KernelTable(
-        kind="product-ratio",
-        rows=[
-            product_ratio_kernel(t3xz, (e1, line_word(0)), (e1, line_word(0))),
-            foreign,
-        ],
-        meta={},
-    )
-    reduced = reduced_kernel_table(report, table)
-    assert reduced.rows[-1] == foreign
-    assert len(reduced.rows) == 2
-
-
-def test_reduced_table_rejects_spread_beyond_tolerance(t3xz):
-    report = detect_R_mu(t3xz, candidate_radius=2, probe_radius=2, tol=1e-6)
-    rows = [
-        KernelValue("probe", "e|1", None, 1.0, 0.0, True),
-        KernelValue("probe", "e|-1", None, 2.0, 0.0, True),
-    ]
-    table = KernelTable(kind="product-ratio", rows=rows, meta={})
-    with pytest.raises(ValidationError, match="coarser tolerance"):
-        reduced_kernel_table(report, table)
-    # widening the collapse tolerance waves the same rows through
-    loosened = reduced_kernel_table(report, table, tol=2.0)
-    assert len(loosened.rows) == 1
-    assert loosened.rows[0].value == 1.0

@@ -56,7 +56,11 @@ def test_script_runs_and_prints_its_summary(command):
 
 @pytest.mark.parametrize(
     "pattern, message",
-    [("1,-1", "pattern must be nonempty"), ("a", "cannot parse word")],
+    [
+        ("1,-1", "pattern must be nonempty"),
+        ("1,2,-1", "pattern 1,2,-1 cancels where it repeats"),
+        ("a", "cannot parse word"),
+    ],
 )
 def test_bad_pattern_exits_2(pattern, message):
     # the pattern reads like the CLI's --pattern: a usage error, no traceback

@@ -19,7 +19,6 @@ from treewalks import (
     FirstPassageSystem,
     ValidationError,
     ball,
-    derivative_identity,
     finite_walk,
     free_group,
     green_second_order,
@@ -1124,6 +1123,35 @@ def test_second_order_names_the_positive_solution_guard(f2_system, monkeypatch):
     monkeypatch.setattr(f2_system, "solve", lambda z: fake)
     with pytest.raises(ConvergenceError, match="failed the u > 0 guard"):
         green_second_order(f2_system, e, word(F2, [1, 2]), 0.5)
+
+
+def derivative_identity(system, x, z) -> dict:
+    """Derivative of z -> G(e,x|z) against its second-order quotients.
+
+    Returns the centered-difference derivative, the shifted quotient
+    (second-order sum minus the function, over z), the plain quotient
+    (second-order sum over z squared), and the relative residual of each
+    against the derivative.
+    """
+    with mp.workprec(system.prec):
+        zz = mp.mpf(z)
+        h = zz * mp.mpf("1e-9")
+        up = system.solve(zz + h).green_to(x)
+        dn = system.solve(zz - h).green_to(x)
+        derivative = (up - dn) / (2 * h)
+        gval = system.solve(zz).green_to(x)
+        g2 = green_second_order(system, identity(system.spec.alphabet), x, zz)
+        shifted = (g2.value - gval) / zz
+        plain = g2.value / (zz * zz)
+        return {
+            "derivative": float(derivative),
+            "quotient_shifted": float(shifted),
+            "quotient_plain": float(plain),
+            "residual_shifted": float(
+                abs(shifted - derivative) / abs(derivative)
+            ),
+            "residual_plain": float(abs(plain - derivative) / abs(derivative)),
+        }
 
 
 def test_derivative_identity_shifted_form(f2_system):

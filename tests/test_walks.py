@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treewalks import (
+    ConvergenceError,
     RadialChain,
     ValidationError,
     ball,
@@ -23,7 +24,6 @@ from treewalks import (
     lattice_offsets,
     load_walk_spec,
     nstep,
-    ratio_bound,
     ratio_sequence,
     spectral_radius,
     sphere,
@@ -33,6 +33,7 @@ from treewalks import (
     word,
     word_twin,
 )
+from treewalks.walks import EXACT_STEP_LIMIT
 
 F2 = free_group(2)
 
@@ -136,6 +137,18 @@ def test_nstep_exact_is_a_probability_distribution():
     spec = f2_lazy()
     res = nstep(spec, 6, exact=True)
     assert sum(res.table.values()) == 1
+
+
+@pytest.mark.parametrize("involutive", [False, True])
+def test_nstep_exact_keys_are_checked_words(involutive):
+    # the table keys skip the constructor's check; rebuilding each one
+    # through word() checks, and reduces, its letters
+    spec = f2_lazy()
+    if involutive:
+        spec = word_twin(isotropic_walk(2, {0: Fraction(1, 2), 1: Fraction(1, 2)}))
+    table = nstep(spec, 6, exact=True).table
+    assert len(table) > 1
+    assert all(key == word(spec.alphabet, key.letters) for key in table)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (3, 1)])
@@ -248,6 +261,18 @@ def test_ratio_sequence_rejects_words_of_another_alphabet():
         for x, y in pairs:
             with pytest.raises(ValidationError, match="walk's alphabet"):
                 ratio_sequence(spec, x, y, 4)
+
+
+def ratio_bound(spec, x) -> float:
+    """Upper bound sup_y H(x,y) <= 1/(rho^k p^(k)(e,x)), smallest usable k."""
+    rho = spectral_radius(spec).value
+    for k in range(len(x), EXACT_STEP_LIMIT + 1):
+        p = nstep(spec, k).probability(x)
+        if p > 0:
+            return 1.0 / (rho ** k * float(p))
+    raise ConvergenceError(
+        f"no positive n-step probability up to {EXACT_STEP_LIMIT} steps"
+    )
 
 
 def test_ratio_bound_dominates_observed_ratios():
