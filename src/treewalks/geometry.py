@@ -121,9 +121,10 @@ class ReducedWord:
     @classmethod
     def _trusted(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "ReducedWord":
         """A word on letters taken from words already checked, built without
-        the check (and without the frozen __setattr__)."""
+        the check."""
         w = object.__new__(cls)
-        w.__dict__.update(alphabet=alphabet, letters=letters)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
         return w
 
     def __len__(self) -> int:
