@@ -348,7 +348,6 @@ def test_each_public_name_is_declared_once_where_it_is_defined():
     assert public == {name for name, mod in owner.items() if mod != "cli"}
 
 
-
 # library entry points that no module, script or benchmark calls: the
 # direct product beside the switching one, and the list of preset names
 UNREAD_PUBLIC_NAMES = {"direct_product", "preset_names"}
@@ -388,6 +387,7 @@ def test_each_public_name_is_read_outside_the_unit_tests():
         if name not in read
     }
     assert unread == UNREAD_PUBLIC_NAMES
+
 
 # -- lattice route: targets out of reach, walks of range two -------------------
 
